@@ -169,8 +169,14 @@ class MockProvider:
         }
 
     def _match(self, text: str, kind: str) -> list[dict]:
+        # A lowercase substring test cannot miss a match when text and name
+        # are both ASCII; Unicode case folding (ſ, ı, İ, the Kelvin sign)
+        # needs the regex.
+        folded = text.lower() if text.isascii() else None
         entries = []
         for name in sorted(self.rulebook.get(kind, {})):
+            if folded is not None and name.isascii() and name.lower() not in folded:
+                continue
             pattern = rf"(?<![A-Za-z0-9]){re.escape(name)}(?![A-Za-z0-9])"
             if re.search(pattern, text, re.IGNORECASE):
                 entry = {"name": name}

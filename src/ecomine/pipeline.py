@@ -1,10 +1,10 @@
 """Stage orchestration: specialize, generalize, extract.
 
 The extract stage is built for multi-day batches: per-paper results are
-appended to a results file as they commit, a checkpoint is flushed
-every few completions, and a fingerprint of the schema in force binds
-checkpoint and results together so a resumed run can never mix
-schemas. Workers only call the gateway; parsing and persistence happen
+appended to a results file as they commit, each commit is journalled
+to the checkpoint file as a one-line delta, and a fingerprint of the
+schema in force binds checkpoint and results together so a resumed run
+can never mix schemas. Workers only call the gateway; parsing and persistence happen
 on the calling thread (single writer).
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import os
 import random
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -22,6 +23,7 @@ from typing import Collection, Sequence
 from .corpus import CorpusStore, PaperRecord, atomic_write_text
 from .errors import (
     CheckpointError,
+    CorpusError,
     InvalidSchemaError,
     PromptError,
     QuarantineError,
@@ -29,8 +31,13 @@ from .errors import (
     StageFailure,
     TransportError,
 )
-from .gateway import LlmGateway, RateLimitPolicy
-from .prompts import build_extract_prompt, build_generalize_prompt, build_specialize_prompt
+from .gateway import LlmGateway, PromptPair, RateLimitPolicy
+from .prompts import (
+    build_extract_system_prompt,
+    build_generalize_prompt,
+    build_paper_user_prompt,
+    build_specialize_prompt,
+)
 from .schema import (
     CandidateSchema,
     ExtractionResult,
@@ -48,9 +55,6 @@ from .schema import (
 )
 
 logger = logging.getLogger(__name__)
-
-#: Checkpoint flush cadence during extract, in completed papers.
-CHECKPOINT_EVERY = 25
 
 
 @dataclass
@@ -74,7 +78,14 @@ class StageConfig:
 
 @dataclass
 class Checkpoint:
-    """Resumable extract-stage state."""
+    """Resumable extract-stage state.
+
+    On disk: one checkpoint document, then zero or more one-line deltas
+    ``{"doi", "status"[, "reason"]}`` appended as papers commit, where
+    status names the set the DOI joins. A line counts once its newline
+    is written; an unterminated last line is a torn write and is
+    dropped. ``save`` compacts everything into a single document.
+    """
 
     stage: str
     schema_fingerprint: str
@@ -84,6 +95,18 @@ class Checkpoint:
 
     def processed(self) -> set[str]:
         return self.completed | self.out_of_scope | set(self.quarantined)
+
+    def apply(self, delta: dict) -> None:
+        """Fold one journal delta into the sets."""
+        status, doi = delta["status"], delta["doi"]
+        if status == "completed":
+            self.completed.add(doi)
+        elif status == "out_of_scope":
+            self.out_of_scope.add(doi)
+        elif status == "quarantined":
+            self.quarantined[doi] = delta["reason"]
+        else:
+            raise ValueError(f"unknown status {status!r}")
 
     def save(self, path: str | Path) -> None:
         doc = {
@@ -98,8 +121,9 @@ class Checkpoint:
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            text = Path(path).read_text(encoding="utf-8")
+            doc, end = json.JSONDecoder().raw_decode(text, len(text) - len(text.lstrip()))
+        except (OSError, ValueError) as exc:
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
         try:
             checkpoint = cls(
@@ -111,6 +135,19 @@ class Checkpoint:
             )
         except KeyError as exc:
             raise CheckpointError(f"checkpoint {path} missing field {exc}") from exc
+        lines = text[end:].split("\n")
+        torn = lines.pop()
+        first_line = text.count("\n", 0, end) + 1
+        for number, line in enumerate(lines, first_line):
+            if not line.strip():
+                continue
+            try:
+                checkpoint.apply(json.loads(line))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CheckpointError(f"checkpoint {path}, line {number}: malformed delta: {exc!r}") from exc
+        if torn.strip():
+            offset = len(text.encode("utf-8")) - len(torn.encode("utf-8"))
+            logger.warning("%s: dropping torn last line at byte offset %d", path, offset)
         if checkpoint.completed & set(checkpoint.quarantined):
             raise CheckpointError(f"checkpoint {path} has DOIs both completed and quarantined")
         return checkpoint
@@ -256,12 +293,13 @@ def run_extract(
 
     Every eligible paper ends up in exactly one of extracted,
     out_of_scope, or quarantined. Completions are appended to
-    results_path as they commit; a hard gateway failure flushes the
-    checkpoint and re-raises, and a rerun with the same checkpoint
-    resumes where it left off. On completion the results file is
+    results_path as they commit, and each commit is then journalled to
+    the checkpoint, so a rerun with the same checkpoint resumes where
+    even a killed run left off. A hard gateway failure compacts the
+    checkpoint and re-raises. On completion the results file is
     compacted to one DOI-sorted line per paper.
     """
-    ensure_valid_schema(schema)
+    system = build_extract_system_prompt(schema)  # validates the schema
     fingerprint = schema_fingerprint(schema)
 
     checkpoint = Checkpoint(stage="extract", schema_fingerprint=fingerprint)
@@ -280,12 +318,27 @@ def run_extract(
 
     results_path = Path(results_path)
     results_path.parent.mkdir(parents=True, exist_ok=True)
+    if results_path.exists():
+        _cut_torn_tail(results_path)
+
+    journal = None
+    if checkpoint_path is not None:
+        checkpoint.save(checkpoint_path)  # the document the deltas follow
+        journal = Path(checkpoint_path).open("a", encoding="utf-8")
+
+    def commit(doi: str, status: str, reason: str | None = None) -> None:
+        delta = {"doi": doi, "status": status}
+        if reason is not None:
+            delta["reason"] = reason
+        checkpoint.apply(delta)
+        if journal is not None:
+            journal.write(json.dumps(delta, ensure_ascii=False, sort_keys=True) + "\n")
+            journal.flush()
 
     def call(record: PaperRecord) -> str:
-        return gateway.complete(build_extract_prompt(record, schema)).raw_text
+        return gateway.complete(PromptPair(system, build_paper_user_prompt(record))).raw_text
 
     failure: TransportError | None = None
-    since_flush = 0
     pool = ThreadPoolExecutor(max_workers=config.parallelism)
     try:
         with results_path.open("a", encoding="utf-8") as sink:
@@ -300,28 +353,21 @@ def run_extract(
                 except PromptError as exc:
                     # the paper itself cannot form a prompt; retrying won't help
                     logger.warning("quarantining unpromptable paper %s: %s", doi, exc)
-                    checkpoint.quarantined[doi] = str(exc)
-                    since_flush += 1
+                    commit(doi, "quarantined", str(exc))
                     continue
                 try:
                     result = parse_result(raw, doi)
                 except QuarantineError as exc:
                     logger.warning("quarantining extract response for %s", doi)
-                    checkpoint.quarantined[doi] = str(exc)
+                    commit(doi, "quarantined", str(exc))
                 else:
                     sink.write(serialize_result(result) + "\n")
                     sink.flush()
-                    if result.status == "out_of_scope":
-                        checkpoint.out_of_scope.add(doi)
-                    else:
-                        checkpoint.completed.add(doi)
-                since_flush += 1
-                if checkpoint_path is not None and since_flush >= CHECKPOINT_EVERY:
-                    checkpoint.save(checkpoint_path)
-                    since_flush = 0
+                    commit(doi, "out_of_scope" if result.status == "out_of_scope" else "completed")
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-        if checkpoint_path is not None:
+        if journal is not None:
+            journal.close()
             checkpoint.save(checkpoint_path)
 
     if failure is not None:
@@ -334,6 +380,24 @@ def run_extract(
         out_of_scope=len(checkpoint.out_of_scope),
         quarantined=len(checkpoint.quarantined),
     )
+
+
+def _cut_torn_tail(path: Path) -> None:
+    """Truncate an unterminated last line, which a kill mid-write leaves,
+    so the next append starts a fresh line instead of gluing onto it."""
+    with path.open("rb+") as handle:
+        size = cut = handle.seek(0, os.SEEK_END)
+        while cut > 0:
+            start = max(0, cut - 4096)
+            handle.seek(start)
+            newline = handle.read(cut - start).rfind(b"\n")
+            if newline >= 0:
+                cut = start + newline + 1
+                break
+            cut = start
+        if cut < size:
+            logger.warning("%s: dropping torn last line at byte offset %d", path, cut)
+            handle.truncate(cut)
 
 
 def _compact_results(path: Path) -> None:
@@ -352,10 +416,14 @@ def load_results(path: str | Path) -> list[ExtractionResult]:
     path = Path(path)
     if not path.exists():
         return []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        result = result_from_dict(json.loads(line))
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"results file {path}, line {number}: {exc}") from exc
+        result = result_from_dict(doc)
         by_doi[result.paper_doi] = result
     return list(by_doi.values())
 

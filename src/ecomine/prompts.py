@@ -74,8 +74,12 @@ def build_generalize_prompt(candidates: Sequence[CandidateSchema]) -> PromptPair
     return PromptPair(system=load_template("generalize_system.txt"), user=user)
 
 
+def build_extract_system_prompt(schema: StandardizedSchema) -> str:
+    """System prompt carrying the standardized schema; one per extract run."""
+    ensure_valid_schema(schema)
+    return _fill(load_template("extract_system.txt"), {"schema": schema_to_json(schema)})
+
+
 def build_extract_prompt(paper: PaperRecord, schema: StandardizedSchema) -> PromptPair:
     """Prompt asking to populate the standardized schema for one paper."""
-    ensure_valid_schema(schema)
-    system = _fill(load_template("extract_system.txt"), {"schema": schema_to_json(schema)})
-    return PromptPair(system=system, user=build_paper_user_prompt(paper))
+    return PromptPair(system=build_extract_system_prompt(schema), user=build_paper_user_prompt(paper))

@@ -10,6 +10,7 @@ import random
 import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +98,27 @@ def test_end_to_end_determinism(tmp_path):
     for name in names_one:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
     passed("end-to-end determinism (<10 s, byte-identical artifacts)")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_golden_artifacts(tmp_path):
+    """A fresh run reproduces the committed artifacts byte for byte.
+
+    tests/golden/ holds the artifacts of this workflow as captured before
+    the extract loop moved to a checkpoint journal; a change that alters
+    any artifact byte must say so by updating them.
+    """
+    corpus_path = tmp_path / "corpus.jsonl"
+    shutil.copy(SAMPLE_CORPUS, corpus_path)
+    root = run_workflow(tmp_path, corpus_path, "fresh")
+
+    names = workflow_artifacts(root)
+    assert sorted(names) == sorted(p.relative_to(GOLDEN).as_posix() for p in GOLDEN.rglob("*") if p.is_file())
+    for name in names:
+        assert (root / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    passed("golden artifacts (byte-identical to the committed set)")
 
 
 def test_partition_arithmetic(tmp_path):

@@ -1,11 +1,12 @@
 import json
+import re
 import threading
 
 import pytest
 
 from conftest import SAMPLE_SEED, fast_policy
 from ecomine.corpus import CorpusStore, PaperRecord
-from ecomine.errors import CheckpointError, StageFailure, TransportError
+from ecomine.errors import CheckpointError, CorpusError, StageFailure, TransportError
 from ecomine.gateway import LlmResponse
 from ecomine.pipeline import (
     Checkpoint,
@@ -327,3 +328,162 @@ class TestFileLoaders:
         results = load_results(path)
         assert len(results) == 1
         assert result_to_dict(results[0])["species"] == []
+
+
+def seed_format(path, **sets):
+    """Write a checkpoint document exactly as a flush-every-25 writer did."""
+    doc = {
+        "stage": "extract",
+        "schema_fingerprint": schema_fingerprint(standard_schema()),
+        "completed": sorted(sets.get("completed", [])),
+        "out_of_scope": sorted(sets.get("out_of_scope", [])),
+        "quarantined": sets.get("quarantined", {}),
+    }
+    path.write_text(json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def append_deltas(path, *deltas):
+    with path.open("a", encoding="utf-8") as journal:
+        for delta in deltas:
+            journal.write(json.dumps(delta) + "\n")
+
+
+class TestCheckpointJournal:
+    run_full = TestExtract.run_full
+
+    def extract(self, store, gateway, tmp_path, name):
+        return run_extract(
+            store, standard_schema(), make_config(), gateway,
+            results_path=tmp_path / f"{name}.jsonl", checkpoint_path=tmp_path / f"{name}.ckpt.json",
+        )
+
+    def test_seed_format_resumes_and_rewrites_byte_identically(self, sample_store, mock_gateway, tmp_path):
+        _, baseline_results, baseline_ckpt = self.run_full(sample_store, mock_gateway, tmp_path, name="baseline")
+        lines = baseline_results.read_text(encoding="utf-8").splitlines(keepends=True)[:6]
+        done = [json.loads(line) for line in lines]
+        (tmp_path / "seed.jsonl").write_text("".join(lines), encoding="utf-8")
+        seed_format(
+            tmp_path / "seed.ckpt.json",
+            completed=[d["doi"] for d in done if d["status"] != "out_of_scope"],
+            out_of_scope=[d["doi"] for d in done if d["status"] == "out_of_scope"],
+        )
+
+        counting = FailAfter(mock_gateway, allow=10_000)
+        self.extract(sample_store, counting, tmp_path, "seed")
+        assert counting.calls == 20 - 6
+        assert (tmp_path / "seed.jsonl").read_bytes() == baseline_results.read_bytes()
+        assert (tmp_path / "seed.ckpt.json").read_bytes() == baseline_ckpt.read_bytes()
+
+    def test_deltas_load_like_compacted_form(self, tmp_path):
+        path = tmp_path / "journal.ckpt.json"
+        seed_format(path, completed=["10.1/a"], quarantined={"10.1/q": "old"})
+        append_deltas(
+            path,
+            {"doi": "10.1/b", "status": "completed"},
+            {"doi": "10.1/c", "status": "out_of_scope"},
+            {"doi": "10.1/d", "status": "quarantined", "reason": "bad json"},
+        )
+        journal = Checkpoint.load(path)
+        assert journal.completed == {"10.1/a", "10.1/b"}
+        assert journal.out_of_scope == {"10.1/c"}
+        assert journal.quarantined == {"10.1/q": "old", "10.1/d": "bad json"}
+
+        compacted = tmp_path / "compacted.ckpt.json"
+        journal.save(compacted)
+        assert Checkpoint.load(compacted) == journal
+        assert compacted.read_text(encoding="utf-8").count("\n{") == 0  # one document, no deltas
+
+    def test_fingerprint_refused_with_deltas(self, sample_store, mock_gateway, tmp_path):
+        path = tmp_path / "fp.ckpt.json"
+        Checkpoint(stage="extract", schema_fingerprint="not-the-same").save(path)
+        append_deltas(path, {"doi": "10.5555/ecomine.0001", "status": "completed"})
+        with pytest.raises(CheckpointError):
+            self.extract(sample_store, mock_gateway, tmp_path, "fp")
+
+    @pytest.mark.parametrize("in_document", [True, False])
+    def test_overlap_from_deltas_rejected(self, tmp_path, in_document):
+        path = tmp_path / "overlap.ckpt.json"
+        seed_format(path, completed=["10.1/a"] if in_document else [])
+        deltas = [{"doi": "10.1/a", "status": "quarantined", "reason": "also here"}]
+        if not in_document:
+            deltas.insert(0, {"doi": "10.1/a", "status": "completed"})
+        append_deltas(path, *deltas)
+        with pytest.raises(CheckpointError):
+            Checkpoint.load(path)
+
+    def test_journal_holds_every_commit_without_midrun_save(
+        self, sample_store, mock_gateway, tmp_path, monkeypatch
+    ):
+        _, baseline_results, _ = self.run_full(sample_store, mock_gateway, tmp_path, name="baseline")
+        flaky = FailAfter(mock_gateway, allow=7)
+        saves = []
+        real_save = Checkpoint.save
+
+        def spy_save(checkpoint, path):
+            saves.append(len(checkpoint.processed()))
+            if len(saves) == 1:  # the opening document; later saves are lost, as in a kill
+                real_save(checkpoint, path)
+
+        monkeypatch.setattr(Checkpoint, "save", spy_save)
+        with pytest.raises(TransportError):
+            self.extract(sample_store, flaky, tmp_path, "journal")
+        monkeypatch.undo()
+
+        assert saves == [0, 7]  # the opening document and the final compaction only
+        lines = (tmp_path / "journal.jsonl").read_text(encoding="utf-8").splitlines()
+        committed = {json.loads(line)["doi"] for line in lines}
+        assert len(committed) == 7
+        assert Checkpoint.load(tmp_path / "journal.ckpt.json").processed() == committed
+
+        counting = FailAfter(mock_gateway, allow=10_000)
+        self.extract(sample_store, counting, tmp_path, "journal")
+        assert counting.calls == 20 - 7
+        assert (tmp_path / "journal.jsonl").read_bytes() == baseline_results.read_bytes()
+
+
+class TestTornWrites:
+    run_full = TestExtract.run_full
+
+    def interrupted(self, store, gateway, tmp_path):
+        results, checkpoint = tmp_path / "torn.jsonl", tmp_path / "torn.ckpt.json"
+        with pytest.raises(TransportError):
+            run_extract(
+                store, standard_schema(), make_config(), FailAfter(gateway, allow=5),
+                results_path=results, checkpoint_path=checkpoint,
+            )
+        return results, checkpoint
+
+    def resume(self, store, gateway, results, checkpoint):
+        return run_extract(
+            store, standard_schema(), make_config(), gateway,
+            results_path=results, checkpoint_path=checkpoint,
+        )
+
+    @pytest.mark.parametrize("torn_file", ["results", "checkpoint"])
+    def test_torn_last_line_dropped_on_resume(self, sample_store, mock_gateway, tmp_path, caplog, torn_file):
+        _, baseline_results, baseline_ckpt = self.run_full(sample_store, mock_gateway, tmp_path, name="baseline")
+        results, checkpoint = self.interrupted(sample_store, mock_gateway, tmp_path)
+        torn = results if torn_file == "results" else checkpoint
+        offset = torn.stat().st_size
+        with torn.open("a", encoding="utf-8") as handle:
+            handle.write('{"doi": "10.5555/ecomine.0019", "spe')
+
+        summary = self.resume(sample_store, mock_gateway, results, checkpoint)
+        assert (summary.extracted, summary.out_of_scope, summary.quarantined) == (17, 3, 0)
+        assert results.read_bytes() == baseline_results.read_bytes()
+        assert checkpoint.read_bytes() == baseline_ckpt.read_bytes()
+        assert f"{torn}: dropping torn last line at byte offset {offset}" in caplog.text
+
+    def test_results_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        path.write_text('{"doi": "10.1/a", "status": "extracted"}\n{"doi": "10.1/b",\n', encoding="utf-8")
+        with pytest.raises(CorpusError, match=rf"{re.escape(str(path))}, line 2\b"):
+            load_results(path)
+
+    def test_checkpoint_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.ckpt.json"
+        seed_format(path)
+        document_lines = len(path.read_text(encoding="utf-8").splitlines())
+        append_deltas(path, {"doi": "10.1/a", "status": "completed"}, {"doi": "10.1/b", "status": "lost"})
+        with pytest.raises(CheckpointError, match=rf"{re.escape(str(path))}, line {document_lines + 2}\b"):
+            Checkpoint.load(path)
