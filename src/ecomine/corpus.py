@@ -85,6 +85,8 @@ class PaperRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PaperRecord":
+        if not isinstance(doc, dict):
+            raise CorpusError(f"record must be a JSON object, got {type(doc).__name__}")
         try:
             return cls(
                 doi=doc["doi"],
@@ -175,19 +177,22 @@ class CorpusStore:
             raise CorpusError(f"corpus file not found: {path}")
         store = cls()
         text = path.read_text(encoding="utf-8")
-        try:
-            if fmt == "jsonl":
-                for line in text.splitlines():
-                    if line.strip():
+        if fmt == "jsonl":
+            for number, line in enumerate(text.splitlines(), 1):
+                if line.strip():
+                    try:
                         store.upsert(PaperRecord.from_dict(json.loads(line)))
-            elif fmt == "json":
+                    except (ValueError, TypeError, AttributeError, CorpusError) as exc:
+                        raise CorpusError(f"corpus file {path}, line {number}: {exc}") from exc
+        elif fmt == "json":
+            try:
                 archive = json.loads(text) if text.strip() else {"records": []}
                 for doc in archive.get("records", []):
                     store.upsert(PaperRecord.from_dict(doc))
-            else:
-                raise CorpusError(f"unknown corpus format: {fmt!r}")
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"malformed corpus file {path}: {exc}") from exc
+            except (ValueError, TypeError, AttributeError, CorpusError) as exc:
+                raise CorpusError(f"malformed corpus file {path}: {exc}") from exc
+        else:
+            raise CorpusError(f"unknown corpus format: {fmt!r}")
         return store
 
 

@@ -8,20 +8,20 @@ format sections) is enforced here before any request is dispatched.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TypeVar
 
 import requests
 
 from .errors import PromptError, RetryableTransportError, TransportError
-from .schema import strip_fences
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 #: Labels that must appear, in order, in every system prompt.
 SYSTEM_SECTIONS = ("Role:", "Task instruction:", "Output format:")
@@ -52,11 +52,9 @@ class PromptPair:
 
 @dataclass
 class LlmResponse:
-    """One provider response; parsed is set only when the raw text is a
-    single well-formed JSON document after fence-stripping."""
+    """One provider response; stages parse raw_text themselves."""
 
     raw_text: str
-    parsed: dict | list | None
     provider_id: str
     latency: float
     attempt_count: int
@@ -152,44 +150,51 @@ class LlmGateway:
         """
         prompt.validate()
         deterministic = prompt.mode == "deterministic"
-        attempts = 0
-        while True:
-            attempts += 1
-            self._limiter.acquire()
+        provider_id = getattr(self.provider, "provider_id", "unknown")
+
+        def attempt() -> tuple[str, float]:
+            self._limiter.acquire()  # every attempt, retries included, takes a grant
             start = self._clock()
-            try:
-                raw = self.provider.send(prompt.system, prompt.user, deterministic=deterministic)
-            except RetryableTransportError as exc:
-                if attempts > self.policy.max_retries:
-                    raise TransportError(
-                        f"retry budget exhausted after {attempts} attempts: {exc}", exc.status
-                    ) from exc
-                backoff = self.policy.backoff_base * 2 ** (attempts - 1)
-                logger.warning(
-                    "provider %s failed (attempt %d, status %s); retrying in %.2fs",
-                    getattr(self.provider, "provider_id", "?"),
-                    attempts,
-                    exc.status,
-                    backoff,
-                )
-                self._sleep(backoff)
-                continue
-            latency = self._clock() - start
-            return LlmResponse(
-                raw_text=raw,
-                parsed=_try_parse(raw),
-                provider_id=getattr(self.provider, "provider_id", "unknown"),
-                latency=latency,
-                attempt_count=attempts,
+            raw = self.provider.send(prompt.system, prompt.user, deterministic=deterministic)
+            return raw, self._clock() - start
+
+        (raw, latency), attempts = call_with_retries(
+            attempt, self.policy.max_retries, self.policy.backoff_base, self._sleep, f"provider {provider_id}"
+        )
+        return LlmResponse(raw_text=raw, provider_id=provider_id, latency=latency, attempt_count=attempts)
+
+
+def call_with_retries(
+    attempt: Callable[[], T],
+    max_retries: int,
+    backoff_base: float,
+    sleep: Callable[[float], None],
+    what: str,
+) -> tuple[T, int]:
+    """Call attempt() until it returns; the one retry rule of the package.
+
+    Only RetryableTransportError is retried, at most max_retries times,
+    so attempt() runs at most 1 + max_retries times. Before retry k the
+    caller sleeps backoff_base * 2**(k-1) and one warning is logged;
+    there is no sleep after the last attempt. Once the budget is spent,
+    TransportError carries the last status. Returns the value and the
+    number of attempts made.
+    """
+    attempts = 0
+    while True:
+        attempts += 1
+        try:
+            return attempt(), attempts
+        except RetryableTransportError as exc:
+            if attempts > max_retries:
+                raise TransportError(
+                    f"{what}: retry budget exhausted after {attempts} attempts: {exc}", exc.status
+                ) from exc
+            backoff = backoff_base * 2 ** (attempts - 1)
+            logger.warning(
+                "%s failed (attempt %d, status %s); retrying in %.2fs", what, attempts, exc.status, backoff
             )
-
-
-def _try_parse(raw: str) -> dict | list | None:
-    try:
-        doc = json.loads(strip_fences(raw))
-    except json.JSONDecodeError:
-        return None
-    return doc if isinstance(doc, (dict, list)) else None
+            sleep(backoff)
 
 
 class HttpChatProvider:

@@ -22,6 +22,7 @@ import requests
 
 from .corpus import CorpusStore, PaperRecord, normalize_doi
 from .errors import CorpusError, PartialIngestError, RetryableTransportError, TransportError
+from .gateway import call_with_retries
 
 logger = logging.getLogger(__name__)
 
@@ -50,8 +51,8 @@ class HttpHarvestClient:
     Wire format: GET {base_url}/{endpoint_path} with ?doi=<doi> (or
     ?dois=<comma-joined> when batch_size > 1, returning
     {"results": [record, ...]}). A 404 means the DOI is not indexed.
-    Transient failures (429, 5xx, network) are retried with exponential
-    backoff up to max_retries times.
+    Transient failures (429, 5xx, network) are retried under
+    gateway.call_with_retries, the rule chat calls use too.
     """
 
     def __init__(
@@ -68,6 +69,7 @@ class HttpHarvestClient:
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.endpoint_path = endpoint_path.strip("/")
+        self.url = f"{self.base_url}/{self.endpoint_path}"
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
@@ -76,11 +78,9 @@ class HttpHarvestClient:
         self._sleep = sleep
 
     def fetch(self, doi: str) -> dict | None:
-        response = self._get({"doi": doi})
-        if response is None:
-            return None
-        doc = response
-        doc.setdefault("doi", doi)
+        doc = self._request({"doi": doi})
+        if doc is not None:
+            doc.setdefault("doi", doi)
         return doc
 
     def fetch_many(self, dois: Sequence[str]) -> dict[str, dict | None]:
@@ -88,41 +88,41 @@ class HttpHarvestClient:
         if self.batch_size <= 1 or len(dois) == 1:
             return {doi: self.fetch(doi) for doi in dois}
         found: dict[str, dict | None] = {doi: None for doi in dois}
-        response = self._get({"dois": ",".join(dois)})
-        for doc in (response or {}).get("results", []):
+        results = (self._request({"dois": ",".join(dois)}) or {}).get("results", [])
+        if not isinstance(results, list) or not all(isinstance(doc, dict) for doc in results):
+            raise TransportError(f"harvest batch from {self.url}: results is not a list of objects", 200)
+        for doc in results:
             doi = doc.get("doi")
             if doi in found:
                 found[doi] = doc
         return found
 
+    def _request(self, params: dict) -> dict | None:
+        doc, _ = call_with_retries(
+            lambda: self._get(params), self.max_retries, self.backoff_base, self._sleep, f"harvest {self.url}"
+        )
+        return doc
+
     def _get(self, params: dict) -> dict | None:
-        url = f"{self.base_url}/{self.endpoint_path}"
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            try:
-                resp = self._session.get(url, params=params, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_error = RetryableTransportError(f"harvest request failed: {exc}")
-            else:
-                if resp.status_code == 200:
-                    try:
-                        return resp.json()
-                    except ValueError as exc:
-                        raise TransportError(f"non-JSON harvest response from {url}: {exc}", 200)
-                if resp.status_code == 404:
-                    return None
-                if resp.status_code in _RETRYABLE_STATUSES:
-                    last_error = RetryableTransportError(
-                        f"harvest got {resp.status_code} from {url}", resp.status_code
-                    )
-                else:
-                    raise TransportError(
-                        f"harvest got {resp.status_code} from {url}", resp.status_code
-                    )
-            if attempt < self.max_retries:
-                self._sleep(self.backoff_base * 2**attempt)
-        assert last_error is not None
-        raise TransportError(f"harvest retries exhausted: {last_error}", getattr(last_error, "status", None))
+        """One attempt: the JSON object, or None for a 404."""
+        url = self.url
+        try:
+            resp = self._session.get(url, params=params, timeout=self.timeout)
+        except requests.RequestException as exc:
+            raise RetryableTransportError(f"harvest request failed: {exc}") from exc
+        if resp.status_code == 404:
+            return None
+        if resp.status_code in _RETRYABLE_STATUSES:
+            raise RetryableTransportError(f"harvest got {resp.status_code} from {url}", resp.status_code)
+        if resp.status_code != 200:
+            raise TransportError(f"harvest got {resp.status_code} from {url}", resp.status_code)
+        try:
+            doc = resp.json()
+        except ValueError as exc:
+            raise TransportError(f"non-JSON harvest response from {url}: {exc}", 200) from exc
+        if not isinstance(doc, dict):
+            raise TransportError(f"harvest response from {url} is not a JSON object", 200)
+        return doc
 
 
 class FixtureHarvestClient:
@@ -143,7 +143,12 @@ class FixtureHarvestClient:
         path = self.directory / fixture_filename(doi)
         if not path.exists():
             return None
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise CorpusError(f"malformed fixture {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise CorpusError(f"fixture {path} is not a JSON object")
         doc.setdefault("doi", doi)
         return doc
 

@@ -14,6 +14,8 @@ import json
 import re
 from importlib import resources
 
+from .schema import _STANDARD_FIELDS, BLOCK_NAMES, _canon_block
+
 
 def load_rulebook() -> dict:
     """The packaged gazetteers keyed by entity kind."""
@@ -99,15 +101,15 @@ class MockProvider:
         except json.JSONDecodeError:
             return "N/A"
 
-        # Union of everything observed, laid over the baseline blocks; no
+        # Union of everything observed, laid over the standard fields; no
         # prevalence threshold, so this intentionally keeps more fields
         # than a frequency-based merge would.
-        merged: dict[str, dict[str, dict]] = {b: {} for b in _CANON_BLOCKS}
+        merged: dict[str, dict[str, dict]] = {b: {} for b in BLOCK_NAMES}
         for instance in instances:
             if not isinstance(instance, dict):
                 continue
             for raw_block, fields in instance.items():
-                block = _stem_block(str(raw_block))
+                block = _canon_block(str(raw_block))
                 if block is None or not isinstance(fields, list):
                     continue
                 for descriptor in fields:
@@ -122,9 +124,9 @@ class MockProvider:
                     slot["values"].update(str(v) for v in descriptor.get("values", []) or [])
 
         out: dict[str, list[dict]] = {}
-        for block in _CANON_BLOCKS:
+        for block in BLOCK_NAMES:
             fields: list[dict] = []
-            for name, kind, values in _BASELINE[block]:
+            for name, kind, values in _STANDARD_FIELDS[block]:
                 observed = merged[block].pop(name, None)
                 all_values = list(values)
                 if observed:
@@ -228,53 +230,3 @@ def _observed_enum(prop: str, entries: list[dict]) -> list[tuple[str, str, list[
     if not values:
         return []
     return [(prop, "enum", values)]
-
-
-_CANON_BLOCKS = ("species", "location", "ecosystem", "habitat", "relationships")
-
-_BASELINE: dict[str, list[tuple[str, str, list[str]]]] = {
-    "species": [
-        ("name", "text", []),
-        ("role", "enum", ["native", "introduced", "alien", "invasive"]),
-        ("taxonomy_level", "enum", ["species", "genus", "family"]),
-    ],
-    "location": [
-        ("name", "text", []),
-        ("category", "enum", ["natural", "administrative"]),
-        ("geopolitical_info", "enum", ["country", "region", "city"]),
-        ("additional_details", "enum", ["climatic", "physiographic"]),
-    ],
-    "ecosystem": [
-        ("name", "text", []),
-        ("type", "enum", ["aquatic", "terrestrial", "marine"]),
-        ("scope", "enum", ["local", "regional", "global"]),
-    ],
-    "habitat": [
-        ("name", "text", []),
-        ("type", "enum", ["aquatic", "terrestrial", "marine"]),
-        ("subcomponent_of", "reference", []),
-        ("specifics", "text", []),
-    ],
-    "relationships": [
-        ("related_entities", "list", []),
-        ("name", "text", []),
-        ("type", "enum", ["biological", "physical", "ecological", "anthropogenic"]),
-        ("directionality", "enum", ["unidirectional", "bidirectional"]),
-        ("context", "text", []),
-    ],
-}
-
-
-def _stem_block(raw: str) -> str | None:
-    squeezed = re.sub(r"[^a-z0-9]", "", raw.lower())
-    for stem, block in (
-        ("species", "species"),
-        ("location", "location"),
-        ("ecosystem", "ecosystem"),
-        ("habitat", "habitat"),
-        ("relation", "relationships"),
-        ("interaction", "relationships"),
-    ):
-        if squeezed.startswith(stem):
-            return block
-    return None

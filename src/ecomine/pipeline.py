@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,9 +42,9 @@ from .prompts import (
 from .schema import (
     CandidateSchema,
     ExtractionResult,
-    FieldSpec,
     MergeReport,
     StandardizedSchema,
+    _fields_from_block_value,
     ensure_valid_schema,
     merge_candidates,
     parse_candidate,
@@ -295,9 +296,10 @@ def run_extract(
     out_of_scope, or quarantined. Completions are appended to
     results_path as they commit, and each commit is then journalled to
     the checkpoint, so a rerun with the same checkpoint resumes where
-    even a killed run left off. A hard gateway failure compacts the
-    checkpoint and re-raises. On completion the results file is
-    compacted to one DOI-sorted line per paper.
+    even a killed run left off. After a hard gateway failure no further
+    call starts; responses already returned are committed, then the
+    checkpoint is compacted and the failure re-raised. On completion
+    the results file is compacted to one DOI-sorted line per paper.
     """
     system = build_extract_system_prompt(schema)  # validates the schema
     fingerprint = schema_fingerprint(schema)
@@ -335,8 +337,16 @@ def run_extract(
             journal.write(json.dumps(delta, ensure_ascii=False, sort_keys=True) + "\n")
             journal.flush()
 
-    def call(record: PaperRecord) -> str:
-        return gateway.complete(PromptPair(system, build_paper_user_prompt(record))).raw_text
+    stop = threading.Event()  # set by the first hard failure; later calls never start
+
+    def call(record: PaperRecord) -> str | None:
+        if stop.is_set():
+            return None
+        try:
+            return gateway.complete(PromptPair(system, build_paper_user_prompt(record))).raw_text
+        except TransportError:
+            stop.set()
+            raise
 
     failure: TransportError | None = None
     pool = ThreadPoolExecutor(max_workers=config.parallelism)
@@ -348,13 +358,16 @@ def run_extract(
                 try:
                     raw = future.result()
                 except TransportError as exc:
-                    failure = exc
-                    break
+                    logger.warning("extract: hard failure on %s; committing calls in flight: %s", doi, exc)
+                    failure = failure or exc
+                    continue
                 except PromptError as exc:
                     # the paper itself cannot form a prompt; retrying won't help
                     logger.warning("quarantining unpromptable paper %s: %s", doi, exc)
                     commit(doi, "quarantined", str(exc))
                     continue
+                if raw is None:
+                    continue  # skipped after the failure
                 try:
                     result = parse_result(raw, doi)
                 except QuarantineError as exc:
@@ -420,10 +433,9 @@ def load_results(path: str | Path) -> list[ExtractionResult]:
         if not line.strip():
             continue
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+            result = result_from_dict(json.loads(line))
+        except (ValueError, TypeError, AttributeError) as exc:
             raise CorpusError(f"results file {path}, line {number}: {exc}") from exc
-        result = result_from_dict(doc)
         by_doi[result.paper_doi] = result
     return list(by_doi.values())
 
@@ -431,29 +443,20 @@ def load_results(path: str | Path) -> list[ExtractionResult]:
 def load_candidates(path: str | Path) -> list[CandidateSchema]:
     """Read a candidates file written by the specialize stage."""
     candidates = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        doc = json.loads(line)
-        candidates.append(
-            CandidateSchema(
-                paper_doi=doc["doi"],
-                blocks={
-                    block: [_field_from_disk(d) for d in descriptors]
-                    for block, descriptors in doc["blocks"].items()
-                },
+        try:
+            doc = json.loads(line)
+            candidates.append(
+                CandidateSchema(
+                    paper_doi=doc["doi"],
+                    blocks={block: _fields_from_block_value(value) for block, value in doc["blocks"].items()},
+                )
             )
-        )
+        except (ValueError, KeyError, TypeError, AttributeError, SchemaParseError) as exc:
+            raise CorpusError(f"candidates file {path}, line {number}: {exc!r}") from exc
     return candidates
-
-
-def _field_from_disk(doc: dict) -> FieldSpec:
-    return FieldSpec(
-        name=doc["field"],
-        kind=doc.get("kind", "text"),
-        values=tuple(doc.get("values", [])),
-        note=doc.get("note"),
-    )
 
 
 def load_schema_file(path: str | Path) -> StandardizedSchema:

@@ -322,15 +322,14 @@ def name_key(raw) -> str:
     return display_name(raw).casefold()
 
 
+# Names the stem rule below does not cover; anything starting with a
+# stem ("locations", "relationship_list") maps through the stem.
 _BLOCK_ALIASES = {
-    "species": "species",
     "specie": "species",
     "organism": "species",
     "organisms": "species",
     "taxa": "species",
     "taxon": "species",
-    "location": "location",
-    "locations": "location",
     "place": "location",
     "places": "location",
     "site": "location",
@@ -338,19 +337,8 @@ _BLOCK_ALIASES = {
     "locality": "location",
     "localities": "location",
     "geography": "location",
-    "ecosystem": "ecosystem",
-    "ecosystems": "ecosystem",
-    "habitat": "habitat",
-    "habitats": "habitat",
-    "relationship": "relationships",
-    "relationships": "relationships",
-    "relation": "relationships",
-    "relations": "relationships",
-    "interaction": "relationships",
-    "interactions": "relationships",
 }
 
-_BLOCK_STEMS = ("species", "location", "ecosystem", "habitat", "relation", "interaction")
 _STEM_TO_BLOCK = {
     "species": "species",
     "location": "location",
@@ -366,9 +354,9 @@ def _canon_block(raw: str) -> str | None:
     squeezed = re.sub(r"[^a-z0-9]", "", raw.strip().lower())
     if squeezed in _BLOCK_ALIASES:
         return _BLOCK_ALIASES[squeezed]
-    for stem in _BLOCK_STEMS:
+    for stem, block in _STEM_TO_BLOCK.items():
         if squeezed.startswith(stem):
-            return _STEM_TO_BLOCK[stem]
+            return block
     return None
 
 

@@ -48,6 +48,32 @@ class TestStats:
         assert "abstract_token_min=" in line
 
 
+class TestLoaderErrors:
+    """Bad input files end in exit 1 with the file (and line) named."""
+
+    def test_candidate_without_doi(self, tmp_path, corpus_path, capsys):
+        candidates = tmp_path / "candidates.jsonl"
+        candidates.write_text('{"doi": "10.1/a", "blocks": {}}\n{"blocks": {}}\n', encoding="utf-8")
+        code = run_cli("--corpus", corpus_path, "generalize", "--candidates", candidates, "--out-dir", tmp_path / "s")
+        assert code == 1
+        assert f"{candidates}, line 2" in capsys.readouterr().err
+
+    def test_corpus_line_not_an_object(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"doi": "10.1/a", "title": "t"}\n[1]\n', encoding="utf-8")
+        assert run_cli("--corpus", corpus, "stats") == 1
+        assert f"{corpus}, line 2" in capsys.readouterr().err
+
+    def test_fixture_with_bad_json(self, tmp_path, capsys):
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "10.9_one.json").write_text('{"title": "One", ', encoding="utf-8")
+        dois = tmp_path / "dois.txt"
+        dois.write_text("10.9/one\n")
+        assert run_cli("--corpus", tmp_path / "c.jsonl", "ingest", "--dois", dois, "--fixtures", fixtures) == 1
+        assert str(fixtures / "10.9_one.json") in capsys.readouterr().err
+
+
 class TestIngest:
     def test_fixture_ingest_writes_corpus_and_skip_log(self, tmp_path, capsys):
         fixtures = tmp_path / "fixtures"

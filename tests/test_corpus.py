@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ecomine.corpus import (
@@ -186,6 +188,22 @@ class TestExportImport:
         blocked.write_text("x")
         with pytest.raises(CorpusError):
             export_corpus(sample_store, blocked / "corpus.jsonl")
+
+    @pytest.mark.parametrize(
+        "fmt, payload, where",
+        [
+            ("jsonl", '{"doi": "10.1/a", "title": "t"}\n"text"\n', ", line 2"),
+            ("jsonl", '{"doi": "10.1/a", "year": "1999"}\n', ", line 1"),
+            ("jsonl", '{"title": "no doi"}\n', ", line 1"),
+            ("json", "[1]", ""),
+            ("json", '{"records": [{"doi": 7}]}', ""),
+        ],
+    )
+    def test_malformed_record_names_the_file(self, tmp_path, fmt, payload, where):
+        path = tmp_path / f"bad.{fmt}"
+        path.write_text(payload, encoding="utf-8")
+        with pytest.raises(CorpusError, match=re.escape(f"{path}{where}")):
+            CorpusStore.load(path, fmt=fmt)
 
     def test_unknown_format(self, tmp_path, sample_store):
         with pytest.raises(CorpusError):

@@ -77,7 +77,7 @@ class TestComplete:
         gateway = LlmGateway(ScriptedProvider(['{"a": 1}']), sleep=lambda s: None)
         response = gateway.complete(valid_prompt())
         assert response.attempt_count == 1
-        assert response.parsed == {"a": 1}
+        assert response.raw_text == '{"a": 1}'
         assert response.provider_id == "scripted"
         assert response.latency >= 0
 
@@ -106,26 +106,26 @@ class TestComplete:
         assert excinfo.value.status == 503
         assert provider.calls == policy.max_retries + 1
 
+    def test_every_attempt_takes_a_limiter_grant(self, monkeypatch):
+        provider = ScriptedProvider([RetryableTransportError("429", 429)] * 2 + ["N/A"])
+        sends_before_grant = []
+        acquire = SlidingWindowRateLimiter.acquire
+
+        def counting_acquire(limiter):
+            sends_before_grant.append(provider.calls)
+            acquire(limiter)
+
+        monkeypatch.setattr(SlidingWindowRateLimiter, "acquire", counting_acquire)
+        response = LlmGateway(provider, sleep=lambda s: None).complete(valid_prompt())
+        assert response.attempt_count == 3
+        assert sends_before_grant == [0, 1, 2]  # one grant before each send
+
     def test_invalid_prompt_never_hits_provider(self):
         provider = ScriptedProvider(["unused"])
         gateway = LlmGateway(provider, sleep=lambda s: None)
         with pytest.raises(PromptError):
             gateway.complete(valid_prompt(user=""))
         assert provider.calls == 0
-
-    def test_fenced_response_is_parsed(self):
-        gateway = LlmGateway(ScriptedProvider(['```json\n{"a": [1, 2]}\n```']), sleep=lambda s: None)
-        assert gateway.complete(valid_prompt()).parsed == {"a": [1, 2]}
-
-    def test_unparseable_response_kept_raw(self):
-        gateway = LlmGateway(ScriptedProvider(["not json at all"]), sleep=lambda s: None)
-        response = gateway.complete(valid_prompt())
-        assert response.parsed is None
-        assert response.raw_text == "not json at all"
-
-    def test_scalar_json_is_not_a_document(self):
-        gateway = LlmGateway(ScriptedProvider(["42"]), sleep=lambda s: None)
-        assert gateway.complete(valid_prompt()).parsed is None
 
 
 class TestMockDeterminism:

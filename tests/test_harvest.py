@@ -6,8 +6,10 @@ from urllib.parse import parse_qs, urlparse
 import pytest
 
 from ecomine.corpus import CorpusStore
-from ecomine.errors import CorpusError, PartialIngestError, TransportError
+from ecomine.errors import CorpusError, PartialIngestError, RetryableTransportError, TransportError
+from ecomine.gateway import LlmGateway, RateLimitPolicy
 from ecomine.harvest import FixtureHarvestClient, HttpHarvestClient, fixture_filename, ingest_dois
+from test_gateway import ScriptedProvider, valid_prompt
 
 ABSTRACT_ONLY = {"title": "A", "abstract": "some abstract text"}
 WITH_FULL_TEXT = {"title": "B", "abstract": "other text", "full_text": "body", "year": 2001}
@@ -84,6 +86,7 @@ class StubState:
         self.documents = {}
         self.fail_statuses = []  # consumed before any successful answer
         self.hard_fail_dois = set()
+        self.raw_body = None  # when set, every successful answer is this 200 body
         self.requests = 0
 
 
@@ -97,6 +100,11 @@ def _make_handler(state: StubState):
             if state.fail_statuses:
                 self.send_response(state.fail_statuses.pop(0))
                 self.end_headers()
+                return
+            if state.raw_body is not None:
+                self.send_response(200)
+                self.end_headers()
+                self.wfile.write(state.raw_body)
                 return
             query = parse_qs(urlparse(self.path).query)
             if "dois" in query:
@@ -204,3 +212,57 @@ class TestHttpClient:
         summary = ingest_dois(store, ["10.1/a", "10.1/b", "10.1/c"], HttpHarvestClient(base_url, sleep=lambda s: None))
         assert (summary.found, summary.abstract_only, summary.with_full_text) == (2, 1, 1)
         assert summary.missing == ["10.1/c"]
+
+    @pytest.mark.parametrize(
+        "dois, batch_size, body",
+        [
+            (["10.1/a"], 1, b"[1, 2]"),
+            (["10.1/a"], 1, b'"just text"'),
+            (["10.1/a", "10.1/b"], 3, b"[]"),
+            (["10.1/a", "10.1/b"], 3, b'{"results": {"doi": "10.1/a"}}'),
+            (["10.1/a", "10.1/b"], 3, b'{"results": [{"doi": "10.1/a"}, 1]}'),
+        ],
+    )
+    def test_response_shape_is_a_named_hard_failure(self, stub_server, dois, batch_size, body):
+        base_url, state = stub_server
+        state.raw_body = body
+        client = HttpHarvestClient(base_url, max_retries=3, batch_size=batch_size, sleep=lambda s: None)
+        with pytest.raises(PartialIngestError) as excinfo:
+            ingest_dois(CorpusStore(), dois, client, parallelism=1)
+        assert type(excinfo.value.__cause__) is TransportError
+        assert f"{base_url}/paper" in str(excinfo.value)
+        assert state.requests == 1  # not retried
+
+
+STATUSES = [429, 500, 502, 503, 504]
+
+
+def exhaust_gateway(request, max_retries, backoff_base):
+    provider = ScriptedProvider([RetryableTransportError("scripted", s) for s in STATUSES])
+    sleeps = []
+    gateway = LlmGateway(provider, RateLimitPolicy(max_retries=max_retries, backoff_base=backoff_base), sleep=sleeps.append)
+    with pytest.raises(TransportError) as excinfo:
+        gateway.complete(valid_prompt())
+    return provider.calls, sleeps, excinfo.value
+
+
+def exhaust_harvest(request, max_retries, backoff_base):
+    base_url, state = request.getfixturevalue("stub_server")
+    state.fail_statuses = list(STATUSES)
+    sleeps = []
+    client = HttpHarvestClient(base_url, max_retries=max_retries, backoff_base=backoff_base, sleep=sleeps.append)
+    with pytest.raises(TransportError) as excinfo:
+        client.fetch("10.1/a")
+    return state.requests, sleeps, excinfo.value
+
+
+@pytest.mark.parametrize("exhaust", [exhaust_gateway, exhaust_harvest])
+@pytest.mark.parametrize("max_retries, backoff_base", [(1, 0.5), (3, 0.25), (4, 0.1)])
+def test_chat_and_harvest_share_one_retry_rule(request, exhaust, max_retries, backoff_base, caplog):
+    attempts, sleeps, error = exhaust(request, max_retries, backoff_base)
+    assert attempts == 1 + max_retries
+    assert sleeps == [backoff_base * 2**k for k in range(max_retries)]
+    assert error.status == STATUSES[max_retries]
+    assert not isinstance(error, RetryableTransportError)
+    assert f"after {attempts} attempts" in str(error)
+    assert sum("retrying in" in r.getMessage() for r in caplog.records) == max_retries

@@ -1,4 +1,5 @@
-"""MockProvider gazetteer matching against the per-name regex reference."""
+"""MockProvider gazetteer matching against the per-name regex reference,
+and its generalize against the deterministic merge."""
 
 import re
 
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecomine.mockllm import MockProvider, load_rulebook
+from ecomine.prompts import build_generalize_prompt
+from ecomine.schema import BLOCK_NAMES, CandidateSchema, FieldSpec, merge_candidates, parse_schema
 
 RULEBOOK = load_rulebook()
 
@@ -106,3 +109,22 @@ def test_case_fold_oddities_still_match():
     assert provider._match("Hong \u212aong harbour", "locations")[0]["name"] == "Hong Kong"
     assert provider._match("Pinus ſylvestris stands", "species")[0]["name"] == "Pinus sylvestris"
     assert provider._match("ITALY", "locations")[0]["name"] == "Italy"
+
+
+def test_generalize_maps_alias_blocks_like_merge():
+    blocks = {
+        "Organisms": [FieldSpec("growth_form", "enum", ("tree",))],
+        "taxa": [FieldSpec("genus")],
+        "sites": [FieldSpec("elevation")],
+        "Geography": [FieldSpec("basin")],
+        "habitat_types": [FieldSpec("substrate")],
+        "interactions": [FieldSpec("strength")],
+        "weather": [FieldSpec("rainfall")],
+    }
+    candidates = [CandidateSchema(f"10.1/{i}", dict(blocks)) for i in range(2)]
+    prompt = build_generalize_prompt(candidates)
+    mocked = parse_schema(MockProvider(RULEBOOK).send(prompt.system, prompt.user))
+    merged, report = merge_candidates(candidates)
+    assert {b: mocked.field_names(b) for b in BLOCK_NAMES} == {b: merged.field_names(b) for b in BLOCK_NAMES}
+    assert mocked.field_names("location")[-2:] == ["basin", "elevation"]
+    assert [block for _, block in report.unmapped_blocks] == ["weather", "weather"]

@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 import threading
 
@@ -93,7 +94,7 @@ class StubGateway:
         self.raw_text = raw_text
 
     def complete(self, prompt):
-        return LlmResponse(self.raw_text, None, "stub", 0.0, 1)
+        return LlmResponse(self.raw_text, "stub", 0.0, 1)
 
 
 @pytest.fixture
@@ -146,7 +147,7 @@ class TestGeneralize:
         class Spy(StubGateway):
             def complete(self, prompt):
                 seen.append(prompt.user)
-                return LlmResponse("garbage", None, "stub", 0.0, 1)
+                return LlmResponse("garbage", "stub", 0.0, 1)
 
         with pytest.raises(StageFailure):
             run_generalize(nine_candidates, make_config(), Spy("garbage"))
@@ -275,6 +276,53 @@ class TestExtract:
                 sample_store, standard_schema(), make_config(), mock_gateway,
                 results_path=results, checkpoint_path=checkpoint,
             )
+
+    def test_hard_failure_starts_no_further_call(self, sample_store, mock_gateway, tmp_path):
+        flaky = FailAfter(mock_gateway, allow=7)
+        with pytest.raises(TransportError):
+            self.run_full(sample_store, flaky, tmp_path, name="stop")
+        assert flaky.calls == 8  # seven answered, one failed, none of the twelve queued
+        assert len(Checkpoint.load(tmp_path / "stop.ckpt.json").processed()) == 7
+
+    def test_success_in_flight_at_failure_is_committed(self, mock_gateway, tmp_path):
+        store = CorpusStore(
+            PaperRecord(doi=f"10.1/p{index}", title=title, abstract="Procambarus clarkii spreading")
+            for index, title in enumerate(("Held", "Fails", "Queued"))
+        )
+        failure_seen = threading.Event()
+
+        class OnFailureLog(logging.Handler):
+            def emit(self, record):
+                if "hard failure" in record.getMessage():
+                    failure_seen.set()
+
+        class HeldThenFails:
+            """Holds paper Held until the extract loop has taken paper Fails' failure."""
+
+            def __init__(self):
+                self.titles = []
+
+            def complete(self, prompt):
+                title = re.search(r"Title: (\w+)", prompt.user).group(1)
+                self.titles.append(title)
+                if title == "Fails":
+                    raise TransportError("injected transport failure", 503)
+                assert failure_seen.wait(timeout=10), "the failure was never reported"
+                return mock_gateway.complete(prompt)
+
+        gateway = HeldThenFails()
+        handler = OnFailureLog()
+        logging.getLogger("ecomine.pipeline").addHandler(handler)
+        try:
+            with pytest.raises(TransportError):
+                self.run_full(store, gateway, tmp_path, name="inflight", parallelism=2)
+        finally:
+            logging.getLogger("ecomine.pipeline").removeHandler(handler)
+
+        assert sorted(gateway.titles) == ["Fails", "Held"]
+        lines = (tmp_path / "inflight.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["doi"] for line in lines] == ["10.1/p0"]
+        assert Checkpoint.load(tmp_path / "inflight.ckpt.json").processed() == {"10.1/p0"}
 
     def test_checkpoint_round_trip(self, tmp_path):
         checkpoint = Checkpoint(
@@ -477,6 +525,12 @@ class TestTornWrites:
     def test_results_error_names_file_and_line(self, tmp_path):
         path = tmp_path / "results.jsonl"
         path.write_text('{"doi": "10.1/a", "status": "extracted"}\n{"doi": "10.1/b",\n', encoding="utf-8")
+        with pytest.raises(CorpusError, match=rf"{re.escape(str(path))}, line 2\b"):
+            load_results(path)
+
+    def test_results_line_not_an_object_names_file_and_line(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        path.write_text('{"doi": "10.1/a", "status": "extracted"}\n[1]\n', encoding="utf-8")
         with pytest.raises(CorpusError, match=rf"{re.escape(str(path))}, line 2\b"):
             load_results(path)
 

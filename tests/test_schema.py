@@ -1,8 +1,11 @@
 import copy
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecomine.errors import InvalidSchemaError, QuarantineError, SchemaParseError
 from ecomine.schema import (
@@ -10,6 +13,7 @@ from ecomine.schema import (
     ExtractionResult,
     FieldSpec,
     StandardizedSchema,
+    _canon_block,
     ensure_valid_schema,
     merge_candidates,
     parse_candidate,
@@ -348,3 +352,64 @@ class TestValidateResult:
         direct = validate_result(result, self.schema())
         reparsed = validate_result(parse_result(serialize_result(result), result.paper_doi), self.schema())
         assert direct == reparsed
+
+
+# The block-name table as it stood before the stem rule took over the
+# names it covers: every spelling listed, then the stems.
+FULL_ALIAS_TABLE = {
+    "species": "species",
+    "specie": "species",
+    "organism": "species",
+    "organisms": "species",
+    "taxa": "species",
+    "taxon": "species",
+    "location": "location",
+    "locations": "location",
+    "place": "location",
+    "places": "location",
+    "site": "location",
+    "sites": "location",
+    "locality": "location",
+    "localities": "location",
+    "geography": "location",
+    "ecosystem": "ecosystem",
+    "ecosystems": "ecosystem",
+    "habitat": "habitat",
+    "habitats": "habitat",
+    "relationship": "relationships",
+    "relationships": "relationships",
+    "relation": "relationships",
+    "relations": "relationships",
+    "interaction": "relationships",
+    "interactions": "relationships",
+}
+FULL_STEMS = (
+    ("species", "species"),
+    ("location", "location"),
+    ("ecosystem", "ecosystem"),
+    ("habitat", "habitat"),
+    ("relation", "relationships"),
+    ("interaction", "relationships"),
+)
+
+
+def reference_canon_block(raw):
+    squeezed = re.sub(r"[^a-z0-9]", "", raw.strip().lower())
+    if squeezed in FULL_ALIAS_TABLE:
+        return FULL_ALIAS_TABLE[squeezed]
+    return next((block for stem, block in FULL_STEMS if squeezed.startswith(stem)), None)
+
+
+@st.composite
+def block_spellings(draw):
+    """An alias key with random case, punctuation between letters and a suffix."""
+    key = draw(st.sampled_from(sorted(FULL_ALIAS_TABLE)))
+    glue = st.sampled_from(["", "", "", "_", "-", " ", ".", "é"])
+    letters = "".join(draw(glue) + (c.upper() if draw(st.booleans()) else c) for c in key)
+    return draw(st.sampled_from(["", " ", "\t"])) + letters + draw(st.sampled_from(["", "s", "_list", " ", "!", "x", "1"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw=st.one_of(st.text(), block_spellings()))
+def test_canon_block_matches_full_alias_table(raw):
+    assert _canon_block(raw) == reference_canon_block(raw)
