@@ -13,11 +13,12 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, TypeVar
-
-import requests
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from .errors import PromptError, RetryableTransportError, TransportError
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -215,6 +216,8 @@ class HttpChatProvider:
         timeout: float = 120.0,
         session: requests.Session | None = None,
     ) -> None:
+        import requests  # here, not at module top: offline runs never load the HTTP stack
+
         self.endpoint = endpoint
         self.model = model
         self.provider_id = f"http:{model}"
@@ -225,6 +228,8 @@ class HttpChatProvider:
             self._headers["Authorization"] = f"Bearer {api_key}"
 
     def send(self, system: str, user: str, deterministic: bool = True) -> str:
+        import requests
+
         payload: dict = {
             "model": self.model,
             "messages": [

@@ -16,13 +16,14 @@ import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .corpus import CorpusStore, PaperRecord, normalize_doi
 from .errors import CorpusError, PartialIngestError, RetryableTransportError, TransportError
 from .gateway import call_with_retries
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -67,6 +68,8 @@ class HttpHarvestClient:
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
+        import requests  # here, not at module top: offline runs never load the HTTP stack
+
         self.base_url = base_url.rstrip("/")
         self.endpoint_path = endpoint_path.strip("/")
         self.url = f"{self.base_url}/{self.endpoint_path}"
@@ -105,6 +108,8 @@ class HttpHarvestClient:
 
     def _get(self, params: dict) -> dict | None:
         """One attempt: the JSON object, or None for a 404."""
+        import requests
+
         url = self.url
         try:
             resp = self._session.get(url, params=params, timeout=self.timeout)

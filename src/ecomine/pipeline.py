@@ -198,10 +198,11 @@ def run_specialize(
     with the reason; human-flagged papers can be kept out of the draw
     via excluded_dois.
     """
+    excluded = set(excluded_dois)
     eligible = [
         record
         for record in store.available_records()
-        if record.abstract and record.doi not in set(excluded_dois)
+        if record.abstract and record.doi not in excluded
     ]
     if len(eligible) < config.sample_size:
         raise StageFailure(
@@ -315,7 +316,8 @@ def run_extract(
             )
 
     eligible = [record for record in store.available_records() if record.abstract]
-    todo = [record for record in eligible if record.doi not in checkpoint.processed()]
+    done = checkpoint.processed()
+    todo = [record for record in eligible if record.doi not in done]
     logger.info("extract: %d eligible, %d already processed", len(eligible), len(eligible) - len(todo))
 
     results_path = Path(results_path)

@@ -535,8 +535,11 @@ def result_to_dict(result: ExtractionResult) -> dict:
 
 
 def result_from_dict(doc: dict) -> ExtractionResult:
+    doi = doc.get("doi")
+    if not isinstance(doi, str) or not doi:
+        raise ValueError(f"'doi' must be a non-empty string, got {doi!r}")
     return ExtractionResult(
-        paper_doi=doc.get("doi", ""),
+        paper_doi=doi,
         status=doc.get("status", "extracted"),
         species=list(doc.get("species", [])),
         locations=list(doc.get("locations", [])),

@@ -1,10 +1,16 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ecomine
 from conftest import SAMPLE_CORPUS
 from ecomine import cli
+from ecomine.harvest import fixture_filename
 
 
 def run_cli(*argv):
@@ -191,3 +197,63 @@ class TestConfigPrecedence:
         )
         assert code == 1
         assert "credential" in capsys.readouterr().err
+
+
+def run_python(source, *args, cwd):
+    """Run source in a fresh interpreter that imports ecomine from this checkout."""
+    src = str(Path(ecomine.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", source, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
+class TestOfflineImports:
+    """Mock and fixture runs never load the HTTP stack; the HTTP transports do."""
+
+    def test_offline_workflow_never_imports_requests(self, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        dois = []
+        for line in SAMPLE_CORPUS.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            dois.append(record["doi"])
+            (fixtures / fixture_filename(record["doi"])).write_text(json.dumps(record), encoding="utf-8")
+        (tmp_path / "dois.txt").write_text("\n".join(dois) + "\n", encoding="utf-8")
+        common = ["--corpus", "corpus.jsonl", "--provider", "mock", "--seed", "6"]
+        steps = [
+            [*common, "ingest", "--dois", "dois.txt", "--fixtures", "fixtures"],
+            [*common, "specialize", "--out", "candidates.jsonl"],
+            [*common, "generalize", "--candidates", "candidates.jsonl", "--out-dir", "schemas"],
+            [*common, "extract", "--schema", "schemas/chosen.json", "--results", "results.jsonl",
+             "--checkpoint", "ckpt.json"],
+            [*common, "analyze", "--results", "results.jsonl", "--out", "reports"],
+            [*common, "validate", "--results", "results.jsonl", "--schema", "schemas/chosen.json"],
+        ]
+        source = (
+            "import json, sys\n"
+            "from ecomine import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "print('requests' in sys.modules)\n"
+        )
+        assert run_python(source, json.dumps(steps), cwd=tmp_path) == "False"
+        assert len((tmp_path / "results.jsonl").read_text(encoding="utf-8").splitlines()) == 20
+
+    @pytest.mark.parametrize(
+        "transport, construct",
+        [
+            ("ecomine.gateway import HttpChatProvider", "HttpChatProvider('http://127.0.0.1:9/v1', 'm')"),
+            ("ecomine.harvest import HttpHarvestClient", "HttpHarvestClient('http://127.0.0.1:9')"),
+        ],
+        ids=["chat", "harvest"],
+    )
+    def test_http_transport_imports_requests(self, tmp_path, transport, construct):
+        source = (
+            f"import sys\nfrom {transport}\n"
+            f"before = 'requests' in sys.modules\n{construct}\n"
+            "print(before, 'requests' in sys.modules)\n"
+        )
+        assert run_python(source, cwd=tmp_path) == "False True"

@@ -254,6 +254,28 @@ class TestExtract:
         )
         assert counting.calls == 20 - len(done_before)
 
+    def test_resume_scan_builds_processed_set_once(self, sample_store, mock_gateway, tmp_path, monkeypatch):
+        results = tmp_path / "scan.jsonl"
+        checkpoint = tmp_path / "scan.ckpt.json"
+        with pytest.raises(TransportError):
+            run_extract(
+                sample_store, standard_schema(), make_config(), FailAfter(mock_gateway, allow=5),
+                results_path=results, checkpoint_path=checkpoint,
+            )
+        calls = []
+        processed = Checkpoint.processed
+
+        def counting(checkpoint):
+            calls.append(1)
+            return processed(checkpoint)
+
+        monkeypatch.setattr(Checkpoint, "processed", counting)
+        run_extract(
+            sample_store, standard_schema(), make_config(), mock_gateway,
+            results_path=results, checkpoint_path=checkpoint,
+        )
+        assert len(calls) <= 2  # the resume scan and the summary, not once per paper
+
     def test_titleless_paper_quarantined_not_fatal(self, mock_gateway, tmp_path):
         records = [
             PaperRecord(doi="10.1/ok", title="t", abstract="Procambarus clarkii spreading"),
@@ -530,9 +552,10 @@ class TestTornWrites:
 
     def test_results_line_not_an_object_names_file_and_line(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        path.write_text('{"doi": "10.1/a", "status": "extracted"}\n[1]\n', encoding="utf-8")
-        with pytest.raises(CorpusError, match=rf"{re.escape(str(path))}, line 2\b"):
-            load_results(path)
+        for bad in ("[1]", '{"status": "extracted"}', '{"doi": "", "status": "extracted"}', '{"doi": 7}'):
+            path.write_text('{"doi": "10.1/a", "status": "extracted"}\n' + bad + "\n", encoding="utf-8")
+            with pytest.raises(CorpusError, match=rf"{re.escape(str(path))}, line 2\b"):
+                load_results(path)
 
     def test_checkpoint_error_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.ckpt.json"
