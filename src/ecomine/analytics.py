@@ -19,7 +19,7 @@ import io
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Iterator, Sequence
 
 from .corpus import atomic_write_text
 from .errors import ReportError
@@ -74,9 +74,21 @@ class EcosystemFrequencies:
     types: FrequencyTable
 
 
-def _ordered(results: Iterable[ExtractionResult]) -> list[ExtractionResult]:
+def _mentions(
+    results: Iterable[ExtractionResult], attr: str, key: Callable[[dict], Hashable | None]
+) -> Iterator[tuple[Hashable, dict]]:
+    """The counting unit: (key, entry) for each named dict entry of one
+    result list, in DOI order, keeping the first entry per key within a
+    paper. An entry whose key is None is skipped and takes no key."""
     # DOI order makes "first occurrence" well-defined regardless of input order
-    return sorted(results, key=lambda result: result.paper_doi)
+    for result in sorted(results, key=lambda result: result.paper_doi):
+        seen = set()
+        for entry in getattr(result, attr):
+            if isinstance(entry, dict) and entry.get("name"):
+                mention = key(entry)
+                if mention is not None and mention not in seen:
+                    seen.add(mention)
+                    yield mention, entry
 
 
 def _build_table(label: str, mentions: Iterable[str], total: int) -> FrequencyTable:
@@ -97,23 +109,17 @@ def _species_mentions(
     results: Iterable[ExtractionResult],
     stoplist: Collection[str] | None = None,
 ) -> list[tuple[str, str]]:
-    """(name, role) mentions, deduplicated per paper."""
+    """(name, role) mentions, keyed by name and role."""
     stop = {name_key(term) for term in stoplist} if stoplist else set()
-    mentions: list[tuple[str, str]] = []
-    for result in _ordered(results):
-        seen: set[tuple[str, str]] = set()
-        for entry in result.species:
-            if not isinstance(entry, dict) or not entry.get("name"):
-                continue
-            if name_key(entry["name"]) in stop:
-                continue
-            role = str(entry.get("role") or "")
-            dedup = (name_key(entry["name"]), name_key(role))
-            if dedup in seen:
-                continue
-            seen.add(dedup)
-            mentions.append((display_name(entry["name"]), role))
-    return mentions
+
+    def key(entry: dict) -> tuple[str, str] | None:
+        name = name_key(entry["name"])
+        return None if name in stop else (name, name_key(entry.get("role") or ""))
+
+    return [
+        (display_name(entry["name"]), str(entry.get("role") or ""))
+        for _, entry in _mentions(results, "species", key)
+    ]
 
 
 def role_inventory(
@@ -150,43 +156,23 @@ def location_frequencies(
     """Location-name counts, optionally filtered by geopolitical level."""
     if granularity not in LOCATION_GRANULARITIES:
         raise ValueError(f"granularity must be one of {LOCATION_GRANULARITIES}")
-    mentions: list[str] = []
-    for result in _ordered(results):
-        seen: set[tuple[str, str]] = set()
-        for entry in result.locations:
-            if not isinstance(entry, dict) or not entry.get("name"):
-                continue
-            geo = name_key(entry.get("geopolitical_info") or "")
-            dedup = (name_key(entry["name"]), geo)
-            if dedup in seen:
-                continue
-            seen.add(dedup)
-            if granularity != "all" and geo != granularity:
-                continue
-            mentions.append(display_name(entry["name"]))
+
+    def key(entry: dict) -> tuple[str, str] | None:
+        geo = name_key(entry.get("geopolitical_info") or "")
+        return (name_key(entry["name"]), geo) if granularity in ("all", geo) else None
+
+    mentions = [display_name(entry["name"]) for _, entry in _mentions(results, "locations", key)]
     return _build_table(f"locations ({granularity})", mentions, total=len(mentions))
 
 
 def ecosystem_frequencies(results: Iterable[ExtractionResult]) -> EcosystemFrequencies:
     """Ecosystem-name counts plus a type breakdown over recognized types."""
-    names: list[str] = []
-    types: list[str] = []
-    for result in _ordered(results):
-        seen: set[str] = set()
-        for entry in result.ecosystems:
-            if not isinstance(entry, dict) or not entry.get("name"):
-                continue
-            key = name_key(entry["name"])
-            if key in seen:
-                continue
-            seen.add(key)
-            names.append(display_name(entry["name"]))
-            kind = name_key(entry.get("type") or "")
-            if kind in ECOSYSTEM_TYPES:
-                types.append(kind)
+    entries = [entry for _, entry in _mentions(results, "ecosystems", lambda e: name_key(e["name"]))]
+    names = [display_name(entry["name"]) for entry in entries]
+    kinds = [name_key(entry.get("type") or "") for entry in entries]
     return EcosystemFrequencies(
         names=_build_table("ecosystems", names, total=len(names)),
-        types=_build_table("ecosystem types", types, total=len(names)),
+        types=_build_table("ecosystem types", [k for k in kinds if k in ECOSYSTEM_TYPES], total=len(names)),
     )
 
 
@@ -196,22 +182,16 @@ def habitat_linkages(results: Iterable[ExtractionResult]) -> list[LinkagePair]:
     Habitats without a subcomponent_of target are excluded; targets that
     do not name an ecosystem in the same result are kept verbatim.
     """
+
+    def key(entry: dict) -> tuple[str, str] | None:
+        target = entry.get("subcomponent_of")
+        return (name_key(entry["name"]), name_key(target)) if target else None
+
     counts: dict[tuple[str, str], int] = {}
     displays: dict[tuple[str, str], tuple[str, str]] = {}
-    for result in _ordered(results):
-        seen: set[tuple[str, str]] = set()
-        for entry in result.habitats:
-            if not isinstance(entry, dict) or not entry.get("name"):
-                continue
-            target = entry.get("subcomponent_of")
-            if not target:
-                continue
-            pair = (name_key(entry["name"]), name_key(target))
-            if pair in seen:
-                continue
-            seen.add(pair)
-            counts[pair] = counts.get(pair, 0) + 1
-            displays.setdefault(pair, (display_name(entry["name"]), display_name(target)))
+    for pair, entry in _mentions(results, "habitats", key):
+        counts[pair] = counts.get(pair, 0) + 1
+        displays.setdefault(pair, (display_name(entry["name"]), display_name(entry["subcomponent_of"])))
     ordered = sorted(counts, key=lambda pair: (-counts[pair], pair))
     return [
         LinkagePair(habitat=displays[pair][0], ecosystem=displays[pair][1], count=counts[pair])

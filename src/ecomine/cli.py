@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import analytics
 from .corpus import CorpusStore, atomic_write_text, compute_stats, export_corpus
-from .errors import EcomineError
+from .errors import EcomineError, PartialIngestError
 from .gateway import HttpChatProvider, LlmGateway, RateLimitPolicy
 from .harvest import FixtureHarvestClient, HttpHarvestClient, ingest_dois
 from .mockllm import MockProvider
@@ -38,9 +38,6 @@ from .schema import candidate_to_dict, schema_to_json, validate_result
 logger = logging.getLogger(__name__)
 
 ENV_PREFIX = "ECOMINE_"
-
-_INT_KEYS = {"sample_size", "variants", "parallelism", "seed", "rate_requests", "max_retries", "top"}
-_FLOAT_KEYS = {"rate_window", "backoff_base", "timeout"}
 
 
 @dataclass
@@ -81,43 +78,46 @@ class CliConfig:
         )
 
 
-def _read_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat `key = value` config file; # starts a comment."""
-    values: dict[str, str] = {}
-    for raw_line in Path(path).read_text(encoding="utf-8").splitlines():
+def _read_config_file(path: str | Path) -> dict[str, tuple[str, str]]:
+    """Parse a flat `key = value` config file; # starts a comment.
+
+    Maps each key to its value and the file and line it came from.
+    """
+    values: dict[str, tuple[str, str]] = {}
+    for number, raw_line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
+        source = f"config file {path}, line {number}"
         key, sep, value = line.partition("=")
         if not sep:
-            raise EcomineError(f"bad config line (expected key = value): {raw_line!r}")
-        values[key.strip().lower()] = value.strip()
+            raise EcomineError(f"{source}: expected key = value, got {raw_line!r}")
+        values[key.strip().lower()] = (value.strip(), source)
     return values
 
 
 def resolve_config(args: argparse.Namespace) -> CliConfig:
-    field_names = {f.name for f in dataclasses.fields(CliConfig)}
-    resolved: dict[str, str | int | float] = {}
-
-    if getattr(args, "config", None):
-        for key, value in _read_config_file(args.config).items():
-            if key not in field_names:
-                raise EcomineError(f"unknown config key {key!r}")
-            resolved[key] = value
-    for name in field_names:
-        env_value = os.environ.get(ENV_PREFIX + name.upper())
-        if env_value is not None:
-            resolved[name] = env_value
-    for name in field_names:
+    """Merge flags, ECOMINE_* variables and the config file over the
+    defaults; each value takes the type of its CliConfig default."""
+    defaults = {f.name: f.default for f in dataclasses.fields(CliConfig)}
+    sourced = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    for name in defaults:
+        env_var = ENV_PREFIX + name.upper()
+        if env_var in os.environ:
+            sourced[name] = (os.environ[env_var], f"environment variable {env_var}")
         flag_value = getattr(args, name, None)
         if flag_value is not None:
-            resolved[name] = flag_value
+            sourced[name] = (flag_value, "flag --" + name.replace("_", "-"))
 
-    for key in list(resolved):
-        if key in _INT_KEYS:
-            resolved[key] = int(resolved[key])
-        elif key in _FLOAT_KEYS:
-            resolved[key] = float(resolved[key])
+    resolved = {}
+    for name, (value, source) in sourced.items():
+        if name not in defaults:
+            raise EcomineError(f"{source}: unknown config key {name!r}")
+        kind = type(defaults[name])
+        try:
+            resolved[name] = kind(value) if kind in (int, float) else value
+        except ValueError:
+            raise EcomineError(f"{name} from {source}: expected {kind.__name__}, got {value!r}") from None
 
     config = CliConfig(**resolved)
     if config.provider not in ("mock", "endpoint"):
@@ -177,7 +177,11 @@ def cmd_ingest(args: argparse.Namespace, config: CliConfig) -> int:
         raise EcomineError("ingest needs --fixtures DIR or --base-url URL")
 
     store = _open_store(config, must_exist=False)
-    summary = ingest_dois(store, dois, client, parallelism=config.parallelism)
+    failure = None
+    try:
+        summary = ingest_dois(store, dois, client, parallelism=config.parallelism)
+    except PartialIngestError as exc:
+        failure, summary = exc, exc.summary  # keep what committed before the failure
     export_corpus(store, config.corpus, fmt="jsonl")
 
     skip_log = Path(config.corpus).with_suffix(".skipped.log")
@@ -192,6 +196,8 @@ def cmd_ingest(args: argparse.Namespace, config: CliConfig) -> int:
         f"abstract_only={summary.abstract_only} with_full_text={summary.with_full_text} "
         f"malformed={len(summary.malformed)}"
     )
+    if failure is not None:
+        raise failure
     return 0
 
 

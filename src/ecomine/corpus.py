@@ -12,9 +12,11 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
-from .errors import CorpusError
+from .errors import CorpusError, EcomineError
+
+T = TypeVar("T")
 
 _DOI_PREFIXES = ("https://doi.org/", "http://doi.org/", "doi.org/", "doi:")
 
@@ -175,25 +177,16 @@ class CorpusStore:
         path = Path(path)
         if not path.exists():
             raise CorpusError(f"corpus file not found: {path}")
-        store = cls()
         text = path.read_text(encoding="utf-8")
         if fmt == "jsonl":
-            for number, line in enumerate(text.splitlines(), 1):
-                if line.strip():
-                    try:
-                        store.upsert(PaperRecord.from_dict(json.loads(line)))
-                    except (ValueError, TypeError, AttributeError, CorpusError) as exc:
-                        raise CorpusError(f"corpus file {path}, line {number}: {exc}") from exc
-        elif fmt == "json":
+            return cls(parse_json_lines(text, f"corpus file {path}", CorpusError, PaperRecord.from_dict))
+        if fmt == "json":
             try:
                 archive = json.loads(text) if text.strip() else {"records": []}
-                for doc in archive.get("records", []):
-                    store.upsert(PaperRecord.from_dict(doc))
+                return cls(PaperRecord.from_dict(doc) for doc in archive.get("records", []))
             except (ValueError, TypeError, AttributeError, CorpusError) as exc:
                 raise CorpusError(f"malformed corpus file {path}: {exc}") from exc
-        else:
-            raise CorpusError(f"unknown corpus format: {fmt!r}")
-        return store
+        raise CorpusError(f"unknown corpus format: {fmt!r}")
 
 
 def compute_stats(store: CorpusStore) -> CorpusStats:
@@ -274,6 +267,21 @@ def export_corpus(store: CorpusStore, path: str | Path, fmt: str = "jsonl") -> i
         ) + "\n"
     atomic_write_text(Path(path), payload)
     return len(records)
+
+
+def parse_json_lines(
+    text: str, source: str, error: type[EcomineError], convert: Callable[[object], T], first: int = 1
+) -> list[T]:
+    """Parse each non-blank line (ended by "\n" only, never U+2028) as JSON
+    through convert; a failure raises ``error`` naming source and line."""
+    converted = []
+    for number, line in enumerate(text.split("\n"), first):
+        if line.strip():
+            try:
+                converted.append(convert(json.loads(line)))
+            except (ValueError, KeyError, TypeError, AttributeError, EcomineError) as exc:
+                raise error(f"{source}, line {number}: {type(exc).__name__}: {exc}") from exc
+    return converted
 
 
 def atomic_write_text(path: Path, payload: str) -> None:

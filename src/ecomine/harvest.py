@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .corpus import CorpusStore, PaperRecord, normalize_doi
-from .errors import CorpusError, PartialIngestError, RetryableTransportError, TransportError
+from .errors import CorpusError, EcomineError, PartialIngestError, RetryableTransportError, TransportError
 from .gateway import call_with_retries
 
 if TYPE_CHECKING:
@@ -176,9 +176,11 @@ def ingest_dois(
     """Resolve each DOI through the client and persist found records.
 
     Malformed DOIs are skipped with a warning and never abort the batch.
-    A transport failure that survives the client's retries raises
-    PartialIngestError carrying the counts accumulated so far. Workers
-    only fetch; all store writes happen on the calling thread.
+    After a failed fetch (a transport failure that survives the client's
+    retries, or a malformed fixture) no further fetch starts; fetches
+    already running are committed, then PartialIngestError names the
+    failed DOIs and carries the counts of what committed. Workers only
+    fetch; all store writes happen on the calling thread.
     """
     if not doi_list:
         raise CorpusError("doi_list must be non-empty")
@@ -193,28 +195,29 @@ def ingest_dois(
             logger.warning("skipping malformed DOI %r", raw)
             summary.malformed.append(raw)
 
-    chunks = _chunk(normalized, getattr(client, "batch_size", 1))
-    parallelism = max(1, parallelism)
-    try:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = [pool.submit(client.fetch_many, chunk) for chunk in chunks]
-            done, pending = wait(futures, return_when=FIRST_EXCEPTION)
-            failure: Exception | None = None
-            for future in done:
-                exc = future.exception()
-                if exc is not None:
-                    failure = exc
-                    continue
-                _commit_chunk(store, future.result(), summary)
-            for future in pending:
-                future.cancel()
-            if failure is not None:
-                raise failure
-    except TransportError as exc:
-        summary.missing.sort()
-        raise PartialIngestError(f"ingest aborted: {exc}", summary) from exc
+    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
+        futures = {
+            pool.submit(client.fetch_many, chunk): chunk
+            for chunk in _chunk(normalized, getattr(client, "batch_size", 1))
+        }
+        _, pending = wait(futures, return_when=FIRST_EXCEPTION)
+        for future in pending:
+            future.cancel()  # only fetches not yet started; those running finish before the pool closes
+    failure: tuple[list[str], EcomineError] | None = None
+    for future, chunk in futures.items():
+        if future.cancelled():
+            continue
+        try:
+            resolved = future.result()
+        except EcomineError as exc:
+            failure = failure or (chunk, exc)
+            continue
+        _commit_chunk(store, resolved, summary)
 
     summary.missing.sort()
+    if failure is not None:
+        chunk, exc = failure
+        raise PartialIngestError(f"ingest aborted at {', '.join(chunk)}: {exc}", summary) from exc
     return summary
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Sequence
 
-from .corpus import CorpusStore, PaperRecord, atomic_write_text
+from .corpus import CorpusStore, PaperRecord, atomic_write_text, parse_json_lines
 from .errors import (
     CheckpointError,
     CorpusError,
@@ -98,16 +98,20 @@ class Checkpoint:
         return self.completed | self.out_of_scope | set(self.quarantined)
 
     def apply(self, delta: dict) -> None:
-        """Fold one journal delta into the sets."""
-        status, doi = delta["status"], delta["doi"]
+        """Fold one journal delta into the sets; a mistyped delta is a CheckpointError."""
+        doi, status, reason = delta.get("doi"), delta.get("status"), delta.get("reason")
+        if not _nonempty_str(doi):
+            raise CheckpointError(f"delta 'doi' must be a non-empty string, got {doi!r}")
         if status == "completed":
             self.completed.add(doi)
         elif status == "out_of_scope":
             self.out_of_scope.add(doi)
         elif status == "quarantined":
-            self.quarantined[doi] = delta["reason"]
+            if not _nonempty_str(reason):
+                raise CheckpointError(f"delta 'reason' must be a non-empty string, got {reason!r}")
+            self.quarantined[doi] = reason
         else:
-            raise ValueError(f"unknown status {status!r}")
+            raise CheckpointError(f"unknown status {status!r}")
 
     def save(self, path: str | Path) -> None:
         doc = {
@@ -126,32 +130,36 @@ class Checkpoint:
             doc, end = json.JSONDecoder().raw_decode(text, len(text) - len(text.lstrip()))
         except (OSError, ValueError) as exc:
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise CheckpointError(f"checkpoint {path} is not a JSON object")
         try:
-            checkpoint = cls(
-                stage=doc["stage"],
-                schema_fingerprint=doc["schema_fingerprint"],
-                completed=set(doc.get("completed", [])),
-                out_of_scope=set(doc.get("out_of_scope", [])),
-                quarantined=dict(doc.get("quarantined", {})),
-            )
+            checkpoint = cls(stage=doc["stage"], schema_fingerprint=doc["schema_fingerprint"])
         except KeyError as exc:
             raise CheckpointError(f"checkpoint {path} missing field {exc}") from exc
-        lines = text[end:].split("\n")
-        torn = lines.pop()
+        for name in ("completed", "out_of_scope"):
+            dois = doc.get(name, [])
+            if not isinstance(dois, list) or not all(map(_nonempty_str, dois)):
+                raise CheckpointError(f"checkpoint {path}: {name!r} must be a list of non-empty strings")
+            setattr(checkpoint, name, set(dois))
+        quarantined = doc.get("quarantined", {})
+        if not isinstance(quarantined, dict) or not all(
+            _nonempty_str(doi) and isinstance(reason, str) for doi, reason in quarantined.items()
+        ):
+            raise CheckpointError(f"checkpoint {path}: 'quarantined' must map DOIs to reason strings")
+        checkpoint.quarantined = quarantined
+        deltas, _, torn = text[end:].rpartition("\n")
         first_line = text.count("\n", 0, end) + 1
-        for number, line in enumerate(lines, first_line):
-            if not line.strip():
-                continue
-            try:
-                checkpoint.apply(json.loads(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CheckpointError(f"checkpoint {path}, line {number}: malformed delta: {exc!r}") from exc
+        parse_json_lines(deltas, f"checkpoint {path}", CheckpointError, checkpoint.apply, first_line)
         if torn.strip():
             offset = len(text.encode("utf-8")) - len(torn.encode("utf-8"))
             logger.warning("%s: dropping torn last line at byte offset %d", path, offset)
         if checkpoint.completed & set(checkpoint.quarantined):
             raise CheckpointError(f"checkpoint {path} has DOIs both completed and quarantined")
         return checkpoint
+
+
+def _nonempty_str(value) -> bool:
+    return isinstance(value, str) and value != ""
 
 
 @dataclass
@@ -427,38 +435,25 @@ def _compact_results(path: Path) -> None:
 
 def load_results(path: str | Path) -> list[ExtractionResult]:
     """Read a results file; on duplicate DOIs the last line wins."""
-    by_doi: dict[str, ExtractionResult] = {}
     path = Path(path)
     if not path.exists():
         return []
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            result = result_from_dict(json.loads(line))
-        except (ValueError, TypeError, AttributeError) as exc:
-            raise CorpusError(f"results file {path}, line {number}: {exc}") from exc
-        by_doi[result.paper_doi] = result
-    return list(by_doi.values())
+    text = path.read_text(encoding="utf-8")
+    results = parse_json_lines(text, f"results file {path}", CorpusError, result_from_dict)
+    return list({result.paper_doi: result for result in results}.values())
 
 
 def load_candidates(path: str | Path) -> list[CandidateSchema]:
     """Read a candidates file written by the specialize stage."""
-    candidates = []
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-            candidates.append(
-                CandidateSchema(
-                    paper_doi=doc["doi"],
-                    blocks={block: _fields_from_block_value(value) for block, value in doc["blocks"].items()},
-                )
-            )
-        except (ValueError, KeyError, TypeError, AttributeError, SchemaParseError) as exc:
-            raise CorpusError(f"candidates file {path}, line {number}: {exc!r}") from exc
-    return candidates
+    return parse_json_lines(
+        Path(path).read_text(encoding="utf-8"),
+        f"candidates file {path}",
+        CorpusError,
+        lambda doc: CandidateSchema(
+            paper_doi=doc["doi"],
+            blocks={block: _fields_from_block_value(value) for block, value in doc["blocks"].items()},
+        ),
+    )
 
 
 def load_schema_file(path: str | Path) -> StandardizedSchema:

@@ -482,17 +482,9 @@ RESULT_BLOCKS = tuple(
     (kind.result_attribute, kind.value) for kind in EntityKind
 ) + (("relationships", "relationships"),)
 
-_RESULT_KEY_ALIASES = {
-    "species": "species",
-    "location": "locations",
-    "locations": "locations",
-    "ecosystem": "ecosystems",
-    "ecosystems": "ecosystems",
-    "habitat": "habitats",
-    "habitats": "habitats",
-    "relationship": "relationships",
-    "relationships": "relationships",
-}
+#: lowercased response key (result attribute or block name) -> result attribute
+_RESULT_KEY_ALIASES = {key: attr for attr, block in RESULT_BLOCKS for key in (attr, block)}
+_RESULT_KEY_ALIASES["relationship"] = "relationships"
 
 
 @dataclass
@@ -526,11 +518,7 @@ def result_to_dict(result: ExtractionResult) -> dict:
     return {
         "doi": result.paper_doi,
         "status": result.status,
-        "species": result.species,
-        "locations": result.locations,
-        "ecosystems": result.ecosystems,
-        "habitats": result.habitats,
-        "relationships": result.relationships,
+        **{attr: getattr(result, attr) for attr, _ in RESULT_BLOCKS},
     }
 
 
@@ -541,11 +529,7 @@ def result_from_dict(doc: dict) -> ExtractionResult:
     return ExtractionResult(
         paper_doi=doi,
         status=doc.get("status", "extracted"),
-        species=list(doc.get("species", [])),
-        locations=list(doc.get("locations", [])),
-        ecosystems=list(doc.get("ecosystems", [])),
-        habitats=list(doc.get("habitats", [])),
-        relationships=list(doc.get("relationships", [])),
+        **{attr: list(doc.get(attr, [])) for attr, _ in RESULT_BLOCKS},
     )
 
 

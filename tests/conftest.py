@@ -1,4 +1,9 @@
+import json
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import parse_qs, urlparse
 
 import pytest
 
@@ -38,3 +43,75 @@ def stage_config() -> StageConfig:
         rate_policy=fast_policy(),
         rng_seed=SAMPLE_SEED,
     )
+
+
+class StubState:
+    """Scriptable harvest endpoint: per-DOI documents plus failure hooks."""
+
+    def __init__(self):
+        self.documents = {}
+        self.fail_statuses = []  # consumed before any successful answer
+        self.hard_fail_dois = set()
+        self.raw_body = None  # when set, every successful answer is this 200 body
+        self.delay = 0.0  # seconds before each single-DOI success, so failures answer first
+        self.requests = 0
+
+
+def _make_handler(state: StubState):
+    class Handler(BaseHTTPRequestHandler):
+        def log_message(self, *args):
+            pass
+
+        def do_GET(self):
+            state.requests += 1
+            if state.fail_statuses:
+                self.send_response(state.fail_statuses.pop(0))
+                self.end_headers()
+                return
+            if state.raw_body is not None:
+                self.send_response(200)
+                self.end_headers()
+                self.wfile.write(state.raw_body)
+                return
+            query = parse_qs(urlparse(self.path).query)
+            if "dois" in query:
+                dois = query["dois"][0].split(",")
+                if set(dois) & state.hard_fail_dois:
+                    self.send_response(500)
+                    self.end_headers()
+                    return
+                results = [
+                    dict(state.documents[d], doi=d) for d in dois if d in state.documents
+                ]
+                payload = json.dumps({"results": results}).encode()
+                self.send_response(200)
+                self.end_headers()
+                self.wfile.write(payload)
+                return
+            doi = query.get("doi", [""])[0]
+            if doi in state.hard_fail_dois:
+                self.send_response(500)
+                self.end_headers()
+                return
+            if doi not in state.documents:
+                self.send_response(404)
+                self.end_headers()
+                return
+            time.sleep(state.delay)
+            self.send_response(200)
+            self.end_headers()
+            self.wfile.write(json.dumps(state.documents[doi]).encode())
+
+    return Handler
+
+
+@pytest.fixture
+def stub_server():
+    state = StubState()
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(state))
+    # a short poll interval keeps shutdown() from waiting out the default 0.5 s
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}", state
+    server.shutdown()
+    server.server_close()

@@ -2,10 +2,17 @@ import csv
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecomine.analytics import (
+    ECOSYSTEM_TYPES,
     GENERIC_SPECIES_TERMS,
+    LOCATION_GRANULARITIES,
+    EcosystemFrequencies,
     FrequencyTable,
+    LinkagePair,
+    _build_table,
     ecosystem_frequencies,
     emit_report,
     habitat_linkages,
@@ -14,7 +21,7 @@ from ecomine.analytics import (
     top_species,
 )
 from ecomine.errors import EcomineError
-from ecomine.schema import ExtractionResult
+from ecomine.schema import ExtractionResult, display_name, name_key
 
 
 def paper(doi, species=(), locations=(), ecosystems=(), habitats=()):
@@ -297,3 +304,160 @@ class TestEmitReport:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(EcomineError):
             emit_report([FrequencyTable(label="x")], [], tmp_path / "x", fmt="yaml")
+
+
+# ---------------------------------------------------------------------------
+# Reference: the four counting loops as written out one by one before the
+# analytics functions shared one mention rule. The oracle test below
+# requires the shared rule to count exactly as they do.
+
+
+def _ref_ordered(results):
+    return sorted(results, key=lambda result: result.paper_doi)
+
+
+def _ref_species_mentions(results, stoplist=None):
+    stop = {name_key(term) for term in stoplist} if stoplist else set()
+    mentions = []
+    for result in _ref_ordered(results):
+        seen = set()
+        for entry in result.species:
+            if not isinstance(entry, dict) or not entry.get("name"):
+                continue
+            if name_key(entry["name"]) in stop:
+                continue
+            role = str(entry.get("role") or "")
+            dedup = (name_key(entry["name"]), name_key(role))
+            if dedup in seen:
+                continue
+            seen.add(dedup)
+            mentions.append((display_name(entry["name"]), role))
+    return mentions
+
+
+def _ref_role_inventory(results, stoplist=None):
+    mentions = _ref_species_mentions(results, stoplist)
+    roles = [role for _, role in mentions if role.strip()]
+    return _build_table("species roles", roles, total=len(mentions))
+
+
+def _ref_top_species(results, role, k, stoplist=None):
+    wanted = name_key(role)
+    names = [name for name, r in _ref_species_mentions(results, stoplist) if name_key(r) == wanted]
+    return _build_table(f"top species ({display_name(role)})", names, total=len(names)).top(k)
+
+
+def _ref_location_frequencies(results, granularity="all"):
+    mentions = []
+    for result in _ref_ordered(results):
+        seen = set()
+        for entry in result.locations:
+            if not isinstance(entry, dict) or not entry.get("name"):
+                continue
+            geo = name_key(entry.get("geopolitical_info") or "")
+            dedup = (name_key(entry["name"]), geo)
+            if dedup in seen:
+                continue
+            seen.add(dedup)
+            if granularity != "all" and geo != granularity:
+                continue
+            mentions.append(display_name(entry["name"]))
+    return _build_table(f"locations ({granularity})", mentions, total=len(mentions))
+
+
+def _ref_ecosystem_frequencies(results):
+    names = []
+    types = []
+    for result in _ref_ordered(results):
+        seen = set()
+        for entry in result.ecosystems:
+            if not isinstance(entry, dict) or not entry.get("name"):
+                continue
+            key = name_key(entry["name"])
+            if key in seen:
+                continue
+            seen.add(key)
+            names.append(display_name(entry["name"]))
+            kind = name_key(entry.get("type") or "")
+            if kind in ECOSYSTEM_TYPES:
+                types.append(kind)
+    return EcosystemFrequencies(
+        names=_build_table("ecosystems", names, total=len(names)),
+        types=_build_table("ecosystem types", types, total=len(names)),
+    )
+
+
+def _ref_habitat_linkages(results):
+    counts = {}
+    displays = {}
+    for result in _ref_ordered(results):
+        seen = set()
+        for entry in result.habitats:
+            if not isinstance(entry, dict) or not entry.get("name"):
+                continue
+            target = entry.get("subcomponent_of")
+            if not target:
+                continue
+            pair = (name_key(entry["name"]), name_key(target))
+            if pair in seen:
+                continue
+            seen.add(pair)
+            counts[pair] = counts.get(pair, 0) + 1
+            displays.setdefault(pair, (display_name(entry["name"]), display_name(target)))
+    ordered = sorted(counts, key=lambda pair: (-counts[pair], pair))
+    return [
+        LinkagePair(habitat=displays[pair][0], ecosystem=displays[pair][1], count=counts[pair])
+        for pair in ordered
+    ]
+
+
+# Entries are drawn from small vocabularies, so that case and whitespace
+# variants, duplicates within a paper, the stoplist, and blank or missing
+# values (a missing target next to a whitespace-only one) all occur often.
+NAMES = st.sampled_from(["Acacia", " ACACIA ", "native species", "Native  Species", "", "   ", 0, None])
+LABELS = st.sampled_from(["invasive", "Invasive ", "native", "country", " Country", "region", "aquatic", "MARINE", "", 0, None])
+TARGETS = st.sampled_from(["Lake", " lake ", "None", "", "   ", 0, None])
+FIELDS = {"role": LABELS, "geopolitical_info": LABELS, "type": LABELS, "subcomponent_of": TARGETS}
+ENTRIES = st.one_of(
+    st.sampled_from(
+        [
+            {"name": "Acacia"},
+            {"name": "acacia", "subcomponent_of": "   "},
+            {"name": "Acacia", "subcomponent_of": None},
+            {"name": "ACACIA", "subcomponent_of": ""},
+            {"name": "Acacia", "subcomponent_of": "None"},
+            {"name": "acacia ", "role": "native", "geopolitical_info": "", "type": "   "},
+            {"subcomponent_of": "Lake"},
+            None,
+            7,
+            "Acacia",
+            ["Acacia"],
+        ]
+    ),
+    st.fixed_dictionaries({"name": NAMES}, optional=FIELDS),
+    st.fixed_dictionaries({}, optional=dict(FIELDS, name=NAMES)),
+)
+RESULT_LISTS = st.lists(
+    st.builds(
+        paper,
+        st.sampled_from(["10.1/a", "10.1/b", "10.1/c"]),
+        species=st.lists(ENTRIES, max_size=6),
+        locations=st.lists(ENTRIES, max_size=6),
+        ecosystems=st.lists(ENTRIES, max_size=6),
+        habitats=st.lists(ENTRIES, max_size=6),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(results=RESULT_LISTS, filter_generic=st.booleans())
+def test_mention_rule_equals_reference_loops(results, filter_generic):
+    stoplist = GENERIC_SPECIES_TERMS if filter_generic else None
+    assert role_inventory(results, stoplist) == _ref_role_inventory(results, stoplist)
+    for role in ("invasive", "Native ", ""):
+        assert top_species(results, role, 3, stoplist) == _ref_top_species(results, role, 3, stoplist)
+    for granularity in LOCATION_GRANULARITIES:
+        assert location_frequencies(results, granularity) == _ref_location_frequencies(results, granularity)
+    assert ecosystem_frequencies(results) == _ref_ecosystem_frequencies(results)
+    assert habitat_linkages(results) == _ref_habitat_linkages(results)

@@ -102,6 +102,28 @@ class TestIngest:
         dois.write_text("10.9/one\n")
         assert run_cli("--corpus", tmp_path / "c.jsonl", "ingest", "--dois", dois) == 1
 
+    def test_hard_failure_writes_what_committed(self, tmp_path, stub_server, monkeypatch, capsys):
+        base_url, state = stub_server
+        dois = ["10.9/a", "10.9/b", "10.9/c", "10.9/fail"]
+        for doi in dois[:3]:
+            state.documents[doi] = {"title": doi, "abstract": "a b"}
+        state.hard_fail_dois = {"10.9/fail"}
+        state.delay = 0.05  # the failure answers while the three fetches are still in flight
+        (tmp_path / "dois.txt").write_text("\n".join(dois) + "\n")
+        monkeypatch.setenv("ECOMINE_MAX_RETRIES", "0")
+        corpus = tmp_path / "harvested.jsonl"
+
+        code = run_cli(
+            "--corpus", corpus, "--parallelism", 4,
+            "ingest", "--dois", tmp_path / "dois.txt", "--base-url", base_url,
+        )
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out.strip().splitlines()[-1] == "queried=4 found=3 abstract_only=3 with_full_text=0 malformed=0"
+        assert "ingest aborted at 10.9/fail" in err
+        assert [json.loads(line)["doi"] for line in corpus.read_text().splitlines()] == dois[:3]
+        assert corpus.with_suffix(".skipped.log").read_text() == ""
+
 
 class TestWorkflow:
     def run_through_extract(self, tmp_path, corpus_path, capsys):
@@ -184,10 +206,31 @@ class TestConfigPrecedence:
         assert run_cli("--config", config, "specialize", "--out", out) == 0
         assert last_line(capsys) == "sampled=10 candidates=9 quarantined=1"
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.conf"
         config.write_text("not_a_key = 1\n")
         assert run_cli("--config", config, "stats") == 1
+        assert f"config file {config}, line 1: unknown config key 'not_a_key'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "env, conf, named",
+        [
+            ({"ECOMINE_PARALLELISM": "abc"}, None, "parallelism from environment variable ECOMINE_PARALLELISM"),
+            ({}, "seed = 6\nno equals sign\n", "config file {conf}, line 2: expected key = value"),
+            ({}, "# demo\n\nrate_window = soon\n", "rate_window from config file {conf}, line 3"),
+        ],
+        ids=["env", "no-equals", "file-value"],
+    )
+    def test_bad_value_names_its_source(self, tmp_path, monkeypatch, capsys, env, conf, named):
+        argv = ["--corpus", tmp_path / "none.jsonl"]
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        path = tmp_path / "bad.conf"
+        if conf is not None:
+            path.write_text(conf)
+            argv += ["--config", path]
+        assert run_cli(*argv, "stats") == 1
+        assert named.format(conf=path) in capsys.readouterr().err
 
     def test_endpoint_provider_requires_credential(self, corpus_path, monkeypatch, capsys):
         monkeypatch.delenv("ECOMINE_API_KEY", raising=False)

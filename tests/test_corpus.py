@@ -171,6 +171,13 @@ class TestExportImport:
         assert first.read_bytes() == second.read_bytes()
         assert reloaded.records() == sample_store.records()
 
+    def test_unicode_line_boundaries_stay_in_their_record(self, tmp_path):
+        # export writes these characters unescaped; only "\n" ends a line
+        store = CorpusStore([PaperRecord(doi="10.1/a", title="t\u2028u", abstract="a\x85b\x1cc\u2029d")])
+        path = tmp_path / "corpus.jsonl"
+        export_corpus(store, path)
+        assert CorpusStore.load(path).records() == store.records()
+
     def test_json_archive_round_trip(self, tmp_path, sample_store):
         path = tmp_path / "corpus.json"
         export_corpus(sample_store, path, fmt="json")

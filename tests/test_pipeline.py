@@ -19,7 +19,15 @@ from ecomine.pipeline import (
     run_generalize,
     run_specialize,
 )
-from ecomine.schema import candidate_to_dict, result_to_dict, schema_fingerprint, schema_to_dict, standard_schema
+from ecomine.schema import (
+    candidate_to_dict,
+    result_from_dict,
+    result_to_dict,
+    schema_fingerprint,
+    schema_to_dict,
+    serialize_result,
+    standard_schema,
+)
 
 
 def make_config(**kwargs):
@@ -390,6 +398,12 @@ class TestFileLoaders:
         path.write_text(json.dumps(schema_to_dict(standard_schema())), encoding="utf-8")
         assert schema_to_dict(load_schema_file(path)) == schema_to_dict(standard_schema())
 
+    def test_load_results_keeps_unicode_line_boundaries(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        result = result_from_dict({"doi": "10.1/a", "species": [{"name": "Acacia\u2028dealbata"}]})
+        path.write_text(serialize_result(result) + "\n", encoding="utf-8")
+        assert load_results(path) == [result]
+
     def test_load_results_last_line_wins(self, tmp_path):
         path = tmp_path / "results.jsonl"
         first = {"doi": "10.1/a", "status": "extracted", "species": [{"name": "A"}]}
@@ -564,3 +578,36 @@ class TestTornWrites:
         append_deltas(path, {"doi": "10.1/a", "status": "completed"}, {"doi": "10.1/b", "status": "lost"})
         with pytest.raises(CheckpointError, match=rf"{re.escape(str(path))}, line {document_lines + 2}\b"):
             Checkpoint.load(path)
+
+    @pytest.mark.parametrize(
+        "fields, delta",
+        [
+            ({"completed": "10.5555/ecomine.0001"}, None),
+            ({"completed": [5]}, None),
+            ({"out_of_scope": [""]}, None),
+            ({"quarantined": ["x"]}, None),
+            ({"quarantined": {"10.1/q": 5}}, None),
+            ({}, {"doi": 5, "status": "completed"}),
+            ({}, {"doi": "", "status": "out_of_scope"}),
+            ({}, {"doi": "10.1/q", "status": "quarantined", "reason": 5}),
+            ({}, {"doi": "10.1/q", "status": "quarantined", "reason": ""}),
+        ],
+    )
+    def test_mistyped_checkpoint_names_file_and_line(self, sample_store, mock_gateway, tmp_path, fields, delta):
+        path = tmp_path / "typed.ckpt.json"
+        doc = {"stage": "extract", "schema_fingerprint": schema_fingerprint(standard_schema()), **fields}
+        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        where = re.escape(str(path))
+        if delta is not None:
+            where += rf", line {len(path.read_text(encoding='utf-8').splitlines()) + 1}\b"
+            append_deltas(path, delta)
+        with pytest.raises(CheckpointError, match=where):
+            Checkpoint.load(path)
+
+        counting = FailAfter(mock_gateway, allow=10_000)
+        with pytest.raises(CheckpointError, match=where):
+            run_extract(
+                sample_store, standard_schema(), make_config(), counting,
+                results_path=tmp_path / "typed.jsonl", checkpoint_path=path,
+            )
+        assert counting.calls == 0
