@@ -73,7 +73,6 @@ from .prompts import build_extract_prompt, build_generalize_prompt, build_specia
 from .schema import (
     CandidateSchema,
     CORE_SPECIES_ROLES,
-    EntityKind,
     ExtractionResult,
     FieldSpec,
     MergeReport,

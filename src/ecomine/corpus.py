@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+import reprlib
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -50,15 +52,16 @@ def count_tokens(text: str) -> int:
 
 @dataclass
 class PaperRecord:
-    """One scholarly document held by the store."""
+    """One scholarly document held by the store; its annotations are the
+    types decode holds corpus lines and harvested records to."""
 
     doi: str
-    title: str
+    title: str = ""
     abstract: str | None = None
     full_text: str | None = None
     year: int | None = None
     publisher: str | None = None
-    source: str = "harvested"  # "harvested" | "imported"
+    source: str = "imported"  # "harvested" | "imported"
 
     def __post_init__(self) -> None:
         if not self.doi or not self.doi.strip():
@@ -73,34 +76,7 @@ class PaperRecord:
 
     def to_dict(self) -> dict:
         """Serializable form; optional fields omitted when absent."""
-        doc: dict = {"doi": self.doi, "title": self.title}
-        if self.abstract is not None:
-            doc["abstract"] = self.abstract
-        if self.full_text is not None:
-            doc["full_text"] = self.full_text
-        if self.year is not None:
-            doc["year"] = self.year
-        if self.publisher is not None:
-            doc["publisher"] = self.publisher
-        doc["source"] = self.source
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PaperRecord":
-        if not isinstance(doc, dict):
-            raise CorpusError(f"record must be a JSON object, got {type(doc).__name__}")
-        try:
-            return cls(
-                doi=doc["doi"],
-                title=doc.get("title", ""),
-                abstract=doc.get("abstract"),
-                full_text=doc.get("full_text"),
-                year=doc.get("year"),
-                publisher=doc.get("publisher"),
-                source=doc.get("source", "imported"),
-            )
-        except KeyError as exc:
-            raise CorpusError(f"record missing required field {exc}") from exc
+        return {name: value for name, value in vars(self).items() if value is not None}
 
 
 @dataclass
@@ -179,13 +155,13 @@ class CorpusStore:
             raise CorpusError(f"corpus file not found: {path}")
         text = path.read_text(encoding="utf-8")
         if fmt == "jsonl":
-            return cls(parse_json_lines(text, f"corpus file {path}", CorpusError, PaperRecord.from_dict))
+            return cls(parse_json_lines(text, f"corpus file {path}", CorpusError, partial(decode, PaperRecord)))
         if fmt == "json":
             try:
                 archive = json.loads(text) if text.strip() else {"records": []}
-                return cls(PaperRecord.from_dict(doc) for doc in archive.get("records", []))
-            except (ValueError, TypeError, AttributeError, CorpusError) as exc:
-                raise CorpusError(f"malformed corpus file {path}: {exc}") from exc
+                return cls(decode(PaperRecord, doc) for doc in archive.get("records", []))
+            except (ValueError, KeyError, TypeError, AttributeError, CorpusError) as exc:
+                raise CorpusError(f"malformed corpus file {path}: {type(exc).__name__}: {exc}") from exc
         raise CorpusError(f"unknown corpus format: {fmt!r}")
 
 
@@ -282,6 +258,46 @@ def parse_json_lines(
             except (ValueError, KeyError, TypeError, AttributeError, EcomineError) as exc:
                 raise error(f"{source}, line {number}: {type(exc).__name__}: {exc}") from exc
     return converted
+
+
+#: field annotation -> (check of a JSON value, conversion of a checked value or None)
+_CHECKS: dict[str, tuple[Callable, Callable | None]] = {
+    "str": (lambda v: isinstance(v, str), None),
+    "str | None": (lambda v: v is None or isinstance(v, str), None),
+    "int | None": (lambda v: v is None or type(v) is int, None),  # a bool is not an int
+    "list[dict]": (lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v), None),
+    "set[str]": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), set),
+    "dict[str, str]": (lambda v: isinstance(v, dict) and all(isinstance(x, str) for x in v.values()), None),
+}
+
+
+@cache
+def _decoded_fields(cls: type) -> list[tuple]:
+    """(name, JSON key, annotation, check, conversion, required) per field of cls."""
+    return [
+        (f.name, f.metadata.get("key", f.name), f.type, *_CHECKS[f.type],
+         f.default is f.default_factory is MISSING)
+        for f in fields(cls)
+    ]
+
+
+def decode(cls: type[T], doc: object) -> T:
+    """Build dataclass cls (string annotations) from a JSON object: each value
+    present under a field's key (its name, or metadata["key"]) must pass the
+    check _CHECKS holds for the field's annotation, else TypeError; a missing
+    required key is a KeyError. Unknown keys are ignored."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+    values = {}
+    for name, key, annotation, check, convert, required in _decoded_fields(cls):
+        if key in doc:
+            value = doc[key]
+            if not check(value):
+                raise TypeError(f"{key!r} must be {annotation}, got {reprlib.repr(value)}")
+            values[name] = value if convert is None else convert(value)
+        elif required:
+            raise KeyError(key)
+    return cls(**values)
 
 
 def atomic_write_text(path: Path, payload: str) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .corpus import CorpusStore, PaperRecord, normalize_doi
+from .corpus import CorpusStore, PaperRecord, decode, normalize_doi
 from .errors import CorpusError, EcomineError, PartialIngestError, RetryableTransportError, TransportError
 from .gateway import call_with_retries
 
@@ -81,10 +81,7 @@ class HttpHarvestClient:
         self._sleep = sleep
 
     def fetch(self, doi: str) -> dict | None:
-        doc = self._request({"doi": doi})
-        if doc is not None:
-            doc.setdefault("doi", doi)
-        return doc
+        return self._request({"doi": doi})
 
     def fetch_many(self, dois: Sequence[str]) -> dict[str, dict | None]:
         """Resolve a chunk of DOIs; one request when batching is enabled."""
@@ -96,7 +93,7 @@ class HttpHarvestClient:
             raise TransportError(f"harvest batch from {self.url}: results is not a list of objects", 200)
         for doc in results:
             doi = doc.get("doi")
-            if doi in found:
+            if doi in dois:  # list membership compares, never hashes, so any JSON doi is safe
                 found[doi] = doc
         return found
 
@@ -154,7 +151,6 @@ class FixtureHarvestClient:
             raise CorpusError(f"malformed fixture {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise CorpusError(f"fixture {path} is not a JSON object")
-        doc.setdefault("doi", doi)
         return doc
 
     def fetch_many(self, dois: Sequence[str]) -> dict[str, dict | None]:
@@ -177,10 +173,11 @@ def ingest_dois(
 
     Malformed DOIs are skipped with a warning and never abort the batch.
     After a failed fetch (a transport failure that survives the client's
-    retries, or a malformed fixture) no further fetch starts; fetches
-    already running are committed, then PartialIngestError names the
-    failed DOIs and carries the counts of what committed. Workers only
-    fetch; all store writes happen on the calling thread.
+    retries, a malformed fixture, or a mistyped record) no further fetch
+    starts; fetches already running are committed, then
+    PartialIngestError names the failed DOIs and carries the counts of
+    what committed. Workers fetch and decode; all store writes happen on
+    the calling thread.
     """
     if not doi_list:
         raise CorpusError("doi_list must be non-empty")
@@ -197,7 +194,7 @@ def ingest_dois(
 
     with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
         futures = {
-            pool.submit(client.fetch_many, chunk): chunk
+            pool.submit(_fetch_records, client, chunk): chunk
             for chunk in _chunk(normalized, getattr(client, "batch_size", 1))
         }
         _, pending = wait(futures, return_when=FIRST_EXCEPTION)
@@ -221,27 +218,31 @@ def ingest_dois(
     return summary
 
 
-def _commit_chunk(store: CorpusStore, resolved: dict[str, dict | None], summary: IngestSummary) -> None:
+def _fetch_records(client, chunk: list[str]) -> dict[str, PaperRecord | None]:
+    """Worker: fetch a chunk and decode each document, so a mistyped record
+    fails its fetch. A null field is absent, empty text is no text, and a
+    DOI without text maps to None."""
+    records = {}
+    for doi, doc in client.fetch_many(chunk).items():
+        present = {key: value for key, value in (doc or {}).items() if value is not None}
+        try:
+            record = decode(PaperRecord, {**present, "doi": doi, "source": "harvested"})
+        except (TypeError, CorpusError) as exc:
+            raise CorpusError(f"harvested record {doi}: {exc}") from exc
+        record.abstract, record.full_text = record.abstract or None, record.full_text or None
+        records[doi] = record if record.available else None
+    return records
+
+
+def _commit_chunk(store: CorpusStore, resolved: dict[str, PaperRecord | None], summary: IngestSummary) -> None:
     for doi in sorted(resolved):
-        doc = resolved[doi]
-        abstract = (doc or {}).get("abstract") or None
-        full_text = (doc or {}).get("full_text") or None
-        if doc is None or (abstract is None and full_text is None):
+        record = resolved[doi]
+        if record is None:
             summary.missing.append(doi)
             continue
-        store.upsert(
-            PaperRecord(
-                doi=doi,
-                title=doc.get("title", ""),
-                abstract=abstract,
-                full_text=full_text,
-                year=doc.get("year"),
-                publisher=doc.get("publisher"),
-                source="harvested",
-            )
-        )
+        store.upsert(record)
         summary.found += 1
-        if full_text:
+        if record.full_text:
             summary.with_full_text += 1
         else:
             summary.abstract_only += 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Sequence
 
-from .corpus import CorpusStore, PaperRecord, atomic_write_text, parse_json_lines
+from .corpus import CorpusStore, PaperRecord, atomic_write_text, decode, parse_json_lines
 from .errors import (
     CheckpointError,
     CorpusError,
@@ -94,6 +94,10 @@ class Checkpoint:
     out_of_scope: set[str] = field(default_factory=set)
     quarantined: dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if "" in self.completed or "" in self.out_of_scope or "" in self.quarantined:
+            raise CheckpointError("checkpoint DOIs must be non-empty")
+
     def processed(self) -> set[str]:
         return self.completed | self.out_of_scope | set(self.quarantined)
 
@@ -130,23 +134,10 @@ class Checkpoint:
             doc, end = json.JSONDecoder().raw_decode(text, len(text) - len(text.lstrip()))
         except (OSError, ValueError) as exc:
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise CheckpointError(f"checkpoint {path} is not a JSON object")
         try:
-            checkpoint = cls(stage=doc["stage"], schema_fingerprint=doc["schema_fingerprint"])
-        except KeyError as exc:
-            raise CheckpointError(f"checkpoint {path} missing field {exc}") from exc
-        for name in ("completed", "out_of_scope"):
-            dois = doc.get(name, [])
-            if not isinstance(dois, list) or not all(map(_nonempty_str, dois)):
-                raise CheckpointError(f"checkpoint {path}: {name!r} must be a list of non-empty strings")
-            setattr(checkpoint, name, set(dois))
-        quarantined = doc.get("quarantined", {})
-        if not isinstance(quarantined, dict) or not all(
-            _nonempty_str(doi) and isinstance(reason, str) for doi, reason in quarantined.items()
-        ):
-            raise CheckpointError(f"checkpoint {path}: 'quarantined' must map DOIs to reason strings")
-        checkpoint.quarantined = quarantined
+            checkpoint = decode(cls, doc)
+        except (KeyError, TypeError, CheckpointError) as exc:
+            raise CheckpointError(f"checkpoint {path}: {type(exc).__name__}: {exc}") from exc
         deltas, _, torn = text[end:].rpartition("\n")
         first_line = text.count("\n", 0, end) + 1
         parse_json_lines(deltas, f"checkpoint {path}", CheckpointError, checkpoint.apply, first_line)

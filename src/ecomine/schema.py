@@ -18,22 +18,10 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Sequence
 
+from .corpus import decode
 from .errors import InvalidSchemaError, QuarantineError, SchemaParseError
-
-
-class EntityKind(Enum):
-    SPECIES = "species"
-    LOCATION = "location"
-    ECOSYSTEM = "ecosystem"
-    HABITAT = "habitat"
-
-    @property
-    def result_attribute(self) -> str:
-        """Name of the ExtractionResult list holding this kind."""
-        return "species" if self is EntityKind.SPECIES else self.value + "s"
 
 
 #: Canonical block order; "relationships" links the four entity blocks.
@@ -105,6 +93,8 @@ class CandidateSchema:
     blocks: dict[str, list[FieldSpec]]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.paper_doi, str) or not self.paper_doi:
+            raise SchemaParseError(f"candidate DOI must be a non-empty string, got {self.paper_doi!r}")
         for block, fields in self.blocks.items():
             if not block or not block.strip():
                 raise SchemaParseError("candidate block names must be non-empty")
@@ -478,9 +468,13 @@ def _ranked_values(specs: Iterable[FieldSpec], exclude: set[str] = frozenset()) 
 
 
 #: result attribute -> schema block it is validated against
-RESULT_BLOCKS = tuple(
-    (kind.result_attribute, kind.value) for kind in EntityKind
-) + (("relationships", "relationships"),)
+RESULT_BLOCKS = (
+    ("species", "species"),
+    ("locations", "location"),
+    ("ecosystems", "ecosystem"),
+    ("habitats", "habitat"),
+    ("relationships", "relationships"),
+)
 
 #: lowercased response key (result attribute or block name) -> result attribute
 _RESULT_KEY_ALIASES = {key: attr for attr, block in RESULT_BLOCKS for key in (attr, block)}
@@ -491,13 +485,17 @@ _RESULT_KEY_ALIASES["relationship"] = "relationships"
 class ExtractionResult:
     """Populated schema instance for one paper, or an out-of-scope marker."""
 
-    paper_doi: str
+    paper_doi: str = field(metadata={"key": "doi"})
     status: str = "extracted"  # "extracted" | "out_of_scope"
     species: list[dict] = field(default_factory=list)
     locations: list[dict] = field(default_factory=list)
     ecosystems: list[dict] = field(default_factory=list)
     habitats: list[dict] = field(default_factory=list)
     relationships: list[dict] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not self.paper_doi:
+            raise ValueError("result DOI must be non-empty")
 
     def entity_entries(self) -> list[tuple[str, str, dict]]:
         """(result attribute, schema block, entry) triples, entity blocks only."""
@@ -523,14 +521,7 @@ def result_to_dict(result: ExtractionResult) -> dict:
 
 
 def result_from_dict(doc: dict) -> ExtractionResult:
-    doi = doc.get("doi")
-    if not isinstance(doi, str) or not doi:
-        raise ValueError(f"'doi' must be a non-empty string, got {doi!r}")
-    return ExtractionResult(
-        paper_doi=doi,
-        status=doc.get("status", "extracted"),
-        **{attr: list(doc.get(attr, [])) for attr, _ in RESULT_BLOCKS},
-    )
+    return decode(ExtractionResult, doc)
 
 
 def serialize_result(result: ExtractionResult) -> str:

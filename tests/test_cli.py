@@ -11,6 +11,7 @@ import ecomine
 from conftest import SAMPLE_CORPUS
 from ecomine import cli
 from ecomine.harvest import fixture_filename
+from ecomine.schema import schema_fingerprint, schema_to_json, standard_schema
 
 
 def run_cli(*argv):
@@ -78,6 +79,57 @@ class TestLoaderErrors:
         dois.write_text("10.9/one\n")
         assert run_cli("--corpus", tmp_path / "c.jsonl", "ingest", "--dois", dois, "--fixtures", fixtures) == 1
         assert str(fixtures / "10.9_one.json") in capsys.readouterr().err
+
+
+def mistyped_input(command, tmp_path, corpus_path):
+    """argv for `command` with one mistyped input, and the file or DOI its error must name."""
+    schema = tmp_path / "schema.json"
+    schema.write_text(schema_to_json(standard_schema()) + "\n", encoding="utf-8")
+    results = tmp_path / "results.jsonl"
+    results.write_text('{"doi": "10.1/a"}\n{"doi": "10.1/b", "species": "Acacia"}\n', encoding="utf-8")
+    if command == "stats":
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"doi": "10.1/a", "abstract": ["a b"]}\n', encoding="utf-8")
+        return ["--corpus", corpus, "stats"], corpus
+    if command == "generalize":
+        candidates = tmp_path / "candidates.jsonl"
+        lines = [{"doi": 5, "blocks": {"odd": ["x"]}}, {"doi": "10.1/b", "blocks": {"odd": ["x"]}}]
+        candidates.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        return ["generalize", "--candidates", candidates, "--out-dir", tmp_path / "s"], f"{candidates}, line 1"
+    if command == "extract":
+        checkpoint = tmp_path / "ckpt.json"
+        doc = {"stage": "extract", "schema_fingerprint": schema_fingerprint(standard_schema()), "completed": [5]}
+        checkpoint.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        argv = ["--corpus", corpus_path, "extract", "--schema", schema, "--results", results]
+        return [*argv, "--checkpoint", checkpoint], checkpoint
+    if command == "analyze":
+        return ["analyze", "--results", results, "--out", tmp_path / "reports"], f"{results}, line 2"
+    if command == "validate":
+        return ["validate", "--results", results, "--schema", schema], f"{results}, line 2"
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    (fixtures / fixture_filename("10.9/one")).write_text('{"abstract": "a b"}', encoding="utf-8")
+    (fixtures / fixture_filename("10.9/two")).write_text('{"abstract": ["a b"]}', encoding="utf-8")
+    (tmp_path / "dois.txt").write_text("10.9/one\n10.9/none\n10.9/two\n", encoding="utf-8")
+    argv = ["--corpus", tmp_path / "harvested.jsonl", "ingest", "--dois", tmp_path / "dois.txt"]
+    return [*argv, "--fixtures", fixtures], "10.9/two"
+
+
+class TestMistypedInput:
+    """A mistyped value in any input ends in exit 1 and one error line
+    naming the file (and line) or the DOI, never in a traceback."""
+
+    @pytest.mark.parametrize("command", ["stats", "generalize", "extract", "analyze", "validate", "ingest"])
+    def test_exit_1_names_the_input(self, tmp_path, corpus_path, capsys, command):
+        argv, named = mistyped_input(command, tmp_path, corpus_path)
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert any(line.startswith("error: ") and str(named) in line for line in err.splitlines())
+        if command == "ingest":
+            corpus = tmp_path / "harvested.jsonl"
+            assert [json.loads(line)["doi"] for line in corpus.read_text().splitlines()] == ["10.9/one"]
+            assert corpus.with_suffix(".skipped.log").read_text() == "missing\t10.9/none\n"
 
 
 class TestIngest:

@@ -120,6 +120,15 @@ class TestHttpClient:
         assert resolved["10.1/c"] is None
         assert state.requests == 1
 
+    def test_batch_record_with_any_json_doi(self, stub_server):
+        base_url, state = stub_server
+        state.raw_body = json.dumps(
+            {"results": [{"doi": ["10.1/b"], "abstract": "x"}, {"doi": {}}, {"doi": "10.1/a", "abstract": "a b"}]}
+        ).encode()
+        store = CorpusStore()
+        summary = ingest_dois(store, ["10.1/a", "10.1/b"], HttpHarvestClient(base_url, batch_size=2), parallelism=1)
+        assert (summary.found, summary.missing) == (1, ["10.1/b"])
+
     def test_partial_ingest_error_carries_counts(self, stub_server):
         base_url, state = stub_server
         state.documents["10.1/a"] = ABSTRACT_ONLY
