@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +39,9 @@ from .schema import candidate_to_dict, schema_to_json, validate_result
 logger = logging.getLogger(__name__)
 
 ENV_PREFIX = "ECOMINE_"
+
+#: validate logs this many warnings per code, then a count; -v logs them all
+WARNING_EXAMPLES = 3
 
 
 @dataclass
@@ -319,13 +323,19 @@ def cmd_validate(args: argparse.Namespace, config: CliConfig) -> int:
     schema = load_schema_file(args.schema)
     results = load_results(args.results)
     total_violations = 0
+    warnings: Counter[str] = Counter()
     for result in sorted(results, key=lambda r: r.paper_doi):
         verdict = validate_result(result, schema)
         for violation in verdict.violations:
             total_violations += 1
             print(f"{result.paper_doi}\t{violation.path}\t{violation.message}")
         for warning in verdict.warnings:
-            logger.warning("%s: %s: %s", result.paper_doi, warning.path, warning.message)
+            warnings[warning.code] += 1
+            if args.verbose or warnings[warning.code] <= WARNING_EXAMPLES:
+                logger.warning("%s: %s: %s", result.paper_doi, warning.path, warning.message)
+    for code, count in sorted(warnings.items()):
+        shown = count if args.verbose else min(count, WARNING_EXAMPLES)
+        logger.warning("%s: %d warning(s), %d shown%s", code, count, shown, "" if shown == count else " (-v shows all)")
     print(f"results={len(results)} violations={total_violations}")
     return 1 if total_violations else 0
 

@@ -50,7 +50,7 @@ def count_tokens(text: str) -> int:
     return len(text.split())
 
 
-@dataclass
+@dataclass(slots=True)
 class PaperRecord:
     """One scholarly document held by the store; its annotations are the
     types decode holds corpus lines and harvested records to."""
@@ -76,7 +76,10 @@ class PaperRecord:
 
     def to_dict(self) -> dict:
         """Serializable form; optional fields omitted when absent."""
-        return {name: value for name, value in vars(self).items() if value is not None}
+        return {name: value for name in _RECORD_FIELDS if (value := getattr(self, name)) is not None}
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(PaperRecord))
 
 
 @dataclass
@@ -153,10 +156,11 @@ class CorpusStore:
         path = Path(path)
         if not path.exists():
             raise CorpusError(f"corpus file not found: {path}")
-        text = path.read_text(encoding="utf-8")
         if fmt == "jsonl":
-            return cls(parse_json_lines(text, f"corpus file {path}", CorpusError, partial(decode, PaperRecord)))
+            with path.open(encoding="utf-8", newline="\n") as lines:
+                return cls(parse_json_lines(lines, f"corpus file {path}", CorpusError, partial(decode, PaperRecord)))
         if fmt == "json":
+            text = path.read_text(encoding="utf-8")
             try:
                 archive = json.loads(text) if text.strip() else {"records": []}
                 return cls(decode(PaperRecord, doc) for doc in archive.get("records", []))
@@ -246,12 +250,13 @@ def export_corpus(store: CorpusStore, path: str | Path, fmt: str = "jsonl") -> i
 
 
 def parse_json_lines(
-    text: str, source: str, error: type[EcomineError], convert: Callable[[object], T], first: int = 1
+    lines: Iterable[str], source: str, error: type[EcomineError], convert: Callable[[object], T], first: int = 1
 ) -> list[T]:
-    """Parse each non-blank line (ended by "\n" only, never U+2028) as JSON
-    through convert; a failure raises ``error`` naming source and line."""
+    """Parse each non-blank line as JSON through convert; a failure raises
+    ``error`` naming source and line. Lines end at "\n" only, never at
+    U+2028: split text on "\n", or iterate a file opened with newline="\n"."""
     converted = []
-    for number, line in enumerate(text.split("\n"), first):
+    for number, line in enumerate(lines, first):
         if line.strip():
             try:
                 converted.append(convert(json.loads(line)))

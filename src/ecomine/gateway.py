@@ -9,11 +9,12 @@ format sections) is enforced here before any request is dispatched.
 from __future__ import annotations
 
 import logging
+import queue
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
 from .errors import PromptError, RetryableTransportError, TransportError
 
@@ -23,6 +24,7 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 #: Labels that must appear, in order, in every system prompt.
 SYSTEM_SECTIONS = ("Role:", "Task instruction:", "Output format:")
@@ -196,6 +198,63 @@ def call_with_retries(
                 "%s failed (attempt %d, status %s); retrying in %.2fs", what, attempts, exc.status, backoff
             )
             sleep(backoff)
+
+
+def fan_out(
+    function: Callable[[T], R],
+    items: Iterable[T],
+    parallelism: int,
+    stop_on: type[BaseException] | tuple[type[BaseException], ...],
+) -> Iterator[tuple[T, R | None, BaseException | None]]:
+    """Call function on each item from parallelism threads that pull from
+    one shared iterator, so at most parallelism calls are in flight; yield
+    (item, result, exception) on the calling thread in completion order.
+
+    Once a call raises stop_on, or the caller closes the generator, no
+    further item starts; calls already in flight finish and are yielded
+    (or, on close, awaited). Items therefore start in iteration order,
+    and the items that started are a prefix of items.
+    """
+    source = iter(items)
+    lock = threading.Lock()
+    finished: queue.SimpleQueue = queue.SimpleQueue()
+    stopped = False
+
+    def worker() -> None:
+        nonlocal stopped
+        try:
+            while True:
+                with lock:
+                    if stopped:
+                        return
+                    item = next(source, finished)  # the queue doubles as the end marker
+                if item is finished:
+                    return
+                try:
+                    outcome = (item, function(item), None)
+                except BaseException as exc:
+                    if isinstance(exc, stop_on):
+                        stopped = True
+                    outcome = (item, None, exc)
+                finished.put(outcome)
+        finally:
+            finished.put(None)
+
+    threads = [threading.Thread(target=worker) for _ in range(max(1, parallelism))]
+    for thread in threads:
+        thread.start()
+    try:
+        running = len(threads)
+        while running:
+            outcome = finished.get()
+            if outcome is None:
+                running -= 1
+            else:
+                yield outcome
+    finally:
+        stopped = True
+        for thread in threads:
+            thread.join()
 
 
 class HttpChatProvider:

@@ -13,14 +13,13 @@ import json
 import logging
 import re
 import time
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .corpus import CorpusStore, PaperRecord, decode, normalize_doi
 from .errors import CorpusError, EcomineError, PartialIngestError, RetryableTransportError, TransportError
-from .gateway import call_with_retries
+from .gateway import call_with_retries, fan_out
 
 if TYPE_CHECKING:
     import requests
@@ -143,10 +142,10 @@ class FixtureHarvestClient:
 
     def fetch(self, doi: str) -> dict | None:
         path = self.directory / fixture_filename(doi)
-        if not path.exists():
-            return None
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            return None
         except ValueError as exc:
             raise CorpusError(f"malformed fixture {path}: {exc}") from exc
         if not isinstance(doc, dict):
@@ -192,28 +191,27 @@ def ingest_dois(
             logger.warning("skipping malformed DOI %r", raw)
             summary.malformed.append(raw)
 
-    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-        futures = {
-            pool.submit(_fetch_records, client, chunk): chunk
-            for chunk in _chunk(normalized, getattr(client, "batch_size", 1))
-        }
-        _, pending = wait(futures, return_when=FIRST_EXCEPTION)
-        for future in pending:
-            future.cancel()  # only fetches not yet started; those running finish before the pool closes
-    failure: tuple[list[str], EcomineError] | None = None
-    for future, chunk in futures.items():
-        if future.cancelled():
-            continue
-        try:
-            resolved = future.result()
-        except EcomineError as exc:
-            failure = failure or (chunk, exc)
-            continue
-        _commit_chunk(store, resolved, summary)
+    chunks = enumerate(_chunk(normalized, getattr(client, "batch_size", 1)))
+    fetched: dict[int, tuple] = {}
+    committed = 0  # chunks commit in submission order, whatever order they finish in
+    failure: tuple[list[str], BaseException] | None = None
+    for (index, chunk), resolved, exc in fan_out(
+        lambda pair: _fetch_records(client, pair[1]), chunks, parallelism, stop_on=Exception
+    ):
+        fetched[index] = (chunk, resolved, exc)
+        while committed in fetched:
+            chunk, resolved, exc = fetched.pop(committed)
+            committed += 1
+            if exc is None:
+                _commit_chunk(store, resolved, summary)
+            else:
+                failure = failure or (chunk, exc)
 
     summary.missing.sort()
     if failure is not None:
         chunk, exc = failure
+        if not isinstance(exc, EcomineError):
+            raise exc
         raise PartialIngestError(f"ingest aborted at {', '.join(chunk)}: {exc}", summary) from exc
     return summary
 

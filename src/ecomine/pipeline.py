@@ -15,8 +15,7 @@ import json
 import logging
 import os
 import random
-import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Sequence
@@ -32,7 +31,7 @@ from .errors import (
     StageFailure,
     TransportError,
 )
-from .gateway import LlmGateway, PromptPair, RateLimitPolicy
+from .gateway import LlmGateway, PromptPair, RateLimitPolicy, fan_out
 from .prompts import (
     build_extract_system_prompt,
     build_generalize_prompt,
@@ -140,7 +139,7 @@ class Checkpoint:
             raise CheckpointError(f"checkpoint {path}: {type(exc).__name__}: {exc}") from exc
         deltas, _, torn = text[end:].rpartition("\n")
         first_line = text.count("\n", 0, end) + 1
-        parse_json_lines(deltas, f"checkpoint {path}", CheckpointError, checkpoint.apply, first_line)
+        parse_json_lines(deltas.split("\n"), f"checkpoint {path}", CheckpointError, checkpoint.apply, first_line)
         if torn.strip():
             offset = len(text.encode("utf-8")) - len(torn.encode("utf-8"))
             logger.warning("%s: dropping torn last line at byte offset %d", path, offset)
@@ -321,8 +320,7 @@ def run_extract(
 
     results_path = Path(results_path)
     results_path.parent.mkdir(parents=True, exist_ok=True)
-    if results_path.exists():
-        _cut_torn_tail(results_path)
+    earlier = _cut_torn_tail(results_path) if results_path.exists() else 0
 
     journal = None
     if checkpoint_path is not None:
@@ -338,48 +336,39 @@ def run_extract(
             journal.write(json.dumps(delta, ensure_ascii=False, sort_keys=True) + "\n")
             journal.flush()
 
-    stop = threading.Event()  # set by the first hard failure; later calls never start
+    def call(record: PaperRecord) -> str:
+        return gateway.complete(PromptPair(system, build_paper_user_prompt(record))).raw_text
 
-    def call(record: PaperRecord) -> str | None:
-        if stop.is_set():
-            return None
-        try:
-            return gateway.complete(PromptPair(system, build_paper_user_prompt(record))).raw_text
-        except TransportError:
-            stop.set()
-            raise
-
+    written: dict[str, str] = {}  # DOI -> the results line this run appended for it
     failure: TransportError | None = None
-    pool = ThreadPoolExecutor(max_workers=config.parallelism)
     try:
-        with results_path.open("a", encoding="utf-8") as sink:
-            futures = {pool.submit(call, record): record.doi for record in todo}
-            for future in as_completed(futures):
-                doi = futures[future]
-                try:
-                    raw = future.result()
-                except TransportError as exc:
+        with results_path.open("a", encoding="utf-8") as sink, closing(
+            fan_out(call, todo, config.parallelism, stop_on=TransportError)
+        ) as outcomes:
+            for record, raw, exc in outcomes:
+                doi = record.doi
+                if isinstance(exc, TransportError):
                     logger.warning("extract: hard failure on %s; committing calls in flight: %s", doi, exc)
                     failure = failure or exc
                     continue
-                except PromptError as exc:
+                if isinstance(exc, PromptError):
                     # the paper itself cannot form a prompt; retrying won't help
                     logger.warning("quarantining unpromptable paper %s: %s", doi, exc)
                     commit(doi, "quarantined", str(exc))
                     continue
-                if raw is None:
-                    continue  # skipped after the failure
+                if exc is not None:
+                    raise exc
                 try:
                     result = parse_result(raw, doi)
                 except QuarantineError as exc:
                     logger.warning("quarantining extract response for %s", doi)
                     commit(doi, "quarantined", str(exc))
                 else:
-                    sink.write(serialize_result(result) + "\n")
+                    line = written[doi] = serialize_result(result)
+                    sink.write(line + "\n")
                     sink.flush()
                     commit(doi, "out_of_scope" if result.status == "out_of_scope" else "completed")
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
         if journal is not None:
             journal.close()
             checkpoint.save(checkpoint_path)
@@ -387,7 +376,7 @@ def run_extract(
     if failure is not None:
         raise failure
 
-    _compact_results(results_path)
+    _compact_results(results_path, earlier, written)
     return ExtractionRunSummary(
         processed=len(checkpoint.processed()),
         extracted=len(checkpoint.completed),
@@ -396,9 +385,10 @@ def run_extract(
     )
 
 
-def _cut_torn_tail(path: Path) -> None:
+def _cut_torn_tail(path: Path) -> int:
     """Truncate an unterminated last line, which a kill mid-write leaves,
-    so the next append starts a fresh line instead of gluing onto it."""
+    so the next append starts a fresh line instead of gluing onto it;
+    returns the size of what is left."""
     with path.open("rb+") as handle:
         size = cut = handle.seek(0, os.SEEK_END)
         while cut > 0:
@@ -412,16 +402,24 @@ def _cut_torn_tail(path: Path) -> None:
         if cut < size:
             logger.warning("%s: dropping torn last line at byte offset %d", path, cut)
             handle.truncate(cut)
+        return cut
 
 
-def _compact_results(path: Path) -> None:
-    """Rewrite the append-only results file as one sorted line per DOI."""
-    results = load_results(path)
-    payload = "".join(
-        serialize_result(result) + "\n"
-        for result in sorted(results, key=lambda r: r.paper_doi)
-    )
-    atomic_write_text(path, payload)
+def _compact_results(path: Path, earlier: int, written: dict[str, str]) -> None:
+    """Rewrite the append-only results file as one sorted line per DOI.
+
+    Only the first ``earlier`` bytes, the lines earlier runs left, are read
+    back; each is decoded, so a bad one is named, and serialised again.
+    written, this run's lines by DOI, overlays them: the last line wins.
+    """
+    lines: dict[str, str] = {}
+    if earlier:
+        with path.open("rb") as handle:
+            earlier_lines = handle.read(earlier).decode("utf-8").split("\n")
+        for result in parse_json_lines(earlier_lines, f"results file {path}", CorpusError, result_from_dict):
+            lines[result.paper_doi] = serialize_result(result)
+    lines.update(written)
+    atomic_write_text(path, "".join(lines[doi] + "\n" for doi in sorted(lines)))
 
 
 def load_results(path: str | Path) -> list[ExtractionResult]:
@@ -429,22 +427,23 @@ def load_results(path: str | Path) -> list[ExtractionResult]:
     path = Path(path)
     if not path.exists():
         return []
-    text = path.read_text(encoding="utf-8")
-    results = parse_json_lines(text, f"results file {path}", CorpusError, result_from_dict)
+    with path.open(encoding="utf-8", newline="\n") as lines:
+        results = parse_json_lines(lines, f"results file {path}", CorpusError, result_from_dict)
     return list({result.paper_doi: result for result in results}.values())
 
 
 def load_candidates(path: str | Path) -> list[CandidateSchema]:
     """Read a candidates file written by the specialize stage."""
-    return parse_json_lines(
-        Path(path).read_text(encoding="utf-8"),
-        f"candidates file {path}",
-        CorpusError,
-        lambda doc: CandidateSchema(
-            paper_doi=doc["doi"],
-            blocks={block: _fields_from_block_value(value) for block, value in doc["blocks"].items()},
-        ),
-    )
+    with Path(path).open(encoding="utf-8", newline="\n") as lines:
+        return parse_json_lines(
+            lines,
+            f"candidates file {path}",
+            CorpusError,
+            lambda doc: CandidateSchema(
+                paper_doi=doc["doi"],
+                blocks={block: _fields_from_block_value(value) for block, value in doc["blocks"].items()},
+            ),
+        )
 
 
 def load_schema_file(path: str | Path) -> StandardizedSchema:

@@ -18,6 +18,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .corpus import decode
@@ -112,6 +113,8 @@ class StandardizedSchema:
     """The five-block extraction target applied corpus-wide."""
 
     blocks: dict[str, list[FieldSpec]]
+    #: validate_result's field table and the snapshot of blocks it was compiled from
+    _compiled: tuple = field(default=((), {}), init=False, repr=False, compare=False)
 
     def field_names(self, block: str) -> list[str]:
         return [spec.name for spec in self.blocks.get(block, [])]
@@ -304,12 +307,22 @@ def parse_schema(raw: str) -> StandardizedSchema:
 
 def display_name(raw) -> str:
     """Trim and collapse internal whitespace, preserving case."""
-    return " ".join(str(raw).split())
+    return _display_str(raw) if type(raw) is str else " ".join(str(raw).split())
 
 
 def name_key(raw) -> str:
     """Case-folded counting/matching key for an entity name."""
-    return display_name(raw).casefold()
+    return _name_key_str(raw) if type(raw) is str else display_name(raw).casefold()
+
+
+@lru_cache(maxsize=1 << 16)
+def _display_str(raw: str) -> str:
+    return " ".join(raw.split())
+
+
+@lru_cache(maxsize=1 << 16)
+def _name_key_str(raw: str) -> str:
+    return _display_str(raw).casefold()
 
 
 # Names the stem rule below does not cover; anything starting with a
@@ -481,7 +494,7 @@ _RESULT_KEY_ALIASES = {key: attr for attr, block in RESULT_BLOCKS for key in (at
 _RESULT_KEY_ALIASES["relationship"] = "relationships"
 
 
-@dataclass
+@dataclass(slots=True)
 class ExtractionResult:
     """Populated schema instance for one paper, or an out-of-scope marker."""
 
@@ -615,7 +628,9 @@ def validate_result(result: ExtractionResult, schema: StandardizedSchema) -> Val
         if isinstance(entry, dict) and entry.get("name")
     }
 
+    table = _field_table(schema)
     for attr, block in RESULT_BLOCKS:
+        fields = table.get(block, {})
         for index, entry in enumerate(getattr(result, attr)):
             path = f"{attr}[{index}]"
             if not isinstance(entry, dict):
@@ -623,23 +638,42 @@ def validate_result(result: ExtractionResult, schema: StandardizedSchema) -> Val
                     Violation("malformed_entry", path, f"entry is not an object: {entry!r}")
                 )
                 continue
-            _validate_entry(entry, block, path, schema, verdict, entity_names, ecosystem_names)
+            _validate_entry(entry, block, path, fields, verdict, entity_names, ecosystem_names)
 
     return verdict
+
+
+#: values that leave a field unchecked
+_EMPTY_VALUES = (None, "", [])
+
+def _field_table(schema: StandardizedSchema) -> dict[str, dict[str, tuple[FieldSpec, frozenset[str]]]]:
+    """Block -> field name -> (spec, casefolded enum values), the first
+    spec of a name winning as in get_field. Kept on the schema with a
+    snapshot that copies each block's list, so a schema edited in place
+    compares unequal to its snapshot and is compiled afresh."""
+    snapshot = tuple((block, tuple(specs)) for block, specs in schema.blocks.items())
+    if snapshot != schema._compiled[0]:
+        table: dict[str, dict] = {}
+        for block, specs in snapshot:
+            fields = table[block] = {}
+            for spec in specs:
+                folded = frozenset(v.casefold() for v in spec.values) if spec.kind == "enum" else frozenset()
+                fields.setdefault(spec.name, (spec, folded))
+        schema._compiled = (snapshot, table)
+    return schema._compiled[1]
 
 
 def _validate_entry(
     entry: dict,
     block: str,
     path: str,
-    schema: StandardizedSchema,
+    fields: dict[str, tuple[FieldSpec, frozenset[str]]],
     verdict: ValidationVerdict,
     entity_names: set[str],
     ecosystem_names: set[str],
 ) -> None:
-    known = set(schema.field_names(block))
     for key in entry:
-        if key not in known:
+        if key not in fields:
             verdict.violations.append(
                 Violation("unknown_field", f"{path}.{key}", f"field {key!r} not in schema block {block!r}")
             )
@@ -665,11 +699,11 @@ def _validate_entry(
             verdict.violations.append(Violation("missing_name", path, "entry lacks a name"))
 
     for key, value in entry.items():
-        spec = schema.get_field(block, key)
-        if spec is None or value in (None, "", []):
+        compiled = fields.get(key)
+        if compiled is None or value in _EMPTY_VALUES:
             continue
+        spec, allowed = compiled
         if spec.kind == "enum":
-            allowed = {v.casefold() for v in spec.values}
             if str(value).casefold() not in allowed:
                 if block == "species" and key == "role":
                     # role is an open vocabulary; off-list values are noise

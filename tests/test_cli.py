@@ -236,6 +236,51 @@ class TestWorkflow:
         assert "violations=1" in out
 
 
+class TestValidateWarnings:
+    """Warnings are counted by code: the first WARNING_EXAMPLES of each code
+    and one count line per code, or every warning under -v. Stdout and the
+    exit code do not depend on -v."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        schema = tmp_path / "schema.json"
+        schema.write_text(schema_to_json(standard_schema()) + "\n", encoding="utf-8")
+        results = tmp_path / "results.jsonl"
+        lines = [
+            {"doi": f"10.1/r{index}", "status": "extracted", "species": [{"name": "A a", "role": f"role{index}"}]}
+            for index in range(5)
+        ]
+        lines.append({"doi": "10.1/h", "status": "extracted", "habitats": [{"name": "Reef", "subcomponent_of": "Sea"}]})
+        results.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        return results, schema
+
+    def warning_lines(self, caplog):
+        return [r.getMessage() for r in caplog.records if r.name == "ecomine.cli" and r.levelname == "WARNING"]
+
+    def test_summary_by_default(self, inputs, caplog, capsys):
+        results, schema = inputs
+        assert run_cli("validate", "--results", results, "--schema", schema) == 0
+        assert capsys.readouterr().out == "results=6 violations=0\n"
+        assert self.warning_lines(caplog) == [
+            "10.1/h: habitats[0].subcomponent_of: habitat names ecosystem 'Sea' not present in result",
+            "10.1/r0: species[0].role: role 'role0' outside core set",
+            "10.1/r1: species[0].role: role 'role1' outside core set",
+            "10.1/r2: species[0].role: role 'role2' outside core set",
+            "dangling_habitat_link: 1 warning(s), 1 shown",
+            "noncore_role: 5 warning(s), 3 shown (-v shows all)",
+        ]
+
+    def test_verbose_keeps_every_line(self, inputs, caplog, capsys):
+        results, schema = inputs
+        assert run_cli("-v", "validate", "--results", results, "--schema", schema) == 0
+        assert capsys.readouterr().out == "results=6 violations=0\n"
+        lines = self.warning_lines(caplog)
+        assert [line for line in lines if "outside core set" in line] == [
+            f"10.1/r{index}: species[0].role: role 'role{index}' outside core set" for index in range(5)
+        ]
+        assert lines[-1] == "noncore_role: 5 warning(s), 5 shown"
+
+
 class TestConfigPrecedence:
     def test_flag_beats_env(self, corpus_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ECOMINE_SEED", "999")
