@@ -265,14 +265,28 @@ def parse_json_lines(
     return converted
 
 
+def _is_text(value: object) -> bool:
+    """A str that UTF-8 can encode: a JSON escape can carry a lone
+    surrogate, which no file this package writes could hold."""
+    if not isinstance(value, str):
+        return False
+    if value.isascii():
+        return True
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 #: field annotation -> (check of a JSON value, conversion of a checked value or None)
 _CHECKS: dict[str, tuple[Callable, Callable | None]] = {
-    "str": (lambda v: isinstance(v, str), None),
-    "str | None": (lambda v: v is None or isinstance(v, str), None),
+    "str": (_is_text, None),
+    "str | None": (lambda v: v is None or _is_text(v), None),
     "int | None": (lambda v: v is None or type(v) is int, None),  # a bool is not an int
     "list[dict]": (lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v), None),
-    "set[str]": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), set),
-    "dict[str, str]": (lambda v: isinstance(v, dict) and all(isinstance(x, str) for x in v.values()), None),
+    "set[str]": (lambda v: isinstance(v, list) and all(map(_is_text, v)), set),
+    "dict[str, str]": (lambda v: isinstance(v, dict) and all(map(_is_text, v.values())), None),
 }
 
 

@@ -29,6 +29,9 @@ R = TypeVar("R")
 #: Labels that must appear, in order, in every system prompt.
 SYSTEM_SECTIONS = ("Role:", "Task instruction:", "Output format:")
 
+#: Seconds the rate limiter adds to its window; see SlidingWindowRateLimiter.
+_GUARD = 0.02
+
 
 @dataclass
 class PromptPair:
@@ -90,19 +93,13 @@ class SlidingWindowRateLimiter:
     the cap holds under arbitrary caller concurrency.
 
     A grant precedes the actual transmission by a scheduler-dependent
-    delay, so the log is aged with a small guard margin; the cap then
-    holds for windows measured at the wire, not just at grant instants.
+    delay, so the log is aged with a small guard margin (_GUARD); the cap
+    then holds for windows measured at the wire, not just at grant instants.
     """
 
-    def __init__(
-        self,
-        max_requests: int,
-        window: float,
-        clock: Callable[[], float] = time.monotonic,
-        guard: float = 0.02,
-    ) -> None:
+    def __init__(self, max_requests: int, window: float, clock: Callable[[], float] = time.monotonic) -> None:
         self._max = max_requests
-        self._span = window + guard
+        self._span = window + _GUARD
         self._clock = clock
         self._cond = threading.Condition()
         self._log: deque[float] = deque()
@@ -311,6 +308,11 @@ class HttpChatProvider:
         if resp.status_code != 200:
             raise TransportError(f"provider returned {resp.status_code}", resp.status_code)
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            content = resp.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed provider response: {exc}", resp.status_code) from exc
+        if not isinstance(content, str):
+            raise TransportError(
+                f"malformed provider response: content is {type(content).__name__}, not a string", resp.status_code
+            )
+        return content

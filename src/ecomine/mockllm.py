@@ -14,7 +14,30 @@ import json
 import re
 from importlib import resources
 
-from .schema import _STANDARD_FIELDS, BLOCK_NAMES, _canon_block
+from .schema import _STANDARD_FIELDS, BLOCK_NAMES, FieldSpec, _canon_block, _fields_from_block_value
+
+# Found kind -> (block name for a single entry, enum fields read off the
+# entries, extra fields, and the (property, value) an entry must carry for
+# the extras; None adds them always). The found kinds double as the
+# plural block names and as the extraction result's keys.
+_PROPOSALS = {
+    "species": ("species", ("role", "taxonomy_level"), (FieldSpec("impact"),), ("role", "invasive")),
+    "locations": (
+        "location", ("category", "geopolitical_info"), (FieldSpec("coordinates"),), ("geopolitical_info", "city")
+    ),
+    "ecosystems": ("ecosystem", ("type", "scope"), (), None),
+    "habitats": ("habitat", ("type",), (FieldSpec("subcomponent_of", "reference"), FieldSpec("specifics")), None),
+}
+
+# Proposed whenever two entities are found; its type values are the two
+# the mock's relationships use, not the standard block's four.
+_RELATIONSHIP_FIELDS = (
+    FieldSpec("related_entities", "list"),
+    FieldSpec("name"),
+    FieldSpec("type", "enum", ("biological", "ecological")),
+    FieldSpec("directionality", "enum", ("unidirectional", "bidirectional")),
+    FieldSpec("context"),
+)
 
 
 def load_rulebook() -> dict:
@@ -44,52 +67,22 @@ class MockProvider:
         found = self._scan(user)
         if not found["species"]:
             return "N/A"
-        blocks: dict = {
-            "species": _descriptor_list(
-                [("name", "text", [])]
-                + _observed_enum("role", found["species"])
-                + _observed_enum("taxonomy_level", found["species"])
-                + ([("impact", "text", [])] if any(
-                    entry.get("role") == "invasive" for entry in found["species"]
-                ) else [])
-            )
-        }
-        if found["locations"]:
-            key = "location" if len(found["locations"]) == 1 else "locations"
-            blocks[key] = _descriptor_list(
-                [("name", "text", [])]
-                + _observed_enum("category", found["locations"])
-                + _observed_enum("geopolitical_info", found["locations"])
-                + ([("coordinates", "text", [])] if any(
-                    entry.get("geopolitical_info") == "city" for entry in found["locations"]
-                ) else [])
-            )
-        if found["ecosystems"]:
-            key = "ecosystem" if len(found["ecosystems"]) == 1 else "ecosystems"
-            blocks[key] = _descriptor_list(
-                [("name", "text", [])]
-                + _observed_enum("type", found["ecosystems"])
-                + _observed_enum("scope", found["ecosystems"])
-            )
-        if found["habitats"]:
-            key = "habitat" if len(found["habitats"]) == 1 else "habitats"
-            blocks[key] = _descriptor_list(
-                [("name", "text", [])]
-                + _observed_enum("type", found["habitats"])
-                + [("subcomponent_of", "reference", []), ("specifics", "text", [])]
-            )
-        if sum(len(found[kind]) for kind in found) >= 2:
-            blocks["relationships"] = _descriptor_list(
-                [
-                    ("related_entities", "list", []),
-                    ("name", "text", []),
-                    ("type", "enum", ["biological", "ecological"]),
-                    ("directionality", "enum", ["unidirectional", "bidirectional"]),
-                    ("context", "text", []),
-                ]
-            )
-        body = json.dumps(blocks, ensure_ascii=False, sort_keys=True, indent=2)
-        return f"```json\n{body}\n```"
+        blocks: dict[str, list[dict]] = {}
+        for kind, (block, enums, extras, trigger) in _PROPOSALS.items():
+            entries = found[kind]
+            if not entries:
+                continue
+            specs = [FieldSpec("name")]
+            for prop in enums:
+                values = sorted({entry[prop] for entry in entries if entry.get(prop)})
+                if values:
+                    specs.append(FieldSpec(prop, "enum", tuple(values)))
+            if trigger is None or any(entry.get(trigger[0]) == trigger[1] for entry in entries):
+                specs += extras
+            blocks[block if len(entries) == 1 else kind] = [spec.to_dict() for spec in specs]
+        if sum(map(len, found.values())) >= 2:
+            blocks["relationships"] = [spec.to_dict() for spec in _RELATIONSHIP_FIELDS]
+        return f"```json\n{json.dumps(blocks, ensure_ascii=False, sort_keys=True)}\n```"
 
     def _generalize(self, user: str) -> str:
         start = user.find("[")
@@ -103,59 +96,31 @@ class MockProvider:
 
         # Union of everything observed, laid over the standard fields; no
         # prevalence threshold, so this intentionally keeps more fields
-        # than a frequency-based merge would.
-        merged: dict[str, dict[str, dict]] = {b: {} for b in BLOCK_NAMES}
+        # than a frequency-based merge would. A field keeps its first kind.
+        observed: dict[str, dict[str, tuple[str, set[str]]]] = {b: {} for b in BLOCK_NAMES}
         for instance in instances:
-            if not isinstance(instance, dict):
-                continue
-            for raw_block, fields in instance.items():
+            for raw_block, value in instance.items() if isinstance(instance, dict) else ():
                 block = _canon_block(str(raw_block))
-                if block is None or not isinstance(fields, list):
-                    continue
-                for descriptor in fields:
-                    if not isinstance(descriptor, dict):
-                        continue
-                    name = str(descriptor.get("field") or descriptor.get("name") or "").strip()
-                    if not name:
-                        continue
-                    slot = merged[block].setdefault(
-                        name, {"field": name, "kind": str(descriptor.get("kind", "text")), "values": set()}
-                    )
-                    slot["values"].update(str(v) for v in descriptor.get("values", []) or [])
+                if block is not None:
+                    for spec in _fields_from_block_value(value):
+                        observed[block].setdefault(spec.name, (spec.kind, set()))[1].update(spec.values)
 
         out: dict[str, list[dict]] = {}
         for block in BLOCK_NAMES:
-            fields: list[dict] = []
+            seen = observed[block]
+            specs = []
             for name, kind, values in _STANDARD_FIELDS[block]:
-                observed = merged[block].pop(name, None)
-                all_values = list(values)
-                if observed:
-                    all_values += sorted(v for v in observed["values"] if v not in values)
-                doc = {"field": name, "kind": kind}
-                if all_values:
-                    doc["values"] = all_values
-                fields.append(doc)
-            for name in sorted(merged[block]):
-                slot = merged[block][name]
-                doc = {"field": name, "kind": slot["kind"]}
-                if slot["values"]:
-                    doc["values"] = sorted(slot["values"])
-                fields.append(doc)
-            out[block] = fields
-        return json.dumps(out, ensure_ascii=False, sort_keys=True, indent=2)
+                extra = seen.pop(name, (kind, set()))[1].difference(values)
+                specs.append(FieldSpec(name, kind, values + tuple(sorted(extra))))
+            specs += [FieldSpec(name, kind, tuple(sorted(values))) for name, (kind, values) in sorted(seen.items())]
+            out[block] = [spec.to_dict() for spec in specs]
+        return json.dumps(out, ensure_ascii=False, sort_keys=True)
 
     def _extract(self, user: str) -> str:
         found = self._scan(user)
         if not found["species"]:
             return "N/A"
-        result = {
-            "species": found["species"],
-            "locations": found["locations"],
-            "ecosystems": found["ecosystems"],
-            "habitats": found["habitats"],
-            "relationships": self._relationships(found),
-        }
-        return json.dumps(result, ensure_ascii=False, sort_keys=True, indent=2)
+        return json.dumps({**found, "relationships": self._relationships(found)}, ensure_ascii=False, sort_keys=True)
 
     # -- helpers -----------------------------------------------------------
 
@@ -163,12 +128,7 @@ class MockProvider:
         """Match gazetteer names against the prompt's title and abstract."""
         match = re.search(r"\nTitle: (.*?)\nAbstract: (.*)", user, re.DOTALL)
         text = f"{match.group(1)} {match.group(2)}" if match else user
-        return {
-            "species": self._match(text, "species"),
-            "locations": self._match(text, "locations"),
-            "ecosystems": self._match(text, "ecosystems"),
-            "habitats": self._match(text, "habitats"),
-        }
+        return {kind: self._match(text, kind) for kind in _PROPOSALS}
 
     def _match(self, text: str, kind: str) -> list[dict]:
         # A lowercase substring test cannot miss a match when text and name
@@ -214,19 +174,3 @@ def _rel(entities: list[str], name: str, kind: str, direction: str, context: str
         "context": context,
     }
 
-
-def _descriptor_list(fields: list[tuple[str, str, list[str]]]) -> list[dict]:
-    out = []
-    for name, kind, values in fields:
-        doc: dict = {"field": name, "kind": kind}
-        if values:
-            doc["values"] = values
-        out.append(doc)
-    return out
-
-
-def _observed_enum(prop: str, entries: list[dict]) -> list[tuple[str, str, list[str]]]:
-    values = sorted({entry[prop] for entry in entries if entry.get(prop)})
-    if not values:
-        return []
-    return [(prop, "enum", values)]

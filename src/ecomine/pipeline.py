@@ -43,7 +43,7 @@ from .schema import (
     ExtractionResult,
     MergeReport,
     StandardizedSchema,
-    _fields_from_block_value,
+    candidate_from_blocks,
     ensure_valid_schema,
     merge_candidates,
     parse_candidate,
@@ -360,11 +360,16 @@ def run_extract(
                     raise exc
                 try:
                     result = parse_result(raw, doi)
+                    line = serialize_result(result)
+                    line.encode("utf-8")  # a JSON escape can carry a lone surrogate, which the sink refuses
                 except QuarantineError as exc:
                     logger.warning("quarantining extract response for %s", doi)
                     commit(doi, "quarantined", str(exc))
+                except UnicodeEncodeError as exc:
+                    logger.warning("quarantining extract response for %s", doi)
+                    commit(doi, "quarantined", f"extraction response for {doi} holds text UTF-8 cannot encode: {exc}")
                 else:
-                    line = written[doi] = serialize_result(result)
+                    written[doi] = line
                     sink.write(line + "\n")
                     sink.flush()
                     commit(doi, "out_of_scope" if result.status == "out_of_scope" else "completed")
@@ -436,13 +441,7 @@ def load_candidates(path: str | Path) -> list[CandidateSchema]:
     """Read a candidates file written by the specialize stage."""
     with Path(path).open(encoding="utf-8", newline="\n") as lines:
         return parse_json_lines(
-            lines,
-            f"candidates file {path}",
-            CorpusError,
-            lambda doc: CandidateSchema(
-                paper_doi=doc["doi"],
-                blocks={block: _fields_from_block_value(value) for block, value in doc["blocks"].items()},
-            ),
+            lines, f"candidates file {path}", CorpusError, lambda doc: candidate_from_blocks(doc["doi"], doc["blocks"])
         )
 
 

@@ -176,8 +176,12 @@ def strip_fences(text: str) -> str:
     return stripped
 
 
-def schema_to_dict(schema: StandardizedSchema) -> dict:
+def schema_to_dict(schema: StandardizedSchema | CandidateSchema) -> dict:
+    """The blocks as field-descriptor lists, the form every stage reads."""
     return {block: [spec.to_dict() for spec in fields] for block, fields in schema.blocks.items()}
+
+
+candidate_to_dict = schema_to_dict
 
 
 def schema_to_json(schema: StandardizedSchema) -> str:
@@ -188,10 +192,6 @@ def schema_fingerprint(schema: StandardizedSchema) -> str:
     """Stable hash binding extraction results to the schema that produced them."""
     canonical = json.dumps(schema_to_dict(schema), ensure_ascii=False, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def candidate_to_dict(candidate: CandidateSchema) -> dict:
-    return {block: [spec.to_dict() for spec in fields] for block, fields in candidate.blocks.items()}
 
 
 def _field_from_doc(doc: dict) -> FieldSpec:
@@ -269,15 +269,18 @@ def parse_candidate(raw: str, doi: str) -> CandidateSchema:
     block shapes are folded into field notes rather than dropped.
     """
     doc = _load_json_document(raw, "candidate schema")
-    blocks: dict[str, list[FieldSpec]] = {}
-    for key, value in doc.items():
-        name = str(key).strip()
-        if not name:
-            raise SchemaParseError("candidate block names must be non-empty")
-        blocks[name] = _fields_from_block_value(value)
-    if not blocks:
+    if not doc:
         raise SchemaParseError("candidate schema defines no blocks")
-    return CandidateSchema(paper_doi=doi, blocks=blocks)
+    return candidate_from_blocks(doi, doc)
+
+
+def candidate_from_blocks(doi: str, blocks: dict) -> CandidateSchema:
+    """Build a candidate from a block name -> block content object, each
+    block read as _fields_from_block_value reads it; the one reader of
+    specialize replies and of candidates-file lines."""
+    if not isinstance(blocks, dict):
+        raise SchemaParseError(f"candidate blocks must be a JSON object, got {type(blocks).__name__}")
+    return CandidateSchema(doi, {str(key).strip(): _fields_from_block_value(value) for key, value in blocks.items()})
 
 
 def parse_schema(raw: str) -> StandardizedSchema:

@@ -81,6 +81,33 @@ class TestLoaderErrors:
         assert str(fixtures / "10.9_one.json") in capsys.readouterr().err
 
 
+class TestUnencodableText:
+    """A lone surrogate, which a JSON escape can carry and UTF-8 cannot
+    encode, is refused where it enters, naming the DOI or the file and line."""
+
+    def test_harvested_record_is_a_named_failed_fetch(self, tmp_path, capsys):
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / fixture_filename("10.9/one")).write_text('{"abstract": "a b"}', encoding="utf-8")
+        (fixtures / fixture_filename("10.9/bad")).write_text('{"title": "T\\ud800", "abstract": "a b"}', encoding="utf-8")
+        dois = tmp_path / "dois.txt"
+        dois.write_text("10.9/one\n10.9/bad\n", encoding="utf-8")
+        corpus = tmp_path / "harvested.jsonl"
+        assert run_cli("--corpus", corpus, "ingest", "--dois", dois, "--fixtures", fixtures) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert any(line.startswith("error: ") and "10.9/bad" in line for line in err.splitlines())
+        assert [json.loads(line)["doi"] for line in corpus.read_text(encoding="utf-8").splitlines()] == ["10.9/one"]
+        assert corpus.with_suffix(".skipped.log").read_text(encoding="utf-8") == ""
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_corpus_line_is_named(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"doi": "10.1/a", "title": "t"}\n{"doi": "10.1/b", "title": "T\\ud800"}\n', encoding="utf-8")
+        assert run_cli("--corpus", corpus, "stats") == 1
+        assert f"{corpus}, line 2" in capsys.readouterr().err
+
+
 def mistyped_input(command, tmp_path, corpus_path):
     """argv for `command` with one mistyped input, and the file or DOI its error must name."""
     schema = tmp_path / "schema.json"

@@ -35,6 +35,14 @@ class Sample:
     tags: set[str] = field(default_factory=set)
 
 
+@dataclass
+class Texts:
+    title: str = ""
+    note: str | None = None
+    tags: set[str] = field(default_factory=set)
+    reasons: dict[str, str] = field(default_factory=dict)
+
+
 class TestDecode:
     def test_builds_from_annotations(self):
         assert decode(Sample, {"label": "x", "count": 3, "tags": ["a"], "other": [1]}) == Sample("x", 3, {"a"})
@@ -58,6 +66,18 @@ class TestDecode:
             decode(Sample, doc)
         message = str(excinfo.value)
         assert repr(key) in message and annotation in message and repr(doc[key])[:20] in message
+
+    # a JSON escape such as "\ud800" decodes to a lone surrogate, which UTF-8 cannot encode
+    @pytest.mark.parametrize(
+        "key, value", [("title", "T\ud800"), ("note", "\udfff"), ("tags", ["a", "b\ud800"]), ("reasons", {"k": "\udc00"})]
+    )
+    def test_text_utf8_cannot_encode_is_refused(self, key, value):
+        with pytest.raises(TypeError, match=repr(key)):
+            decode(Texts, {key: value})
+
+    def test_non_ascii_text_is_kept(self):
+        doc = {"title": "R\u00edo \u017f", "note": "\U0001f41d", "tags": ["\u00df"], "reasons": {"k": "\u212a"}}
+        assert decode(Texts, doc) == Texts("R\u00edo \u017f", "\U0001f41d", {"\u00df"}, {"k": "\u212a"})
 
     def test_not_an_object(self):
         with pytest.raises(TypeError, match="JSON object, got list"):

@@ -239,3 +239,11 @@ class TestHttpChatProvider:
         provider, _ = self.make([FakeHttpResponse(200, {"unexpected": True})])
         with pytest.raises(TransportError):
             provider.send("s", "u")
+
+    @pytest.mark.parametrize("content", [None, 7, ["a"], {"text": "hi"}])
+    def test_non_string_content_is_a_malformed_response(self, content):
+        payload = {"choices": [{"message": {"content": content}}]}
+        provider, _ = self.make([FakeHttpResponse(200, payload)])
+        with pytest.raises(TransportError, match="malformed provider response") as excinfo:
+            provider.send("s", "u")
+        assert not isinstance(excinfo.value, RetryableTransportError)

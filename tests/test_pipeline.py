@@ -297,6 +297,21 @@ class TestExtract:
         assert summary.quarantined == 1
         assert summary.processed == 2
 
+    def test_lone_surrogate_in_response_is_quarantined(self, tmp_path):
+        # the JSON escape decodes to a lone surrogate, which UTF-8 cannot encode
+        store = CorpusStore([PaperRecord(doi="10.1/s", title="t", abstract="Procambarus clarkii")])
+        summary, results, checkpoint = self.run_full(store, StubGateway('{"species": [{"name": "\\ud800"}]}'), tmp_path)
+        assert (summary.processed, summary.extracted, summary.quarantined) == (1, 0, 1)
+        assert results.read_bytes() == b""
+        assert "10.1/s" in Checkpoint.load(checkpoint).quarantined["10.1/s"]
+
+        class Unreachable:
+            def complete(self, prompt):
+                raise AssertionError("a quarantined paper was sent again")
+
+        again, _, _ = self.run_full(store, Unreachable(), tmp_path)
+        assert again == summary
+
     def test_fingerprint_mismatch_refused(self, sample_store, mock_gateway, tmp_path):
         results = tmp_path / "fp.jsonl"
         checkpoint = tmp_path / "fp.ckpt.json"
