@@ -186,7 +186,7 @@ def cmd_ingest(args: argparse.Namespace, config: CliConfig) -> int:
         summary = ingest_dois(store, dois, client, parallelism=config.parallelism)
     except PartialIngestError as exc:
         failure, summary = exc, exc.summary  # keep what committed before the failure
-    export_corpus(store, config.corpus, fmt="jsonl")
+    export_corpus(store, config.corpus)
 
     skip_log = Path(config.corpus).with_suffix(".skipped.log")
     atomic_write_text(

@@ -1,9 +1,9 @@
 """Document collection: records, persistence, token statistics, bibliometrics.
 
 The store is a DOI-keyed collection of paper records, persisted as
-line-delimited JSON (one record per line) or as a single JSON archive.
-Optional record fields are omitted from the serialized form, never
-null-filled, so exports diff cleanly and round-trip byte-identically.
+line-delimited JSON, one record per line. Optional record fields are
+omitted from the serialized form, never null-filled, so exports diff
+cleanly and round-trip byte-identically.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import reprlib
+from contextlib import suppress
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache, partial
 from pathlib import Path
@@ -151,22 +152,13 @@ class CorpusStore:
         self._records[record.doi] = record
 
     @classmethod
-    def load(cls, path: str | Path, fmt: str = "jsonl") -> "CorpusStore":
-        """Read a store from disk in the format written by export_corpus."""
+    def load(cls, path: str | Path) -> "CorpusStore":
+        """Read a store from disk as written by export_corpus."""
         path = Path(path)
         if not path.exists():
             raise CorpusError(f"corpus file not found: {path}")
-        if fmt == "jsonl":
-            with path.open(encoding="utf-8", newline="\n") as lines:
-                return cls(parse_json_lines(lines, f"corpus file {path}", CorpusError, partial(decode, PaperRecord)))
-        if fmt == "json":
-            text = path.read_text(encoding="utf-8")
-            try:
-                archive = json.loads(text) if text.strip() else {"records": []}
-                return cls(decode(PaperRecord, doc) for doc in archive.get("records", []))
-            except (ValueError, KeyError, TypeError, AttributeError, CorpusError) as exc:
-                raise CorpusError(f"malformed corpus file {path}: {type(exc).__name__}: {exc}") from exc
-        raise CorpusError(f"unknown corpus format: {fmt!r}")
+        with path.open(encoding="utf-8", newline="\n") as lines:
+            return cls(parse_json_lines(lines, f"corpus file {path}", CorpusError, partial(decode, PaperRecord)))
 
 
 def compute_stats(store: CorpusStore) -> CorpusStats:
@@ -225,44 +217,49 @@ def bibliometrics(store: CorpusStore) -> BibliometricTable:
 
 
 def export_corpus(store: CorpusStore, path: str | Path, fmt: str = "jsonl") -> int:
-    """Write the store to disk; returns the record count written.
+    """Write the store to disk as JSON lines; returns the record count
+    written. "jsonl" is the only format.
 
     The write is atomic (temp file then rename) so a failed export never
     leaves a truncated corpus behind. Export then load yields an equal
     store, and a second export is byte-identical.
     """
-    if fmt not in ("jsonl", "json"):
+    if fmt != "jsonl":
         raise CorpusError(f"unknown corpus format: {fmt!r}")
     records = store.records()
-    if fmt == "jsonl":
-        payload = "".join(
-            json.dumps(r.to_dict(), ensure_ascii=False, sort_keys=True) + "\n" for r in records
-        )
-    else:
-        payload = json.dumps(
-            {"records": [r.to_dict() for r in records]},
-            ensure_ascii=False,
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
-    atomic_write_text(Path(path), payload)
+    atomic_write_text(
+        Path(path), "".join(json.dumps(r.to_dict(), ensure_ascii=False, sort_keys=True) + "\n" for r in records)
+    )
     return len(records)
 
 
 def parse_json_lines(
     lines: Iterable[str], source: str, error: type[EcomineError], convert: Callable[[object], T], first: int = 1
 ) -> list[T]:
-    """Parse each non-blank line as JSON through convert; a failure raises
-    ``error`` naming source and line. Lines end at "\n" only, never at
-    U+2028: split text on "\n", or iterate a file opened with newline="\n"."""
+    """Parse each non-blank line as JSON through convert; a failure, or text
+    UTF-8 cannot encode anywhere in the line's value, raises ``error``
+    naming source and line. Lines end at "\n" only, never at U+2028: split
+    text on "\n", or iterate a file opened with newline="\n"."""
     converted = []
     for number, line in enumerate(lines, first):
         if line.strip():
             try:
-                converted.append(convert(json.loads(line)))
+                converted.append(convert(loads_utf8(line)))
             except (ValueError, KeyError, TypeError, AttributeError, EcomineError) as exc:
                 raise error(f"{source}, line {number}: {type(exc).__name__}: {exc}") from exc
     return converted
+
+
+def loads_utf8(text: str) -> object:
+    """json.loads, raising UnicodeEncodeError when the value holds text
+    UTF-8 cannot encode: a lone surrogate, in the text itself or from a
+    \\u escape. Only text with such an escape has its value walked."""
+    doc = json.loads(text)
+    if "\\" in text and "\\u" in text:  # a one-character search is far faster than a two-character one
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    elif not text.isascii():
+        text.encode("utf-8")
+    return doc
 
 
 def _is_text(value: object) -> bool:
@@ -286,7 +283,7 @@ _CHECKS: dict[str, tuple[Callable, Callable | None]] = {
     "int | None": (lambda v: v is None or type(v) is int, None),  # a bool is not an int
     "list[dict]": (lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v), None),
     "set[str]": (lambda v: isinstance(v, list) and all(map(_is_text, v)), set),
-    "dict[str, str]": (lambda v: isinstance(v, dict) and all(map(_is_text, v.values())), None),
+    "dict[str, str]": (lambda v: isinstance(v, dict) and all(map(_is_text, (*v, *v.values()))), None),
 }
 
 
@@ -320,12 +317,17 @@ def decode(cls: type[T], doc: object) -> T:
 
 
 def atomic_write_text(path: Path, payload: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
+    """Write-then-rename so readers never observe a partial file; a failed
+    write removes its temporary file."""
     path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
         tmp.write_text(payload, encoding="utf-8")
         os.replace(tmp, path)
-    except OSError as exc:
-        raise CorpusError(f"cannot write {path}: {exc}") from exc
+    except BaseException as exc:
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, (OSError, UnicodeEncodeError)):
+            raise CorpusError(f"cannot write {path}: {exc}") from exc
+        raise

@@ -44,27 +44,13 @@ class RetryableTransportError(TransportError):
 
 
 class SchemaParseError(EcomineError):
-    """A schema or result document could not be parsed.
-
-    Attributes:
-        offset: character offset of the failure in the raw text, when known.
-    """
-
-    def __init__(self, message: str, offset: int | None = None) -> None:
-        super().__init__(message)
-        self.offset = offset
+    """A schema or result document could not be parsed; a malformed JSON
+    document's message names the character offset of the failure."""
 
 
 class InvalidSchemaError(EcomineError):
-    """A standardized schema is structurally unusable.
-
-    Attributes:
-        problems: human-readable list of structural defects.
-    """
-
-    def __init__(self, message: str, problems: list[str] | None = None) -> None:
-        super().__init__(message)
-        self.problems = problems or []
+    """A standardized schema is structurally unusable; the message lists
+    its structural defects."""
 
 
 class QuarantineError(EcomineError):

@@ -35,17 +35,14 @@ _GUARD = 0.02
 
 @dataclass
 class PromptPair:
-    """System/user prompt pair plus a determinism hint for the provider."""
+    """System/user prompt pair; the gateway sends every prompt deterministically."""
 
     system: str
     user: str
-    mode: str = "deterministic"  # "deterministic" | "sampled"
 
     def validate(self) -> None:
         if not self.user or not self.user.strip():
             raise PromptError("user prompt must be non-empty")
-        if self.mode not in ("deterministic", "sampled"):
-            raise PromptError(f"unknown prompt mode {self.mode!r}")
         position = -1
         for label in SYSTEM_SECTIONS:
             found = self.system.find(label)
@@ -149,13 +146,12 @@ class LlmGateway:
         status once the retry budget is exhausted.
         """
         prompt.validate()
-        deterministic = prompt.mode == "deterministic"
         provider_id = getattr(self.provider, "provider_id", "unknown")
 
         def attempt() -> tuple[str, float]:
             self._limiter.acquire()  # every attempt, retries included, takes a grant
             start = self._clock()
-            raw = self.provider.send(prompt.system, prompt.user, deterministic=deterministic)
+            raw = self.provider.send(prompt.system, prompt.user, deterministic=True)
             return raw, self._clock() - start
 
         (raw, latency), attempts = call_with_retries(

@@ -361,13 +361,9 @@ def run_extract(
                 try:
                     result = parse_result(raw, doi)
                     line = serialize_result(result)
-                    line.encode("utf-8")  # a JSON escape can carry a lone surrogate, which the sink refuses
                 except QuarantineError as exc:
                     logger.warning("quarantining extract response for %s", doi)
                     commit(doi, "quarantined", str(exc))
-                except UnicodeEncodeError as exc:
-                    logger.warning("quarantining extract response for %s", doi)
-                    commit(doi, "quarantined", f"extraction response for {doi} holds text UTF-8 cannot encode: {exc}")
                 else:
                     written[doi] = line
                     sink.write(line + "\n")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .corpus import decode
+from .corpus import decode, loads_utf8
 from .errors import InvalidSchemaError, QuarantineError, SchemaParseError
 
 
@@ -159,7 +159,7 @@ def standard_schema() -> StandardizedSchema:
 def ensure_valid_schema(schema: StandardizedSchema) -> StandardizedSchema:
     problems = schema.problems()
     if problems:
-        raise InvalidSchemaError(f"schema failed validation: {'; '.join(problems)}", problems)
+        raise InvalidSchemaError(f"schema failed validation: {'; '.join(problems)}")
     return schema
 
 
@@ -252,13 +252,15 @@ def _fields_from_block_value(value) -> list[FieldSpec]:
 def _load_json_document(raw: str, what: str) -> dict:
     text = strip_fences(raw)
     if not text:
-        raise SchemaParseError(f"empty {what} document")
+        raise SchemaParseError(f"empty {what}")
     try:
-        doc = json.loads(text)
+        doc = loads_utf8(text)
     except json.JSONDecodeError as exc:
-        raise SchemaParseError(f"malformed {what} document at offset {exc.pos}: {exc.msg}", exc.pos) from exc
+        raise SchemaParseError(f"malformed {what} at offset {exc.pos}: {exc.msg}") from exc
+    except UnicodeEncodeError as exc:
+        raise SchemaParseError(f"{what} holds text UTF-8 cannot encode: {exc}") from exc
     if not isinstance(doc, dict):
-        raise SchemaParseError(f"{what} document must be a JSON object, got {type(doc).__name__}")
+        raise SchemaParseError(f"{what} must be a JSON object, got {type(doc).__name__}")
     return doc
 
 
@@ -268,7 +270,7 @@ def parse_candidate(raw: str, doi: str) -> CandidateSchema:
     The tree is captured losslessly: unknown descriptor keys and loose
     block shapes are folded into field notes rather than dropped.
     """
-    doc = _load_json_document(raw, "candidate schema")
+    doc = _load_json_document(raw, f"candidate schema document for {doi}")
     if not doc:
         raise SchemaParseError("candidate schema defines no blocks")
     return candidate_from_blocks(doi, doc)
@@ -289,7 +291,7 @@ def parse_schema(raw: str) -> StandardizedSchema:
     Top-level keys are mapped onto the canonical blocks; keys mapping to
     the same block are merged, unknown keys are ignored.
     """
-    doc = _load_json_document(raw, "standardized schema")
+    doc = _load_json_document(raw, "standardized schema document")
     blocks: dict[str, list[FieldSpec]] = {}
     for key, value in doc.items():
         block = _canon_block(str(key))
@@ -556,9 +558,11 @@ def parse_result(raw: str, doi: str) -> ExtractionResult:
     if text.casefold() == "n/a":
         return out_of_scope_result(doi)
     try:
-        doc = json.loads(text)
+        doc = loads_utf8(text)
     except json.JSONDecodeError as exc:
         raise QuarantineError(f"unparseable extraction response for {doi}: {exc.msg}", doi, raw)
+    except UnicodeEncodeError as exc:  # the results file could not hold it
+        raise QuarantineError(f"extraction response for {doi} holds text UTF-8 cannot encode: {exc}", doi, raw)
     if not isinstance(doc, dict):
         raise QuarantineError(f"extraction response for {doi} is not a JSON object", doi, raw)
 

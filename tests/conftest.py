@@ -55,6 +55,7 @@ class StubState:
         self.raw_body = None  # when set, every successful answer is this 200 body
         self.delay = 0.0  # seconds before each single-DOI success, so failures answer first
         self.requests = 0
+        self.queries = []  # each request's parsed query string, in arrival order
 
 
 def _make_handler(state: StubState):
@@ -64,6 +65,8 @@ def _make_handler(state: StubState):
 
         def do_GET(self):
             state.requests += 1
+            query = parse_qs(urlparse(self.path).query)
+            state.queries.append(query)
             if state.fail_statuses:
                 self.send_response(state.fail_statuses.pop(0))
                 self.end_headers()
@@ -72,21 +75,6 @@ def _make_handler(state: StubState):
                 self.send_response(200)
                 self.end_headers()
                 self.wfile.write(state.raw_body)
-                return
-            query = parse_qs(urlparse(self.path).query)
-            if "dois" in query:
-                dois = query["dois"][0].split(",")
-                if set(dois) & state.hard_fail_dois:
-                    self.send_response(500)
-                    self.end_headers()
-                    return
-                results = [
-                    dict(state.documents[d], doi=d) for d in dois if d in state.documents
-                ]
-                payload = json.dumps({"results": results}).encode()
-                self.send_response(200)
-                self.end_headers()
-                self.wfile.write(payload)
                 return
             doi = query.get("doi", [""])[0]
             if doi in state.hard_fail_dois:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import ecomine
 from conftest import SAMPLE_CORPUS
 from ecomine import cli
 from ecomine.harvest import fixture_filename
+from ecomine.mockllm import MockProvider
 from ecomine.schema import schema_fingerprint, schema_to_json, standard_schema
 
 
@@ -106,6 +108,32 @@ class TestUnencodableText:
         corpus.write_text('{"doi": "10.1/a", "title": "t"}\n{"doi": "10.1/b", "title": "T\\ud800"}\n', encoding="utf-8")
         assert run_cli("--corpus", corpus, "stats") == 1
         assert f"{corpus}, line 2" in capsys.readouterr().err
+
+    def test_specialize_reply_is_quarantined(self, tmp_path, corpus_path, capsys, caplog, monkeypatch):
+        send = MockProvider.send
+        replies = []
+
+        def first_reply_escapes_a_surrogate(self, system, user, deterministic=True):
+            replies.append(user)
+            return '{"species": [{"field": "name\\ud800"}]}' if len(replies) == 1 else send(self, system, user)
+
+        monkeypatch.setattr(MockProvider, "send", first_reply_escapes_a_surrogate)
+        candidates = tmp_path / "candidates.jsonl"
+        assert run_cli("--corpus", corpus_path, "--seed", 6, "specialize", "--out", candidates) == 0
+        assert last_line(capsys) == "sampled=10 candidates=8 quarantined=2"
+        named = r"quarantined (\S+): candidate schema document for \1 holds text UTF-8 cannot encode"
+        assert any(re.match(named, record.getMessage()) for record in caplog.records)
+        assert len(candidates.read_text(encoding="utf-8").splitlines()) == 8
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_results_entry_is_named_and_nothing_written(self, tmp_path, capsys):
+        results = tmp_path / "results.jsonl"
+        line = {"doi": "10.1/a", "status": "extracted", "species": [{"name": "A\ud800", "role": "invasive"}]}
+        results.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        reports = tmp_path / "reports"
+        assert run_cli("analyze", "--results", results, "--out", reports) == 1
+        assert f"{results}, line 1" in capsys.readouterr().err
+        assert not reports.exists()
 
 
 def mistyped_input(command, tmp_path, corpus_path):

@@ -6,6 +6,7 @@ from ecomine.corpus import (
     BibliometricTable,
     CorpusStore,
     PaperRecord,
+    atomic_write_text,
     bibliometrics,
     compute_stats,
     count_tokens,
@@ -178,11 +179,6 @@ class TestExportImport:
         export_corpus(store, path)
         assert CorpusStore.load(path).records() == store.records()
 
-    def test_json_archive_round_trip(self, tmp_path, sample_store):
-        path = tmp_path / "corpus.json"
-        export_corpus(sample_store, path, fmt="json")
-        assert CorpusStore.load(path, fmt="json").records() == sample_store.records()
-
     def test_empty_store(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         assert export_corpus(CorpusStore(), path) == 0
@@ -196,21 +192,38 @@ class TestExportImport:
         with pytest.raises(CorpusError):
             export_corpus(sample_store, blocked / "corpus.jsonl")
 
+    def test_failed_write_removes_its_temporary_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        path.write_text("kept\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=re.escape(f"cannot write {path}")):
+            atomic_write_text(path, "a\ud800")  # UTF-8 cannot encode a lone surrogate
+        assert path.read_text(encoding="utf-8") == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
     @pytest.mark.parametrize(
-        "fmt, payload, where",
+        "suffix, payload, where",
         [
             ("jsonl", '{"doi": "10.1/a", "title": "t"}\n"text"\n', ", line 2"),
             ("jsonl", '{"doi": "10.1/a", "year": "1999"}\n', ", line 1"),
             ("jsonl", '{"title": "no doi"}\n', ", line 1"),
+            # single-document archives are no corpus format; one is refused by name
             ("json", "[1]", ""),
             ("json", '{"records": [{"doi": 7}]}', ""),
         ],
     )
-    def test_malformed_record_names_the_file(self, tmp_path, fmt, payload, where):
-        path = tmp_path / f"bad.{fmt}"
+    def test_malformed_record_names_the_file(self, tmp_path, suffix, payload, where):
+        path = tmp_path / f"bad.{suffix}"
         path.write_text(payload, encoding="utf-8")
         with pytest.raises(CorpusError, match=re.escape(f"{path}{where}")):
-            CorpusStore.load(path, fmt=fmt)
+            CorpusStore.load(path)
+
+    def test_jsonl_is_the_only_export_format(self, tmp_path, sample_store):
+        path = tmp_path / "corpus.jsonl"
+        assert export_corpus(sample_store, path, fmt="jsonl") == len(sample_store)
+        assert CorpusStore.load(path).records() == sample_store.records()
+        with pytest.raises(CorpusError, match="unknown corpus format: 'json'"):
+            export_corpus(sample_store, tmp_path / "corpus.json", fmt="json")
+        assert not (tmp_path / "corpus.json").exists()
 
     def test_unknown_format(self, tmp_path, sample_store):
         with pytest.raises(CorpusError):

@@ -208,12 +208,10 @@ def doc(doi):
 class TestIngestDispatch:
     def test_chunks_commit_in_submission_order(self, processed_outcomes):
         class FirstFinishesLast:
-            batch_size = 1
-
-            def fetch_many(self, dois):
-                if dois == ["10.1/a"]:  # held until ingest has taken 10.1/b's fetch
+            def fetch(self, doi):
+                if doi == "10.1/a":  # held until ingest has taken 10.1/b's fetch
                     assert processed_outcomes.wait(WAIT)
-                return {doi: doc(doi) for doi in dois}
+                return doc(doi)
 
         store = RecordingStore()
         summary = ingest_dois(store, ["10.1/a", "10.1/b", "10.1/c"], FirstFinishesLast(), parallelism=2)
@@ -222,16 +220,14 @@ class TestIngestDispatch:
 
     def test_failure_names_the_lowest_failed_chunk(self, processed_outcomes):
         class TwoFailLowestLast:
-            batch_size = 1
-
             def __init__(self):
                 self.fetched = []
 
-            def fetch_many(self, dois):
-                self.fetched.extend(dois)
-                if dois == ["10.1/a"]:  # fails only after 10.1/b's failure was taken
+            def fetch(self, doi):
+                self.fetched.append(doi)
+                if doi == "10.1/a":  # fails only after 10.1/b's failure was taken
                     assert processed_outcomes.wait(WAIT)
-                raise CorpusError(f"fixture for {dois[0]} broke")
+                raise CorpusError(f"fixture for {doi} broke")
 
         client = TwoFailLowestLast()
         with pytest.raises(PartialIngestError, match=r"ingest aborted at 10\.1/a: fixture for 10\.1/a broke"):
@@ -240,14 +236,12 @@ class TestIngestDispatch:
 
     def test_chunks_in_flight_after_a_failure_commit_in_order(self, processed_outcomes):
         class MiddleFails:
-            batch_size = 1
-
-            def fetch_many(self, dois):
-                if dois == ["10.1/b"]:
+            def fetch(self, doi):
+                if doi == "10.1/b":
                     raise CorpusError("fixture for 10.1/b broke")
-                if dois == ["10.1/a"]:
+                if doi == "10.1/a":
                     assert processed_outcomes.wait(WAIT)
-                return {doi: doc(doi) for doi in dois}
+                return doc(doi)
 
         store = RecordingStore()
         with pytest.raises(PartialIngestError, match=r"10\.1/b") as excinfo:

@@ -109,26 +109,6 @@ class TestHttpClient:
         assert excinfo.value.status == 403
         assert state.requests == 1
 
-    def test_batch_mode(self, stub_server):
-        base_url, state = stub_server
-        state.documents["10.1/a"] = ABSTRACT_ONLY
-        state.documents["10.1/b"] = WITH_FULL_TEXT
-        client = HttpHarvestClient(base_url, batch_size=3, sleep=lambda s: None)
-        resolved = client.fetch_many(["10.1/a", "10.1/b", "10.1/c"])
-        assert resolved["10.1/a"]["title"] == "A"
-        assert resolved["10.1/b"]["full_text"] == "body"
-        assert resolved["10.1/c"] is None
-        assert state.requests == 1
-
-    def test_batch_record_with_any_json_doi(self, stub_server):
-        base_url, state = stub_server
-        state.raw_body = json.dumps(
-            {"results": [{"doi": ["10.1/b"], "abstract": "x"}, {"doi": {}}, {"doi": "10.1/a", "abstract": "a b"}]}
-        ).encode()
-        store = CorpusStore()
-        summary = ingest_dois(store, ["10.1/a", "10.1/b"], HttpHarvestClient(base_url, batch_size=2), parallelism=1)
-        assert (summary.found, summary.missing) == (1, ["10.1/b"])
-
     def test_partial_ingest_error_carries_counts(self, stub_server):
         base_url, state = stub_server
         state.documents["10.1/a"] = ABSTRACT_ONLY
@@ -150,22 +130,30 @@ class TestHttpClient:
         assert (summary.found, summary.abstract_only, summary.with_full_text) == (2, 1, 1)
         assert summary.missing == ["10.1/c"]
 
+    def test_one_request_per_doi(self, stub_server):
+        base_url, state = stub_server
+        state.documents["10.1/a"] = ABSTRACT_ONLY
+        state.documents["10.1/b"] = WITH_FULL_TEXT
+        client = HttpHarvestClient(base_url, sleep=lambda s: None)
+        summary = ingest_dois(CorpusStore(), ["10.1/a", "10.1/b", "10.1/c"], client, parallelism=2)
+        assert summary.found == 2
+        assert [list(query) for query in state.queries] == [["doi"]] * 3  # no "dois" request
+        assert sorted(query["doi"] for query in state.queries) == [["10.1/a"], ["10.1/b"], ["10.1/c"]]
+
     @pytest.mark.parametrize(
-        "dois, batch_size, body",
+        "dois, parallelism, body",
         [
             (["10.1/a"], 1, b"[1, 2]"),
             (["10.1/a"], 1, b'"just text"'),
-            (["10.1/a", "10.1/b"], 3, b"[]"),
-            (["10.1/a", "10.1/b"], 3, b'{"results": {"doi": "10.1/a"}}'),
-            (["10.1/a", "10.1/b"], 3, b'{"results": [{"doi": "10.1/a"}, 1]}'),
+            (["10.1/a", "10.1/b"], 1, b"null"),  # the first failure starts no further fetch
         ],
     )
-    def test_response_shape_is_a_named_hard_failure(self, stub_server, dois, batch_size, body):
+    def test_response_shape_is_a_named_hard_failure(self, stub_server, dois, parallelism, body):
         base_url, state = stub_server
         state.raw_body = body
-        client = HttpHarvestClient(base_url, max_retries=3, batch_size=batch_size, sleep=lambda s: None)
+        client = HttpHarvestClient(base_url, max_retries=3, sleep=lambda s: None)
         with pytest.raises(PartialIngestError) as excinfo:
-            ingest_dois(CorpusStore(), dois, client, parallelism=1)
+            ingest_dois(CorpusStore(), dois, client, parallelism=parallelism)
         assert type(excinfo.value.__cause__) is TransportError
         assert f"{base_url}/paper" in str(excinfo.value)
         assert state.requests == 1  # not retried

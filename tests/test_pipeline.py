@@ -8,7 +8,8 @@ import pytest
 from conftest import SAMPLE_SEED, fast_policy
 from ecomine.corpus import CorpusStore, PaperRecord
 from ecomine.errors import CheckpointError, CorpusError, StageFailure, TransportError
-from ecomine.gateway import LlmResponse
+from ecomine.gateway import LlmGateway, LlmResponse
+from ecomine.mockllm import MockProvider
 from ecomine.pipeline import (
     Checkpoint,
     StageConfig,
@@ -94,6 +95,16 @@ class TestSpecialize:
         assert "10.1/untitled" in outcome.quarantined
         assert len(outcome.candidates) == 3
 
+    def test_lone_surrogate_in_reply_is_quarantined_by_doi(self, sample_store, mock_gateway):
+        # the JSON escape decodes to a lone surrogate, which the candidates file cannot hold
+        first = FirstReply('{"species": [{"field": "name\\ud800"}]}', mock_gateway)
+        outcome = run_specialize(sample_store, make_config(), first)
+        doi = outcome.sampled_dois[0]
+        assert doi in outcome.quarantined[doi] and "UTF-8 cannot encode" in outcome.quarantined[doi]
+        assert len(outcome.candidates) == 8
+        for candidate in outcome.candidates:
+            json.dumps(candidate_to_dict(candidate), ensure_ascii=False).encode("utf-8")
+
 
 class StubGateway:
     """Gateway double returning one canned raw text for every prompt."""
@@ -103,6 +114,45 @@ class StubGateway:
 
     def complete(self, prompt):
         return LlmResponse(self.raw_text, "stub", 0.0, 1)
+
+
+class FirstReply:
+    """Gateway wrapper answering the first prompt with a canned raw text."""
+
+    def __init__(self, raw_text, inner):
+        self.raw_text = raw_text
+        self.inner = inner
+        self.calls = 0
+
+    def complete(self, prompt):
+        self.calls += 1
+        if self.calls == 1:
+            return LlmResponse(self.raw_text, "stub", 0.0, 1)
+        return self.inner.complete(prompt)
+
+
+class RecordingProvider(MockProvider):
+    """The mock, recording the determinism flag of every send."""
+
+    def __init__(self):
+        super().__init__()
+        self.flags = []
+
+    def send(self, system, user, deterministic=True):
+        self.flags.append(deterministic)
+        return super().send(system, user, deterministic=deterministic)
+
+
+def test_every_stage_sends_deterministically(sample_store, tmp_path):
+    provider = RecordingProvider()
+    gateway = LlmGateway(provider, fast_policy(), sleep=lambda s: None)
+    config = make_config()
+    candidates = run_specialize(sample_store, config, gateway).candidates
+    assert provider.flags == [True] * 10
+    schema = run_generalize(candidates, config, gateway).chosen
+    assert provider.flags == [True] * 13
+    summary = run_extract(sample_store, schema, config, gateway, results_path=tmp_path / "r.jsonl")
+    assert provider.flags == [True] * (13 + summary.processed)
 
 
 @pytest.fixture
@@ -148,6 +198,14 @@ class TestGeneralize:
         with pytest.raises(StageFailure) as excinfo:
             run_generalize(nine_candidates, make_config(), StubGateway("garbage"))
         assert excinfo.value.raw_responses == ["garbage"] * 3
+
+    def test_variant_with_lone_surrogate_is_discarded(self, nine_candidates, mock_gateway):
+        # a variant file could not hold the lone surrogate the JSON escape decodes to
+        doc = schema_to_dict(standard_schema())
+        doc["species"][0]["note"] = "\ud800"
+        outcome = run_generalize(nine_candidates, make_config(), FirstReply(json.dumps(doc), mock_gateway))
+        assert len(outcome.variants) == 3  # the oracle and variants 2 and 3
+        assert outcome.raw_responses[0] == json.dumps(doc)
 
     def test_variant_prompts_are_tagged(self, nine_candidates):
         seen = []
@@ -312,6 +370,14 @@ class TestExtract:
         again, _, _ = self.run_full(store, Unreachable(), tmp_path)
         assert again == summary
 
+    def test_unescaped_lone_surrogate_in_response_is_quarantined(self, tmp_path):
+        # a provider's JSON envelope can decode to reply text holding the surrogate itself
+        store = CorpusStore([PaperRecord(doi="10.1/s", title="t", abstract="Procambarus clarkii")])
+        summary, results, checkpoint = self.run_full(store, StubGateway('{"species": [{"name": "A\ud800"}]}'), tmp_path)
+        assert (summary.processed, summary.quarantined) == (1, 1)
+        assert results.read_bytes() == b""
+        assert "10.1/s" in Checkpoint.load(checkpoint).quarantined["10.1/s"]
+
     def test_fingerprint_mismatch_refused(self, sample_store, mock_gateway, tmp_path):
         results = tmp_path / "fp.jsonl"
         checkpoint = tmp_path / "fp.ckpt.json"
@@ -418,6 +484,27 @@ class TestFileLoaders:
         result = result_from_dict({"doi": "10.1/a", "species": [{"name": "Acacia\u2028dealbata"}]})
         path.write_text(serialize_result(result) + "\n", encoding="utf-8")
         assert load_results(path) == [result]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"doi": "10.1/a", "status": "extracted", "species": [{"name": "A\\ud800", "role": "invasive"}]}',
+            '{"doi": "10.1/a", "relationships": [{"related_entities": ["x", "\\udfff"]}]}',
+            '{"doi": "10.1/a", "species": [{"n\\ud800": "x"}]}',
+        ],
+    )
+    def test_load_results_refuses_lone_surrogate_in_entries(self, tmp_path, line):
+        path = tmp_path / "results.jsonl"
+        path.write_text('{"doi": "10.1/b"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=re.escape(f"{path}, line 2: UnicodeEncodeError")):
+            load_results(path)
+
+    def test_load_results_keeps_escaped_text(self, tmp_path):
+        # escapes that decode to encodable text, and a literal backslash-u, load as before
+        path = tmp_path / "results.jsonl"
+        line = '{"doi": "10.1/a", "species": [{"name": "Caf\\u00e9 \\\\u \\ud83d\\udc1d"}]}'
+        path.write_text(line + "\n", encoding="utf-8")
+        assert load_results(path)[0].species == [{"name": "Caf\u00e9 \\u \U0001f41d"}]
 
     def test_load_results_last_line_wins(self, tmp_path):
         path = tmp_path / "results.jsonl"
@@ -592,6 +679,15 @@ class TestTornWrites:
         document_lines = len(path.read_text(encoding="utf-8").splitlines())
         append_deltas(path, {"doi": "10.1/a", "status": "completed"}, {"doi": "10.1/b", "status": "lost"})
         with pytest.raises(CheckpointError, match=rf"{re.escape(str(path))}, line {document_lines + 2}\b"):
+            Checkpoint.load(path)
+
+    def test_delta_with_lone_surrogate_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.ckpt.json"
+        seed_format(path)
+        document_lines = len(path.read_text(encoding="utf-8").splitlines())
+        append_deltas(path, {"doi": "10.1/\ud800", "status": "completed"})  # json.dumps escapes it
+        where = rf"{re.escape(str(path))}, line {document_lines + 1}: UnicodeEncodeError"
+        with pytest.raises(CheckpointError, match=where):
             Checkpoint.load(path)
 
     @pytest.mark.parametrize(

@@ -60,7 +60,7 @@ class TestParseCandidate:
     def test_truncated_document_names_offset(self):
         with pytest.raises(SchemaParseError) as excinfo:
             parse_candidate('{"species": [{"field": "na', "10.1/a")
-        assert excinfo.value.offset is not None
+        assert "at offset 23" in str(excinfo.value)
 
     def test_empty_document(self):
         with pytest.raises(SchemaParseError):
