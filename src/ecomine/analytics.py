@@ -3,7 +3,9 @@
 Counting unit: one entity entry in one paper's result is one mention,
 with identical entries deduplicated within a paper (a species is keyed
 by name and role, a location by name and geopolitical level, an
-ecosystem by name, a habitat link by habitat and target ecosystem).
+ecosystem by name, typed by the paper's first entry of that name, a
+habitat link by habitat and target ecosystem). Each entity list is
+counted in one DOI-ordered pass that every table reads.
 Published tallies produced under another convention may differ; the
 convention here is applied uniformly and reproducibly.
 
@@ -19,7 +21,7 @@ import io
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Collection, Hashable, Iterable, Iterator, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 from .corpus import atomic_write_text
 from .errors import ReportError
@@ -74,52 +76,67 @@ class EcosystemFrequencies:
     types: FrequencyTable
 
 
-def _mentions(
-    results: Iterable[ExtractionResult], attr: str, key: Callable[[dict], Hashable | None]
-) -> Iterator[tuple[Hashable, dict]]:
-    """The counting unit: (key, entry) for each named dict entry of one
-    result list, in DOI order, keeping the first entry per key within a
-    paper. An entry whose key is None is skipped and takes no key."""
-    # DOI order makes "first occurrence" well-defined regardless of input order
-    for result in sorted(results, key=lambda result: result.paper_doi):
-        seen = set()
-        for entry in getattr(result, attr):
-            if isinstance(entry, dict) and entry.get("name"):
-                mention = key(entry)
-                if mention is not None and mention not in seen:
-                    seen.add(mention)
-                    yield mention, entry
+#: entity list -> the entry field keyed with its name
+_PROPERTIES = {"species": "role", "locations": "geopolitical_info", "ecosystems": "type", "habitats": "subcomponent_of"}
+
+
+class SortedResults(tuple):
+    """Results in DOI order whose entity lists are each tallied once, on
+    first use, and shared by every table function given this as results."""
+
+    def __new__(cls, results: Iterable[ExtractionResult]) -> "SortedResults":
+        # DOI order makes "first occurrence" well-defined regardless of input order
+        return super().__new__(cls, sorted(results, key=lambda result: result.paper_doi))
+
+    def tally(self, attr: str) -> dict[tuple[str, str], list]:
+        """The counting unit over one entity list: {(name key, property key):
+        [papers, first entry]} in first-occurrence order. A named dict entry
+        counts once per paper and key; ecosystems dedupe per paper by name
+        alone, and a habitat without a target takes no key."""
+        if attr not in self.__dict__:
+            prop = _PROPERTIES[attr]
+            tally = self.__dict__[attr] = {}
+            for result in self:
+                seen = set()
+                for entry in getattr(result, attr):
+                    if isinstance(entry, dict) and entry.get("name") and (attr != "habitats" or entry.get(prop)):
+                        key = (name_key(entry["name"]), name_key(entry.get(prop) or ""))
+                        once = key[0] if attr == "ecosystems" else key
+                        if once not in seen:
+                            seen.add(once)
+                            tally.setdefault(key, [0, entry])[0] += 1
+        return self.__dict__[attr]
+
+
+def _tally(results: Iterable[ExtractionResult], attr: str) -> Iterable[tuple[tuple[str, str], list]]:
+    return (results if isinstance(results, SortedResults) else SortedResults(results)).tally(attr).items()
+
+
+def _ranked(rows: Iterable[tuple[Hashable, int, object]]) -> list[tuple[Hashable, int, object]]:
+    """Rows of every table and of the linkages: (key, count, first text)
+    rows summed per key, keeping the first text, by descending count then key."""
+    counts: dict = {}
+    firsts: dict = {}
+    for key, count, text in rows:
+        counts[key] = counts.get(key, 0) + count
+        firsts.setdefault(key, text)
+    return [(key, counts[key], firsts[key]) for key in sorted(counts, key=lambda key: (-counts[key], key))]
+
+
+def _table(label: str, rows: Iterable[tuple[str, int, object]], total: int | None = None) -> FrequencyTable:
+    """Ranked rows as a table; total defaults to the sum of the counts."""
+    rows = [FrequencyRow(key=key, display=display_name(text), count=count) for key, count, text in _ranked(rows)]
+    return FrequencyTable(label, rows, sum(row.count for row in rows) if total is None else total)
 
 
 def _build_table(label: str, mentions: Iterable[str], total: int) -> FrequencyTable:
-    counts: dict[str, int] = {}
-    displays: dict[str, str] = {}
-    for raw in mentions:
-        key = name_key(raw)
-        counts[key] = counts.get(key, 0) + 1
-        displays.setdefault(key, display_name(raw))
-    rows = [
-        FrequencyRow(key=key, display=displays[key], count=counts[key])
-        for key in sorted(counts, key=lambda k: (-counts[k], k))
-    ]
-    return FrequencyTable(label=label, rows=rows, total=total)
+    return _table(label, ((name_key(raw), 1, raw) for raw in mentions), total)
 
 
-def _species_mentions(
-    results: Iterable[ExtractionResult],
-    stoplist: Collection[str] | None = None,
-) -> list[tuple[str, str]]:
-    """(name, role) mentions, keyed by name and role."""
+def _species(results: Iterable[ExtractionResult], stoplist: Collection[str] | None) -> list[tuple]:
+    """(name key, role key, papers, first entry) per species key outside the stoplist."""
     stop = {name_key(term) for term in stoplist} if stoplist else set()
-
-    def key(entry: dict) -> tuple[str, str] | None:
-        name = name_key(entry["name"])
-        return None if name in stop else (name, name_key(entry.get("role") or ""))
-
-    return [
-        (display_name(entry["name"]), str(entry.get("role") or ""))
-        for _, entry in _mentions(results, "species", key)
-    ]
+    return [(name, role, *cell) for (name, role), cell in _tally(results, "species") if name not in stop]
 
 
 def role_inventory(
@@ -127,9 +144,9 @@ def role_inventory(
     stoplist: Collection[str] | None = None,
 ) -> FrequencyTable:
     """How often each species role occurs across all species mentions."""
-    mentions = _species_mentions(results, stoplist)
-    roles = [role for _, role in mentions if role.strip()]
-    return _build_table("species roles", roles, total=len(mentions))
+    species = _species(results, stoplist)
+    roles = ((role, count, entry["role"]) for _, role, count, entry in species if role)
+    return _table("species roles", roles, total=sum(count for _, _, count, _ in species))
 
 
 def top_species(
@@ -145,8 +162,8 @@ def top_species(
     if k < 1:
         raise ValueError("k must be at least 1")
     wanted = name_key(role)
-    names = [name for name, r in _species_mentions(results, stoplist) if name_key(r) == wanted]
-    return _build_table(f"top species ({display_name(role)})", names, total=len(names)).top(k)
+    names = ((name, count, entry["name"]) for name, r, count, entry in _species(results, stoplist) if r == wanted)
+    return _table(f"top species ({display_name(role)})", names).top(k)
 
 
 def location_frequencies(
@@ -156,24 +173,17 @@ def location_frequencies(
     """Location-name counts, optionally filtered by geopolitical level."""
     if granularity not in LOCATION_GRANULARITIES:
         raise ValueError(f"granularity must be one of {LOCATION_GRANULARITIES}")
-
-    def key(entry: dict) -> tuple[str, str] | None:
-        geo = name_key(entry.get("geopolitical_info") or "")
-        return (name_key(entry["name"]), geo) if granularity in ("all", geo) else None
-
-    mentions = [display_name(entry["name"]) for _, entry in _mentions(results, "locations", key)]
-    return _build_table(f"locations ({granularity})", mentions, total=len(mentions))
+    tally = _tally(results, "locations")
+    names = ((name, count, entry["name"]) for (name, geo), (count, entry) in tally if granularity in ("all", geo))
+    return _table(f"locations ({granularity})", names)
 
 
 def ecosystem_frequencies(results: Iterable[ExtractionResult]) -> EcosystemFrequencies:
     """Ecosystem-name counts plus a type breakdown over recognized types."""
-    entries = [entry for _, entry in _mentions(results, "ecosystems", lambda e: name_key(e["name"]))]
-    names = [display_name(entry["name"]) for entry in entries]
-    kinds = [name_key(entry.get("type") or "") for entry in entries]
-    return EcosystemFrequencies(
-        names=_build_table("ecosystems", names, total=len(names)),
-        types=_build_table("ecosystem types", [k for k in kinds if k in ECOSYSTEM_TYPES], total=len(names)),
-    )
+    tally = _tally(results, "ecosystems")
+    names = _table("ecosystems", ((name, count, entry["name"]) for (name, _), (count, entry) in tally))
+    kinds = ((kind, count, kind) for (_, kind), (count, _) in tally if kind in ECOSYSTEM_TYPES)
+    return EcosystemFrequencies(names=names, types=_table("ecosystem types", kinds, total=names.total))
 
 
 def habitat_linkages(results: Iterable[ExtractionResult]) -> list[LinkagePair]:
@@ -182,20 +192,9 @@ def habitat_linkages(results: Iterable[ExtractionResult]) -> list[LinkagePair]:
     Habitats without a subcomponent_of target are excluded; targets that
     do not name an ecosystem in the same result are kept verbatim.
     """
-
-    def key(entry: dict) -> tuple[str, str] | None:
-        target = entry.get("subcomponent_of")
-        return (name_key(entry["name"]), name_key(target)) if target else None
-
-    counts: dict[tuple[str, str], int] = {}
-    displays: dict[tuple[str, str], tuple[str, str]] = {}
-    for pair, entry in _mentions(results, "habitats", key):
-        counts[pair] = counts.get(pair, 0) + 1
-        displays.setdefault(pair, (display_name(entry["name"]), display_name(entry["subcomponent_of"])))
-    ordered = sorted(counts, key=lambda pair: (-counts[pair], pair))
     return [
-        LinkagePair(habitat=displays[pair][0], ecosystem=displays[pair][1], count=counts[pair])
-        for pair in ordered
+        LinkagePair(habitat=display_name(entry["name"]), ecosystem=display_name(entry["subcomponent_of"]), count=count)
+        for _, count, entry in _ranked((pair, *cell) for pair, cell in _tally(results, "habitats"))
     ]
 
 
@@ -213,56 +212,36 @@ def emit_report(
 
     csv: path is a directory, one file per table plus
     habitat_linkages.csv. markdown: path is a single file with one
-    section per table.
+    section per table; a "|" in a cell is written as "\\|".
     """
     path = Path(path)
+    # (file stem, heading, header, rows) per table, then the linkages
+    sections = [(_slug(t.label), t.label, ("name", "count"), [(r.display, r.count) for r in t.rows]) for t in tables]
+    linkages = [(pair.habitat, pair.ecosystem, pair.count) for pair in pairs]
+    sections.append(("habitat_linkages", "habitat-ecosystem linkages", ("habitat", "ecosystem", "count"), linkages))
     if fmt == "csv":
         try:
             path.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ReportError(f"cannot create report directory {path}: {exc}") from exc
-        for table in tables:
-            atomic_write_text(path / f"{_slug(table.label)}.csv", _table_csv(table))
-        atomic_write_text(path / "habitat_linkages.csv", _pairs_csv(pairs))
+        for stem, _, header, rows in sections:
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+            atomic_write_text(path / f"{stem}.csv", buffer.getvalue())
         return path
     if fmt == "markdown":
         lines: list[str] = []
-        for table in tables:
-            lines.append(f"## {table.label}")
+        for _, heading, header, rows in sections:
+            lines += [f"## {heading}", "", _markdown_row(header), _markdown_row(["---"] * (len(header) - 1) + ["---:"])]
+            lines += [_markdown_row(row) for row in rows]
             lines.append("")
-            lines.append("| name | count |")
-            lines.append("| --- | ---: |")
-            for row in table.rows:
-                lines.append(f"| {row.display} | {row.count} |")
-            lines.append("")
-        lines.append("## habitat-ecosystem linkages")
-        lines.append("")
-        lines.append("| habitat | ecosystem | count |")
-        lines.append("| --- | --- | ---: |")
-        for pair in pairs:
-            lines.append(f"| {pair.habitat} | {pair.ecosystem} | {pair.count} |")
-        lines.append("")
         atomic_write_text(path, "\n".join(lines))
         return path
     raise ReportError(f"unknown report format {fmt!r}")
 
 
-def _table_csv(table: FrequencyTable) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["name", "count"])
-    for row in table.rows:
-        writer.writerow([row.display, row.count])
-    return buffer.getvalue()
-
-
-def _pairs_csv(pairs: Sequence[LinkagePair]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["habitat", "ecosystem", "count"])
-    for pair in pairs:
-        writer.writerow([pair.habitat, pair.ecosystem, pair.count])
-    return buffer.getvalue()
+def _markdown_row(cells: Sequence) -> str:
+    return "| " + " | ".join(str(cell).replace("|", "\\|") for cell in cells) + " |"
 
 
 def _slug(label: str) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import analytics
-from .corpus import CorpusStore, atomic_write_text, compute_stats, export_corpus
+from .corpus import CorpusStore, atomic_write_text, compute_stats, export_corpus, undecodable_line
 from .errors import EcomineError, PartialIngestError
 from .gateway import HttpChatProvider, LlmGateway, RateLimitPolicy
 from .harvest import FixtureHarvestClient, HttpHarvestClient, ingest_dois
@@ -88,7 +88,7 @@ def _read_config_file(path: str | Path) -> dict[str, tuple[str, str]]:
     Maps each key to its value and the file and line it came from.
     """
     values: dict[str, tuple[str, str]] = {}
-    for number, raw_line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for number, raw_line in enumerate(_read_lines(path, f"config file {path}"), 1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -98,6 +98,20 @@ def _read_config_file(path: str | Path) -> dict[str, tuple[str, str]]:
             raise EcomineError(f"{source}: expected key = value, got {raw_line!r}")
         values[key.strip().lower()] = (value.strip(), source)
     return values
+
+
+def _read_lines(path: str | Path, source: str) -> list[str]:
+    """The lines of a UTF-8 text file; a byte UTF-8 cannot decode is an
+    error naming source and line."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise EcomineError(f"{source}, {undecodable_line(path)}") from exc
+
+
+def _read_dois(path: str | Path) -> list[str]:
+    """The non-blank lines of a DOI file, stripped."""
+    return [line.strip() for line in _read_lines(path, f"DOI file {path}") if line.strip()]
 
 
 def resolve_config(args: argparse.Namespace) -> CliConfig:
@@ -163,11 +177,7 @@ def _open_store(config: CliConfig, must_exist: bool = True) -> CorpusStore:
 
 
 def cmd_ingest(args: argparse.Namespace, config: CliConfig) -> int:
-    dois = [
-        line.strip()
-        for line in Path(args.dois).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    dois = _read_dois(args.dois)
     if config.fixtures:
         client = FixtureHarvestClient(config.fixtures)
     elif config.base_url:
@@ -223,13 +233,7 @@ def cmd_stats(args: argparse.Namespace, config: CliConfig) -> int:
 
 def cmd_specialize(args: argparse.Namespace, config: CliConfig) -> int:
     store = _open_store(config)
-    excluded = []
-    if args.exclude:
-        excluded = [
-            line.strip()
-            for line in Path(args.exclude).read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+    excluded = _read_dois(args.exclude) if args.exclude else []
     outcome = run_specialize(store, config.stage_config(), make_gateway(config), excluded_dois=excluded)
     payload = "".join(
         json.dumps(
@@ -299,7 +303,7 @@ def cmd_extract(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace, config: CliConfig) -> int:
-    results = load_results(args.results)
+    results = analytics.SortedResults(load_results(args.results))
     stoplist = analytics.GENERIC_SPECIES_TERMS if args.filter_generic else None
 
     tables = [analytics.role_inventory(results, stoplist)]

@@ -157,8 +157,7 @@ class CorpusStore:
         path = Path(path)
         if not path.exists():
             raise CorpusError(f"corpus file not found: {path}")
-        with path.open(encoding="utf-8", newline="\n") as lines:
-            return cls(parse_json_lines(lines, f"corpus file {path}", CorpusError, partial(decode, PaperRecord)))
+        return cls(read_json_lines(path, f"corpus file {path}", CorpusError, partial(decode, PaperRecord)))
 
 
 def compute_stats(store: CorpusStore) -> CorpusStats:
@@ -248,6 +247,31 @@ def parse_json_lines(
             except (ValueError, KeyError, TypeError, AttributeError, EcomineError) as exc:
                 raise error(f"{source}, line {number}: {type(exc).__name__}: {exc}") from exc
     return converted
+
+
+def read_json_lines(
+    path: str | Path, source: str, error: type[EcomineError], convert: Callable[[object], T]
+) -> list[T]:
+    """parse_json_lines over a UTF-8 file read line by line; a byte UTF-8
+    cannot decode raises ``error`` naming source and line."""
+    try:
+        with Path(path).open(encoding="utf-8", newline="\n") as lines:
+            return parse_json_lines(lines, source, error, convert)
+    except UnicodeDecodeError as exc:
+        raise error(f"{source}, {undecodable_line(path)}") from exc
+
+
+def undecodable_line(path: str | Path) -> str:
+    """"line N: <decode error>" for the first line of path UTF-8 cannot
+    decode. Reading decodes whole chunks, so its error names neither line
+    nor line offset; the error path reads the file again, as bytes."""
+    with Path(path).open("rb") as handle:
+        for number, line in enumerate(handle, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"line {number}: {type(exc).__name__}: {exc}"
+    return "no longer undecodable"
 
 
 def loads_utf8(text: str) -> object:

@@ -17,10 +17,11 @@ import os
 import random
 from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 from typing import Collection, Sequence
 
-from .corpus import CorpusStore, PaperRecord, atomic_write_text, decode, parse_json_lines
+from .corpus import CorpusStore, PaperRecord, atomic_write_text, decode, parse_json_lines, read_json_lines, undecodable_line
 from .errors import (
     CheckpointError,
     CorpusError,
@@ -143,8 +144,10 @@ class Checkpoint:
         if torn.strip():
             offset = len(text.encode("utf-8")) - len(torn.encode("utf-8"))
             logger.warning("%s: dropping torn last line at byte offset %d", path, offset)
-        if checkpoint.completed & set(checkpoint.quarantined):
-            raise CheckpointError(f"checkpoint {path} has DOIs both completed and quarantined")
+        sets = [("completed", checkpoint.completed), ("out_of_scope", checkpoint.out_of_scope)]
+        for (one, a), (other, b) in combinations([*sets, ("quarantined", checkpoint.quarantined.keys())], 2):
+            if both := a & b:
+                raise CheckpointError(f"checkpoint {path} has DOI {min(both)} both {one} and {other}")
         return checkpoint
 
 
@@ -416,7 +419,10 @@ def _compact_results(path: Path, earlier: int, written: dict[str, str]) -> None:
     lines: dict[str, str] = {}
     if earlier:
         with path.open("rb") as handle:
-            earlier_lines = handle.read(earlier).decode("utf-8").split("\n")
+            try:
+                earlier_lines = handle.read(earlier).decode("utf-8").split("\n")
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"results file {path}, {undecodable_line(path)}") from exc
         for result in parse_json_lines(earlier_lines, f"results file {path}", CorpusError, result_from_dict):
             lines[result.paper_doi] = serialize_result(result)
     lines.update(written)
@@ -428,19 +434,25 @@ def load_results(path: str | Path) -> list[ExtractionResult]:
     path = Path(path)
     if not path.exists():
         return []
-    with path.open(encoding="utf-8", newline="\n") as lines:
-        results = parse_json_lines(lines, f"results file {path}", CorpusError, result_from_dict)
+    results = read_json_lines(path, f"results file {path}", CorpusError, result_from_dict)
     return list({result.paper_doi: result for result in results}.values())
 
 
 def load_candidates(path: str | Path) -> list[CandidateSchema]:
     """Read a candidates file written by the specialize stage."""
-    with Path(path).open(encoding="utf-8", newline="\n") as lines:
-        return parse_json_lines(
-            lines, f"candidates file {path}", CorpusError, lambda doc: candidate_from_blocks(doc["doi"], doc["blocks"])
-        )
+    return read_json_lines(
+        path, f"candidates file {path}", CorpusError, lambda doc: candidate_from_blocks(doc["doi"], doc["blocks"])
+    )
 
 
 def load_schema_file(path: str | Path) -> StandardizedSchema:
-    """Read and validate a standardized schema JSON file."""
-    return ensure_valid_schema(parse_schema(Path(path).read_text(encoding="utf-8")))
+    """Read and validate a standardized schema JSON file; an error names
+    the file and keeps its type."""
+    try:
+        return ensure_valid_schema(parse_schema(Path(path).read_text(encoding="utf-8")))
+    except (SchemaParseError, InvalidSchemaError) as exc:
+        raise type(exc)(f"schema file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        where = f"{exc.reason} (schema file {path}, line {line})"
+        raise UnicodeDecodeError(exc.encoding, exc.object, exc.start, exc.end, where) from exc

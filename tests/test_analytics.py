@@ -12,6 +12,7 @@ from ecomine.analytics import (
     EcosystemFrequencies,
     FrequencyTable,
     LinkagePair,
+    SortedResults,
     _build_table,
     ecosystem_frequencies,
     emit_report,
@@ -295,6 +296,22 @@ class TestEmitReport:
         assert "## top species (invasive)" in text
         assert "| Procambarus clarkii | 76 |" in text
 
+    def test_markdown_escapes_pipes_and_csv_keeps_them(self, tmp_path):
+        results = [
+            paper(
+                "10.1/a",
+                species=[{"name": "Salmo trutta | brown trout", "role": "invasive"}],
+                habitats=[{"name": "riffle|pool", "subcomponent_of": "stream"}],
+            )
+        ]
+        tables, pairs = [top_species(results, "invasive", 3)], habitat_linkages(results)
+        lines = emit_report(tables, pairs, tmp_path / "report.md", fmt="markdown").read_text(encoding="utf-8")
+        assert "| Salmo trutta \\| brown trout | 1 |" in lines.splitlines()
+        assert "| riffle\\|pool | stream | 1 |" in lines.splitlines()
+        out = emit_report(tables, pairs, tmp_path / "reports", fmt="csv")
+        with (out / "top_species_invasive.csv").open(encoding="utf-8", newline="") as fh:
+            assert list(csv.reader(fh))[1] == ["Salmo trutta | brown trout", "1"]
+
     def test_unwritable_path(self, tmp_path, paper_count_fixture):
         blocked = tmp_path / "blocked"
         blocked.write_text("a file, not a directory")
@@ -461,3 +478,19 @@ def test_mention_rule_equals_reference_loops(results, filter_generic):
         assert location_frequencies(results, granularity) == _ref_location_frequencies(results, granularity)
     assert ecosystem_frequencies(results) == _ref_ecosystem_frequencies(results)
     assert habitat_linkages(results) == _ref_habitat_linkages(results)
+
+
+@settings(max_examples=50, deadline=None)
+@given(results=RESULT_LISTS, filter_generic=st.booleans())
+def test_shared_tally_equals_fresh_list_per_call(results, filter_generic):
+    stoplist = GENERIC_SPECIES_TERMS if filter_generic else None
+    shared = SortedResults(results)
+    assert list(shared) == sorted(results, key=lambda result: result.paper_doi)
+    for _ in range(2):  # the second round reads the memoised tallies
+        assert role_inventory(shared, stoplist) == role_inventory(list(results), stoplist)
+        for role in ("invasive", "Native ", ""):
+            assert top_species(shared, role, 3, stoplist) == top_species(list(results), role, 3, stoplist)
+        for granularity in LOCATION_GRANULARITIES:
+            assert location_frequencies(shared, granularity) == location_frequencies(list(results), granularity)
+        assert ecosystem_frequencies(shared) == ecosystem_frequencies(list(results))
+        assert habitat_linkages(shared) == habitat_linkages(list(results))

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -10,9 +11,10 @@ import pytest
 
 import ecomine
 from conftest import SAMPLE_CORPUS
-from ecomine import cli
+from ecomine import analytics, cli
 from ecomine.harvest import fixture_filename
 from ecomine.mockllm import MockProvider
+from ecomine.pipeline import load_results
 from ecomine.schema import schema_fingerprint, schema_to_json, standard_schema
 
 
@@ -187,6 +189,35 @@ class TestMistypedInput:
             assert corpus.with_suffix(".skipped.log").read_text() == "missing\t10.9/none\n"
 
 
+class TestUndecodableInput:
+    """A byte UTF-8 cannot decode in any input file ends in exit 1 and one
+    error line naming the file and the line, never in a traceback."""
+
+    @pytest.mark.parametrize(
+        "command", ["stats", "analyze", "validate", "generalize", "extract", "config", "ingest", "specialize"]
+    )
+    def test_exit_1_names_file_and_line(self, tmp_path, corpus_path, capsys, command):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"doi": "10.1/a", "status": "extracted"}\n{"doi": "10.1/b\xff", "status": "extracted"}\n')
+        schema = tmp_path / "schema.json"
+        schema.write_text(schema_to_json(standard_schema()) + "\n", encoding="utf-8")
+        argv = {
+            "stats": ["--corpus", bad, "stats"],
+            "analyze": ["analyze", "--results", bad, "--out", tmp_path / "reports"],
+            "validate": ["validate", "--results", bad, "--schema", schema],
+            "generalize": ["generalize", "--candidates", bad, "--out-dir", tmp_path / "schemas"],
+            "extract": ["--corpus", corpus_path, "extract", "--schema", schema, "--results", bad],
+            "config": ["--config", bad, "stats"],
+            "ingest": ["--corpus", tmp_path / "harvested.jsonl", "ingest", "--dois", bad, "--fixtures", tmp_path],
+            "specialize": ["--corpus", corpus_path, "specialize", "--exclude", bad, "--out", tmp_path / "c.jsonl"],
+        }[command]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        named = rf"^error: .*{re.escape(str(bad))}, line 2: UnicodeDecodeError: .* in position 15"
+        assert re.search(named, err, re.MULTILINE), err
+
+
 class TestIngest:
     def test_fixture_ingest_writes_corpus_and_skip_log(self, tmp_path, capsys):
         fixtures = tmp_path / "fixtures"
@@ -274,6 +305,29 @@ class TestWorkflow:
         report = tmp_path / "report.md"
         assert run_cli("analyze", "--results", results, "--out", report, "--format", "markdown") == 0
         assert report.read_text(encoding="utf-8").startswith("## species roles")
+
+    def test_filter_generic_and_top(self, tmp_path, corpus_path, capsys):
+        _, results = self.run_through_extract(tmp_path, corpus_path, capsys)
+        generic = [{"name": "Native species", "role": "native"}, {"name": "invasive  species", "role": "invasive"}]
+        with results.open("a", encoding="utf-8") as handle:  # generic names that would top both tables
+            for serial in range(20):
+                handle.write(json.dumps({"doi": f"10.9/g{serial}", "status": "extracted", "species": generic}) + "\n")
+        reports = tmp_path / "reports"
+        assert run_cli("analyze", "--results", results, "--out", reports, "--filter-generic", "--top", 2) == 0
+        loaded = load_results(results)
+        stop = analytics.GENERIC_SPECIES_TERMS
+        tables = [analytics.role_inventory(loaded, stop)]
+        tables += [analytics.top_species(loaded, role, 2, stop) for role in ("invasive", "native", "introduced")]
+        tables += [analytics.location_frequencies(loaded, level) for level in ("country", "region", "city")]
+        ecosystems = analytics.ecosystem_frequencies(loaded)
+        tables += [ecosystems.names, ecosystems.types]
+        for table in tables:
+            with (reports / f"{analytics._slug(table.label)}.csv").open(encoding="utf-8", newline="") as handle:
+                assert list(csv.reader(handle)) == [["name", "count"]] + [[r.display, str(r.count)] for r in table.rows]
+        assert analytics.top_species(loaded, "native", 2).rows[0].display == "Native species"
+        assert "Native species" not in {row.display for table in tables for row in table.rows}
+        assert [len(table.rows) for table in tables[1:4]] == [2, 2, 2]
+        assert len(sorted(reports.glob("*.csv"))) == len(tables) + 1
 
     def test_validate_reports_violation_with_doi(self, tmp_path, corpus_path, capsys):
         schemas, results = self.run_through_extract(tmp_path, corpus_path, capsys)

@@ -7,7 +7,14 @@ import pytest
 
 from conftest import SAMPLE_SEED, fast_policy
 from ecomine.corpus import CorpusStore, PaperRecord
-from ecomine.errors import CheckpointError, CorpusError, StageFailure, TransportError
+from ecomine.errors import (
+    CheckpointError,
+    CorpusError,
+    InvalidSchemaError,
+    SchemaParseError,
+    StageFailure,
+    TransportError,
+)
 from ecomine.gateway import LlmGateway, LlmResponse
 from ecomine.mockllm import MockProvider
 from ecomine.pipeline import (
@@ -479,6 +486,26 @@ class TestFileLoaders:
         path.write_text(json.dumps(schema_to_dict(standard_schema())), encoding="utf-8")
         assert schema_to_dict(load_schema_file(path)) == schema_to_dict(standard_schema())
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [(b'{"species": [', SchemaParseError), (b'{"species": {}}', InvalidSchemaError), (b'{"species": [\xff]}', UnicodeDecodeError)],
+        ids=["truncated", "invalid", "undecodable"],
+    )
+    def test_schema_file_error_names_the_file_and_keeps_its_type(self, tmp_path, text, error):
+        path = tmp_path / "bad_schema.json"
+        path.write_bytes(text)
+        with pytest.raises(error, match=re.escape(f"schema file {path}")):
+            load_schema_file(path)
+
+    @pytest.mark.parametrize("loader", [load_results, load_candidates, CorpusStore.load])
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, loader):
+        # the byte sits past the first read chunk, so the line is found by reading again
+        path = tmp_path / "input.jsonl"
+        line = b'{"doi": "10.1/a", "blocks": {}}\n'
+        path.write_bytes(line * 2000 + b'{"doi": "10.1/b\xff"}\n' + line)
+        with pytest.raises(CorpusError, match=re.escape(f"{path}, line 2001: UnicodeDecodeError")):
+            loader(path)
+
     def test_load_results_keeps_unicode_line_boundaries(self, tmp_path):
         path = tmp_path / "results.jsonl"
         result = result_from_dict({"doi": "10.1/a", "species": [{"name": "Acacia\u2028dealbata"}]})
@@ -596,6 +623,35 @@ class TestCheckpointJournal:
         append_deltas(path, *deltas)
         with pytest.raises(CheckpointError):
             Checkpoint.load(path)
+
+    @pytest.mark.parametrize(
+        "sets, deltas, named",
+        [
+            ({"completed": ["10.1/a"], "out_of_scope": ["10.1/a"]}, [], "completed and out_of_scope"),
+            ({"out_of_scope": ["10.1/a"], "quarantined": {"10.1/a": "bad"}}, [], "out_of_scope and quarantined"),
+            ({"completed": ["10.1/a"]}, [{"doi": "10.1/a", "status": "out_of_scope"}], "completed and out_of_scope"),
+            (
+                {"quarantined": {"10.1/a": "bad"}},
+                [{"doi": "10.1/a", "status": "out_of_scope"}],
+                "out_of_scope and quarantined",
+            ),
+        ],
+    )
+    def test_doi_in_two_sets_names_the_doi_and_both_sets(self, tmp_path, sets, deltas, named):
+        path = tmp_path / "overlap.ckpt.json"
+        seed_format(path, **sets)
+        append_deltas(path, *deltas)
+        with pytest.raises(CheckpointError, match=f"DOI 10.1/a both {named}"):
+            Checkpoint.load(path)
+
+    def test_doi_in_two_sets_refused_before_extract(self, sample_store, mock_gateway, tmp_path):
+        # loaded, it made extract report processed=20 with 21 outcomes
+        checkpoint = tmp_path / "overlap.ckpt.json"
+        doi = sample_store.records()[0].doi
+        seed_format(checkpoint, completed=[doi], out_of_scope=[doi])
+        with pytest.raises(CheckpointError, match=re.escape(doi)):
+            run_extract(sample_store, standard_schema(), make_config(), mock_gateway, tmp_path / "r.jsonl", checkpoint)
+        assert not (tmp_path / "r.jsonl").exists()
 
     def test_journal_holds_every_commit_without_midrun_save(
         self, sample_store, mock_gateway, tmp_path, monkeypatch
