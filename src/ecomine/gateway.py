@@ -9,6 +9,7 @@ format sections) is enforced here before any request is dispatched.
 from __future__ import annotations
 
 import logging
+import math
 import queue
 import threading
 import time
@@ -73,12 +74,12 @@ class RateLimitPolicy:
     def __post_init__(self) -> None:
         if self.max_requests_per_window <= 0:
             raise ValueError("max_requests_per_window must be positive")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
+        if not (math.isfinite(self.window) and self.window > 0):
+            raise ValueError(f"window must be finite and positive, got {self.window}")
         if self.max_retries <= 0:
             raise ValueError("max_retries must be positive")
-        if self.backoff_base <= 0:
-            raise ValueError("backoff_base must be positive")
+        if not (math.isfinite(self.backoff_base) and self.backoff_base > 0):
+            raise ValueError(f"backoff_base must be finite and positive, got {self.backoff_base}")
 
 
 class SlidingWindowRateLimiter:

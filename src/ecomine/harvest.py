@@ -48,7 +48,7 @@ class IngestSummary:
 class HttpHarvestClient:
     """Query-by-DOI client for an HTTP scholarly-search API.
 
-    Wire format: GET {base_url}/{endpoint_path}?doi=<doi>, answered by
+    Wire format: GET {base_url}/paper?doi=<doi>, answered by
     the record as a JSON object. A 404 means the DOI is not indexed.
     Transient failures (429, 5xx, network) are retried under
     gateway.call_with_retries, the rule chat calls use too.
@@ -58,7 +58,6 @@ class HttpHarvestClient:
         self,
         base_url: str,
         *,
-        endpoint_path: str = "paper",
         timeout: float = 10.0,
         max_retries: int = 3,
         backoff_base: float = 0.5,
@@ -68,8 +67,7 @@ class HttpHarvestClient:
         import requests  # here, not at module top: offline runs never load the HTTP stack
 
         self.base_url = base_url.rstrip("/")
-        self.endpoint_path = endpoint_path.strip("/")
-        self.url = f"{self.base_url}/{self.endpoint_path}"
+        self.url = f"{self.base_url}/paper"
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base

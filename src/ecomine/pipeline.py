@@ -130,20 +130,29 @@ class Checkpoint:
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
         try:
-            text = Path(path).read_text(encoding="utf-8")
-            doc, end = json.JSONDecoder().raw_decode(text, len(text) - len(text.lstrip()))
+            data = Path(path).read_bytes()
+            # The bytes past cut are an unterminated last line: a torn delta, left
+            # undecoded because a tear can fall inside a character, unless the
+            # document itself ends there without a newline.
+            cut = data.rfind(b"\n") + 1
+            text = data[:cut].decode("utf-8")
+            try:
+                doc, end = json.JSONDecoder().raw_decode(text, len(text) - len(text.lstrip()))
+            except ValueError:
+                text, cut = data.decode("utf-8"), len(data)
+                doc, end = json.JSONDecoder().raw_decode(text, len(text) - len(text.lstrip()))
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"checkpoint {path}, {undecodable_line(path)}") from exc
         except (OSError, ValueError) as exc:
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
         try:
             checkpoint = decode(cls, doc)
         except (KeyError, TypeError, CheckpointError) as exc:
             raise CheckpointError(f"checkpoint {path}: {type(exc).__name__}: {exc}") from exc
-        deltas, _, torn = text[end:].rpartition("\n")
         first_line = text.count("\n", 0, end) + 1
-        parse_json_lines(deltas.split("\n"), f"checkpoint {path}", CheckpointError, checkpoint.apply, first_line)
-        if torn.strip():
-            offset = len(text.encode("utf-8")) - len(torn.encode("utf-8"))
-            logger.warning("%s: dropping torn last line at byte offset %d", path, offset)
+        parse_json_lines(text[end:].split("\n"), f"checkpoint {path}", CheckpointError, checkpoint.apply, first_line)
+        if data[cut:].strip():
+            logger.warning("%s: dropping torn last line at byte offset %d", path, cut)
         sets = [("completed", checkpoint.completed), ("out_of_scope", checkpoint.out_of_scope)]
         for (one, a), (other, b) in combinations([*sets, ("quarantined", checkpoint.quarantined.keys())], 2):
             if both := a & b:

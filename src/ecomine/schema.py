@@ -515,16 +515,6 @@ class ExtractionResult:
         if not self.paper_doi:
             raise ValueError("result DOI must be non-empty")
 
-    def entity_entries(self) -> list[tuple[str, str, dict]]:
-        """(result attribute, schema block, entry) triples, entity blocks only."""
-        triples = []
-        for attr, block in RESULT_BLOCKS:
-            if block == "relationships":
-                continue
-            for entry in getattr(self, attr):
-                triples.append((attr, block, entry))
-        return triples
-
 
 def out_of_scope_result(doi: str) -> ExtractionResult:
     return ExtractionResult(paper_doi=doi, status="out_of_scope")
@@ -606,46 +596,85 @@ def validate_result(result: ExtractionResult, schema: StandardizedSchema) -> Val
     dangling relationship reference, status inconsistency) without
     mutating the result. Species roles outside the schema's listed set
     and habitat references to ecosystems absent from the result are
-    retained and flagged as warnings.
+    retained and flagged as warnings. Each entry is read once, and the
+    name sets fill as the entries go by: RESULT_BLOCKS lists every
+    entity block before relationships and ecosystem before habitat, so
+    a set is complete before any entry reads it.
     """
     verdict = ValidationVerdict()
+    violations, warnings = verdict.violations, verdict.warnings
 
     if result.status not in ("extracted", "out_of_scope"):
-        verdict.violations.append(
-            Violation("bad_status", "status", f"unknown status {result.status!r}")
-        )
+        violations.append(Violation("bad_status", "status", f"unknown status {result.status!r}"))
     if result.status == "out_of_scope":
         for attr, _ in RESULT_BLOCKS:
             if getattr(result, attr):
-                verdict.violations.append(
-                    Violation(
-                        "status_inconsistency",
-                        attr,
-                        "nonempty entities on out-of-scope result",
-                    )
-                )
+                violations.append(Violation("status_inconsistency", attr, "nonempty entities on out-of-scope result"))
 
-    entity_names = {
-        name_key(entry.get("name"))
-        for _, _, entry in result.entity_entries()
-        if isinstance(entry, dict) and entry.get("name")
-    }
-    ecosystem_names = {
-        name_key(entry.get("name")) for entry in result.ecosystems
-        if isinstance(entry, dict) and entry.get("name")
-    }
-
+    entity_names: set[str] = set()
+    ecosystem_names: set[str] = set()
     table = _field_table(schema)
     for attr, block in RESULT_BLOCKS:
         fields = table.get(block, {})
         for index, entry in enumerate(getattr(result, attr)):
             path = f"{attr}[{index}]"
             if not isinstance(entry, dict):
-                verdict.violations.append(
-                    Violation("malformed_entry", path, f"entry is not an object: {entry!r}")
-                )
+                violations.append(Violation("malformed_entry", path, f"entry is not an object: {entry!r}"))
                 continue
-            _validate_entry(entry, block, path, fields, verdict, entity_names, ecosystem_names)
+            for key in entry:
+                if key not in fields:
+                    violations.append(
+                        Violation("unknown_field", f"{path}.{key}", f"field {key!r} not in schema block {block!r}")
+                    )
+
+            if block == "relationships":
+                refs = entry.get("related_entities")
+                if not isinstance(refs, list) or not refs:
+                    violations.append(Violation("missing_reference", path, "relationship lacks related_entities"))
+                    refs = []
+                for ref in refs:
+                    if name_key(ref) not in entity_names:
+                        violations.append(
+                            Violation(
+                                "dangling_reference",
+                                f"{path}.related_entities",
+                                f"dangling related_entity {display_name(ref)}",
+                            )
+                        )
+            elif name := entry.get("name"):
+                entity_names.add(name_key(name))
+                if block == "ecosystem":
+                    ecosystem_names.add(name_key(name))
+            else:
+                violations.append(Violation("missing_name", path, "entry lacks a name"))
+
+            for key, value in entry.items():
+                compiled = fields.get(key)
+                if compiled is None or value in _EMPTY_VALUES:
+                    continue
+                spec, allowed = compiled
+                if spec.kind == "enum":
+                    if str(value).casefold() not in allowed:
+                        if block == "species" and key == "role":
+                            # role is an open vocabulary; off-list values are noise signals, not schema breaks
+                            warnings.append(
+                                Violation("noncore_role", f"{path}.{key}", f"role {value!r} outside core set")
+                            )
+                        else:
+                            violations.append(
+                                Violation(
+                                    "enum_violation", f"{path}.{key}", f"value {value!r} not in {list(spec.values)}"
+                                )
+                            )
+                elif spec.kind == "reference" and block == "habitat" and key == "subcomponent_of":
+                    if name_key(value) not in ecosystem_names:
+                        warnings.append(
+                            Violation(
+                                "dangling_habitat_link",
+                                f"{path}.{key}",
+                                f"habitat names ecosystem {display_name(value)!r} not present in result",
+                            )
+                        )
 
     return verdict
 
@@ -668,70 +697,3 @@ def _field_table(schema: StandardizedSchema) -> dict[str, dict[str, tuple[FieldS
                 fields.setdefault(spec.name, (spec, folded))
         schema._compiled = (snapshot, table)
     return schema._compiled[1]
-
-
-def _validate_entry(
-    entry: dict,
-    block: str,
-    path: str,
-    fields: dict[str, tuple[FieldSpec, frozenset[str]]],
-    verdict: ValidationVerdict,
-    entity_names: set[str],
-    ecosystem_names: set[str],
-) -> None:
-    for key in entry:
-        if key not in fields:
-            verdict.violations.append(
-                Violation("unknown_field", f"{path}.{key}", f"field {key!r} not in schema block {block!r}")
-            )
-
-    if block == "relationships":
-        refs = entry.get("related_entities")
-        if not isinstance(refs, list) or not refs:
-            verdict.violations.append(
-                Violation("missing_reference", path, "relationship lacks related_entities")
-            )
-            refs = []
-        for ref in refs:
-            if name_key(ref) not in entity_names:
-                verdict.violations.append(
-                    Violation(
-                        "dangling_reference",
-                        f"{path}.related_entities",
-                        f"dangling related_entity {display_name(ref)}",
-                    )
-                )
-    else:
-        if not entry.get("name"):
-            verdict.violations.append(Violation("missing_name", path, "entry lacks a name"))
-
-    for key, value in entry.items():
-        compiled = fields.get(key)
-        if compiled is None or value in _EMPTY_VALUES:
-            continue
-        spec, allowed = compiled
-        if spec.kind == "enum":
-            if str(value).casefold() not in allowed:
-                if block == "species" and key == "role":
-                    # role is an open vocabulary; off-list values are noise
-                    # signals, not schema breaks
-                    verdict.warnings.append(
-                        Violation("noncore_role", f"{path}.{key}", f"role {value!r} outside core set")
-                    )
-                else:
-                    verdict.violations.append(
-                        Violation(
-                            "enum_violation",
-                            f"{path}.{key}",
-                            f"value {value!r} not in {list(spec.values)}",
-                        )
-                    )
-        elif spec.kind == "reference" and block == "habitat" and key == "subcomponent_of":
-            if name_key(value) not in ecosystem_names:
-                verdict.warnings.append(
-                    Violation(
-                        "dangling_habitat_link",
-                        f"{path}.{key}",
-                        f"habitat names ecosystem {display_name(value)!r} not present in result",
-                    )
-                )

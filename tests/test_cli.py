@@ -438,6 +438,28 @@ class TestConfigPrecedence:
         assert run_cli(*argv, "stats") == 1
         assert named.format(conf=path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "var, value", [("ECOMINE_RATE_WINDOW", "nan"), ("ECOMINE_RATE_WINDOW", "inf"), ("ECOMINE_BACKOFF_BASE", "nan")]
+    )
+    def test_non_finite_rate_setting_refused_before_any_call(
+        self, corpus_path, tmp_path, monkeypatch, capsys, var, value
+    ):
+        # a NaN window hung the third call under a two-call cap; an infinite one overflowed the limiter's wait
+        def send(*_):
+            raise AssertionError("provider called")
+
+        monkeypatch.setattr(MockProvider, "send", send)
+        monkeypatch.setenv(var, value)
+        schema = tmp_path / "schema.json"
+        schema.write_text(schema_to_json(standard_schema()), encoding="utf-8")
+        code = run_cli(
+            "--corpus", corpus_path, "extract", "--schema", schema, "--results", tmp_path / "r.jsonl"
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "must be finite and positive" in err and err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_endpoint_provider_requires_credential(self, corpus_path, monkeypatch, capsys):
         monkeypatch.delenv("ECOMINE_API_KEY", raising=False)
         code = run_cli(

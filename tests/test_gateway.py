@@ -1,3 +1,4 @@
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -69,6 +70,13 @@ class TestRateLimitPolicy:
     )
     def test_rejects_non_positive(self, kwargs):
         with pytest.raises(ValueError):
+            RateLimitPolicy(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"window": math.nan}, {"window": math.inf}, {"backoff_base": math.nan}, {"backoff_base": math.inf}]
+    )
+    def test_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError, match="must be finite and positive"):
             RateLimitPolicy(**kwargs)
 
 

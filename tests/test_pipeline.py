@@ -746,6 +746,39 @@ class TestTornWrites:
         with pytest.raises(CheckpointError, match=where):
             Checkpoint.load(path)
 
+    def test_delta_torn_inside_a_character_is_dropped(self, tmp_path, caplog):
+        # decoded whole, the file failed on the cut 'Ä' and the checkpoint was refused
+        path = tmp_path / "torn.ckpt.json"
+        seed_format(path)
+        append_deltas(path, {"doi": "10.1/a", "status": "completed"})
+        offset = path.stat().st_size
+        delta = json.dumps({"doi": "10.1/b", "status": "quarantined", "reason": "Ä"}, ensure_ascii=False).encode()
+        with path.open("ab") as journal:
+            journal.write(delta[: delta.index("Ä".encode()) + 1])
+        assert Checkpoint.load(path).processed() == {"10.1/a"}
+        assert f"{path}: dropping torn last line at byte offset {offset}" in caplog.text
+
+    def test_undecodable_byte_in_a_delta_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.ckpt.json"
+        seed_format(path)
+        document_lines = len(path.read_text(encoding="utf-8").splitlines())
+        append_deltas(path, {"doi": "10.1/a", "status": "completed"})
+        with path.open("ab") as journal:
+            journal.write(b'{"doi": "10.1/b\xff", "status": "completed"}\n')
+        where = rf"{re.escape(str(path))}, line {document_lines + 2}: UnicodeDecodeError: .* in position 15\b"
+        with pytest.raises(CheckpointError, match=where):
+            Checkpoint.load(path)
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_document_without_final_newline_loads(self, tmp_path, caplog, indent):
+        path = tmp_path / "bare.ckpt.json"
+        checkpoint = Checkpoint("extract", "f", {"10.1/a"}, {"10.1/ä"}, {"10.1/c": "Ä"})
+        checkpoint.save(path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(document, ensure_ascii=False, indent=indent), encoding="utf-8")
+        assert Checkpoint.load(path) == checkpoint
+        assert "torn" not in caplog.text
+
     @pytest.mark.parametrize(
         "fields, delta",
         [

@@ -112,7 +112,7 @@ def _ref_validate_result(result, schema):
                 )
     entity_names = {
         _ref_name_key(entry.get("name"))
-        for _, _, entry in result.entity_entries()
+        for attr, block in RESULT_BLOCKS if block != "relationships" for entry in getattr(result, attr)
         if isinstance(entry, dict) and entry.get("name")
     }
     ecosystem_names = {

@@ -354,6 +354,47 @@ class TestValidateResult:
         assert direct == reparsed
 
 
+    # validate_result fills its name sets while it walks the blocks in
+    # RESULT_BLOCKS order; these pin the cases where that order matters.
+
+    def test_relationship_may_name_the_last_entity_block(self):
+        result = extracted(
+            species=[{"name": "A a"}],
+            habitats=[{"name": "Kelp  Beds"}],
+            relationships=[{"related_entities": ["a A", " kelp beds"], "name": "lives in", "type": "ecological"}],
+        )
+        assert validate_result(result, self.schema()).ok
+
+    def test_habitat_link_resolves_against_ecosystems_only(self):
+        result = extracted(
+            species=[{"name": "Posidonia"}],
+            ecosystems=[{"name": "Rocky  Reef"}],
+            habitats=[
+                {"name": "kelp", "subcomponent_of": " ROCKY reef "},
+                {"name": "meadow", "subcomponent_of": "posidonia"},
+            ],
+        )
+        verdict = validate_result(result, self.schema())
+        assert verdict.ok
+        assert [(w.code, w.path) for w in verdict.warnings] == [
+            ("dangling_habitat_link", "habitats[1].subcomponent_of")
+        ]
+
+    def test_status_inconsistency_precedes_entry_violations(self):
+        result = ExtractionResult(
+            paper_doi="10.1/r",
+            status="out_of_scope",
+            species=[{"name": "X", "bogus": 1}],
+            relationships=[{"related_entities": ["nobody"]}],
+        )
+        assert [(v.code, v.path) for v in validate_result(result, self.schema()).violations] == [
+            ("status_inconsistency", "species"),
+            ("status_inconsistency", "relationships"),
+            ("unknown_field", "species[0].bogus"),
+            ("dangling_reference", "relationships[0].related_entities"),
+        ]
+
+
 # The block-name table as it stood before the stem rule took over the
 # names it covers: every spelling listed, then the stems.
 FULL_ALIAS_TABLE = {
