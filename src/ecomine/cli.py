@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import analytics
-from .corpus import CorpusStore, atomic_write_text, compute_stats, export_corpus, undecodable_line
+from .corpus import CorpusStore, atomic_write_text, compute_stats, export_corpus, read_lines
 from .errors import EcomineError, PartialIngestError
 from .gateway import HttpChatProvider, LlmGateway, RateLimitPolicy
 from .harvest import FixtureHarvestClient, HttpHarvestClient, ingest_dois
@@ -85,33 +85,25 @@ class CliConfig:
 def _read_config_file(path: str | Path) -> dict[str, tuple[str, str]]:
     """Parse a flat `key = value` config file; # starts a comment.
 
-    Maps each key to its value and the file and line it came from.
+    Maps each key to its value and the file and line it came from. Every
+    line is read before any is used, so an undecodable byte is named first.
     """
     values: dict[str, tuple[str, str]] = {}
-    for number, raw_line in enumerate(_read_lines(path, f"config file {path}"), 1):
+    for number, raw_line in enumerate(list(read_lines(path, f"config file {path}", EcomineError)), 1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         source = f"config file {path}, line {number}"
         key, sep, value = line.partition("=")
         if not sep:
-            raise EcomineError(f"{source}: expected key = value, got {raw_line!r}")
+            raise EcomineError(f"{source}: expected key = value, got {raw_line.rstrip()!r}")
         values[key.strip().lower()] = (value.strip(), source)
     return values
 
 
-def _read_lines(path: str | Path, source: str) -> list[str]:
-    """The lines of a UTF-8 text file; a byte UTF-8 cannot decode is an
-    error naming source and line."""
-    try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise EcomineError(f"{source}, {undecodable_line(path)}") from exc
-
-
 def _read_dois(path: str | Path) -> list[str]:
     """The non-blank lines of a DOI file, stripped."""
-    return [line.strip() for line in _read_lines(path, f"DOI file {path}") if line.strip()]
+    return [line.strip() for line in read_lines(path, f"DOI file {path}", EcomineError) if line.strip()]
 
 
 def resolve_config(args: argparse.Namespace) -> CliConfig:

@@ -238,7 +238,7 @@ def parse_json_lines(
     """Parse each non-blank line as JSON through convert; a failure, or text
     UTF-8 cannot encode anywhere in the line's value, raises ``error``
     naming source and line. Lines end at "\n" only, never at U+2028: split
-    text on "\n", or iterate a file opened with newline="\n"."""
+    text on "\n", or read a file with read_lines."""
     converted = []
     for number, line in enumerate(lines, first):
         if line.strip():
@@ -249,29 +249,33 @@ def parse_json_lines(
     return converted
 
 
+def read_lines(
+    path: str | Path, source: str, error: type[EcomineError], torn: Callable[[int], object] | None = None
+) -> Iterator[str]:
+    """The lines of a UTF-8 file, split at b"\n" only and each decoded on
+    its own with its "\n", so a byte UTF-8 cannot decode raises ``error``
+    naming source, line and the position in that line. Given torn, an
+    unterminated last line is never decoded (a tear can fall inside a
+    character): torn gets its byte offset instead."""
+    with Path(path).open("rb") as handle:
+        offset = 0
+        for number, line in enumerate(handle, 1):
+            if torn is not None and not line.endswith(b"\n"):
+                torn(offset)
+                return
+            offset += len(line)
+            try:
+                yield line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{source}, line {number}: {type(exc).__name__}: {exc}") from exc
+
+
 def read_json_lines(
     path: str | Path, source: str, error: type[EcomineError], convert: Callable[[object], T]
 ) -> list[T]:
-    """parse_json_lines over a UTF-8 file read line by line; a byte UTF-8
-    cannot decode raises ``error`` naming source and line."""
-    try:
-        with Path(path).open(encoding="utf-8", newline="\n") as lines:
-            return parse_json_lines(lines, source, error, convert)
-    except UnicodeDecodeError as exc:
-        raise error(f"{source}, {undecodable_line(path)}") from exc
-
-
-def undecodable_line(path: str | Path) -> str:
-    """"line N: <decode error>" for the first line of path UTF-8 cannot
-    decode. Reading decodes whole chunks, so its error names neither line
-    nor line offset; the error path reads the file again, as bytes."""
-    with Path(path).open("rb") as handle:
-        for number, line in enumerate(handle, 1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return f"line {number}: {type(exc).__name__}: {exc}"
-    return "no longer undecodable"
+    """parse_json_lines over read_lines, so the first faulty line in file
+    order, undecodable or not, is the one named."""
+    return parse_json_lines(read_lines(path, source, error), source, error, convert)
 
 
 def loads_utf8(text: str) -> object:

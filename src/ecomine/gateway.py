@@ -74,12 +74,17 @@ class RateLimitPolicy:
     def __post_init__(self) -> None:
         if self.max_requests_per_window <= 0:
             raise ValueError("max_requests_per_window must be positive")
-        if not (math.isfinite(self.window) and self.window > 0):
-            raise ValueError(f"window must be finite and positive, got {self.window}")
+        require_finite_positive("window", self.window)
         if self.max_retries <= 0:
             raise ValueError("max_retries must be positive")
-        if not (math.isfinite(self.backoff_base) and self.backoff_base > 0):
-            raise ValueError(f"backoff_base must be finite and positive, got {self.backoff_base}")
+        require_finite_positive("backoff_base", self.backoff_base)
+
+
+def require_finite_positive(name: str, value: float) -> None:
+    """Refuse NaN, infinity, zero and negatives, which float() makes of
+    config or environment text such as "nan" or "inf"."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 class SlidingWindowRateLimiter:
@@ -269,6 +274,7 @@ class HttpChatProvider:
         timeout: float = 120.0,
         session: requests.Session | None = None,
     ) -> None:
+        require_finite_positive("timeout", timeout)
         import requests  # here, not at module top: offline runs never load the HTTP stack
 
         self.endpoint = endpoint

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .corpus import CorpusStore, PaperRecord, decode, normalize_doi
 from .errors import CorpusError, EcomineError, PartialIngestError, RetryableTransportError, TransportError
-from .gateway import call_with_retries, fan_out
+from .gateway import call_with_retries, fan_out, require_finite_positive
 
 if TYPE_CHECKING:
     import requests
@@ -64,6 +64,8 @@ class HttpHarvestClient:
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
+        require_finite_positive("timeout", timeout)
+        require_finite_positive("backoff_base", backoff_base)  # ingest builds no RateLimitPolicy to check it
         import requests  # here, not at module top: offline runs never load the HTTP stack
 
         self.base_url = base_url.rstrip("/")

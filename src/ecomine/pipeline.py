@@ -21,7 +21,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Collection, Sequence
 
-from .corpus import CorpusStore, PaperRecord, atomic_write_text, decode, parse_json_lines, read_json_lines, undecodable_line
+from .corpus import CorpusStore, PaperRecord, atomic_write_text, decode, parse_json_lines, read_json_lines, read_lines
 from .errors import (
     CheckpointError,
     CorpusError,
@@ -141,8 +141,11 @@ class Checkpoint:
             except ValueError:
                 text, cut = data.decode("utf-8"), len(data)
                 doc, end = json.JSONDecoder().raw_decode(text, len(text) - len(text.lstrip()))
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"checkpoint {path}, {undecodable_line(path)}") from exc
+        except UnicodeDecodeError as exc:  # name the line, and the position in it, as read_lines does
+            start = data.rfind(b"\n", 0, exc.start) + 1
+            where = UnicodeDecodeError(exc.encoding, data[start:], exc.start - start, exc.end - start, exc.reason)
+            line = data.count(b"\n", 0, start) + 1
+            raise CheckpointError(f"checkpoint {path}, line {line}: UnicodeDecodeError: {where}") from exc
         except (OSError, ValueError) as exc:
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
         try:
@@ -258,6 +261,10 @@ def run_generalize(
     accidents. chosen_index follows the human selection input when
     given, else 0.
     """
+    if selection is not None and not 0 <= selection <= config.generalize_variants:
+        raise StageFailure(
+            f"variant selection {selection} out of range (at most {config.generalize_variants + 1} variants)"
+        )
     oracle_schema, merge_report = merge_candidates(candidates)
     variants = [oracle_schema]
     raw_responses: list[str] = []
@@ -309,8 +316,10 @@ def run_extract(
     the checkpoint, so a rerun with the same checkpoint resumes where
     even a killed run left off. After a hard gateway failure no further
     call starts; responses already returned are committed, then the
-    checkpoint is compacted and the failure re-raised. On completion
-    the results file is compacted to one DOI-sorted line per paper.
+    checkpoint is compacted and the failure re-raised. The lines earlier
+    runs left are read, and checked against the checkpoint, before the
+    first call; on completion they and this run's lines are written back
+    as one DOI-sorted line per paper.
     """
     system = build_extract_system_prompt(schema)  # validates the schema
     fingerprint = schema_fingerprint(schema)
@@ -325,14 +334,19 @@ def run_extract(
                 "checkpoint was written under a different schema; refusing to mix schemas"
             )
 
+    results_path = Path(results_path)
+    results_path.parent.mkdir(parents=True, exist_ok=True)
+    lines = _read_results(results_path) if results_path.exists() else {}  # DOI -> results line; the last wins
+    if unlisted := (checkpoint.completed | checkpoint.out_of_scope) - lines.keys():
+        raise CheckpointError(
+            f"checkpoint {checkpoint_path} lists {len(unlisted)} DOI(s) with no line in results file "
+            f"{results_path}, the lowest {min(unlisted)}; restore that results file or remove the checkpoint"
+        )
+
     eligible = [record for record in store.available_records() if record.abstract]
     done = checkpoint.processed()
     todo = [record for record in eligible if record.doi not in done]
     logger.info("extract: %d eligible, %d already processed", len(eligible), len(eligible) - len(todo))
-
-    results_path = Path(results_path)
-    results_path.parent.mkdir(parents=True, exist_ok=True)
-    earlier = _cut_torn_tail(results_path) if results_path.exists() else 0
 
     journal = None
     if checkpoint_path is not None:
@@ -351,7 +365,6 @@ def run_extract(
     def call(record: PaperRecord) -> str:
         return gateway.complete(PromptPair(system, build_paper_user_prompt(record))).raw_text
 
-    written: dict[str, str] = {}  # DOI -> the results line this run appended for it
     failure: TransportError | None = None
     try:
         with results_path.open("a", encoding="utf-8") as sink, closing(
@@ -377,7 +390,7 @@ def run_extract(
                     logger.warning("quarantining extract response for %s", doi)
                     commit(doi, "quarantined", str(exc))
                 else:
-                    written[doi] = line
+                    lines[doi] = line
                     sink.write(line + "\n")
                     sink.flush()
                     commit(doi, "out_of_scope" if result.status == "out_of_scope" else "completed")
@@ -389,7 +402,7 @@ def run_extract(
     if failure is not None:
         raise failure
 
-    _compact_results(results_path, earlier, written)
+    _compact_results(results_path, lines)
     return ExtractionRunSummary(
         processed=len(checkpoint.processed()),
         extracted=len(checkpoint.completed),
@@ -398,43 +411,22 @@ def run_extract(
     )
 
 
-def _cut_torn_tail(path: Path) -> int:
-    """Truncate an unterminated last line, which a kill mid-write leaves,
-    so the next append starts a fresh line instead of gluing onto it;
-    returns the size of what is left."""
-    with path.open("rb+") as handle:
-        size = cut = handle.seek(0, os.SEEK_END)
-        while cut > 0:
-            start = max(0, cut - 4096)
-            handle.seek(start)
-            newline = handle.read(cut - start).rfind(b"\n")
-            if newline >= 0:
-                cut = start + newline + 1
-                break
-            cut = start
-        if cut < size:
-            logger.warning("%s: dropping torn last line at byte offset %d", path, cut)
-            handle.truncate(cut)
-        return cut
+def _read_results(path: Path) -> dict[str, str]:
+    """Each result earlier runs left, by DOI, decoded and serialised again, so
+    a bad line is named before any provider call. An unterminated last line,
+    which a kill mid-write leaves, is truncated so the next append starts a
+    fresh line instead of gluing onto it."""
+    source, torn = f"results file {path}", []
+    lines = read_lines(path, source, CorpusError, torn.append)
+    results = parse_json_lines(lines, source, CorpusError, result_from_dict)
+    if torn:
+        logger.warning("%s: dropping torn last line at byte offset %d", path, torn[0])
+        os.truncate(path, torn[0])
+    return {result.paper_doi: serialize_result(result) for result in results}
 
 
-def _compact_results(path: Path, earlier: int, written: dict[str, str]) -> None:
-    """Rewrite the append-only results file as one sorted line per DOI.
-
-    Only the first ``earlier`` bytes, the lines earlier runs left, are read
-    back; each is decoded, so a bad one is named, and serialised again.
-    written, this run's lines by DOI, overlays them: the last line wins.
-    """
-    lines: dict[str, str] = {}
-    if earlier:
-        with path.open("rb") as handle:
-            try:
-                earlier_lines = handle.read(earlier).decode("utf-8").split("\n")
-            except UnicodeDecodeError as exc:
-                raise CorpusError(f"results file {path}, {undecodable_line(path)}") from exc
-        for result in parse_json_lines(earlier_lines, f"results file {path}", CorpusError, result_from_dict):
-            lines[result.paper_doi] = serialize_result(result)
-    lines.update(written)
+def _compact_results(path: Path, lines: dict[str, str]) -> None:
+    """Rewrite the append-only results file as one sorted line per DOI."""
     atomic_write_text(path, "".join(lines[doi] + "\n" for doi in sorted(lines)))
 
 

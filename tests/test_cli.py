@@ -198,7 +198,9 @@ class TestUndecodableInput:
     )
     def test_exit_1_names_file_and_line(self, tmp_path, corpus_path, capsys, command):
         bad = tmp_path / "bad.jsonl"
-        bad.write_bytes(b'{"doi": "10.1/a", "status": "extracted"}\n{"doi": "10.1/b\xff", "status": "extracted"}\n')
+        bad.write_bytes(
+            b'{"doi": "10.1/a", "status": "extracted", "blocks": {}}\n{"doi": "10.1/b\xff", "status": "extracted"}\n'
+        )
         schema = tmp_path / "schema.json"
         schema.write_text(schema_to_json(standard_schema()) + "\n", encoding="utf-8")
         argv = {
@@ -459,6 +461,34 @@ class TestConfigPrecedence:
         assert code == 1
         assert "must be finite and positive" in err and err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [(command, "timeout", value) for command in ("ingest", "extract") for value in ("inf", "nan", "-1", "0")]
+        + [("ingest", "backoff_base", "inf"), ("ingest", "backoff_base", "nan")],
+    )
+    def test_http_client_setting_must_be_finite_and_positive(
+        self, corpus_path, tmp_path, monkeypatch, capsys, command, key, value
+    ):
+        # an infinite timeout, or an infinite backoff on ingest's first retry, ended in an OverflowError traceback;
+        # nan and -1 failed at the first request or retry, with a message that named no key
+        monkeypatch.setenv(f"ECOMINE_{key.upper()}", value)
+        monkeypatch.setenv("ECOMINE_API_KEY", "k")
+        dois = tmp_path / "dois.txt"
+        dois.write_text("10.9/one\n")
+        schema = tmp_path / "schema.json"
+        schema.write_text(schema_to_json(standard_schema()), encoding="utf-8")
+        argv = {
+            "ingest": ["--corpus", tmp_path / "c.jsonl", "ingest", "--dois", dois, "--base-url", "http://127.0.0.1:9"],
+            "extract": ["--corpus", corpus_path, "--provider", "endpoint", "--endpoint", "http://127.0.0.1:9/v1",
+                        "extract", "--schema", schema, "--results", tmp_path / "r.jsonl"],
+        }[command]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {key} must be finite and positive, got {float(value)}"
+        ]
 
     def test_endpoint_provider_requires_credential(self, corpus_path, monkeypatch, capsys):
         monkeypatch.delenv("ECOMINE_API_KEY", raising=False)

@@ -13,6 +13,7 @@ from ecomine.gateway import (
     RateLimitPolicy,
     SlidingWindowRateLimiter,
 )
+from ecomine.harvest import HttpHarvestClient
 from ecomine.mockllm import MockProvider
 
 VALID_SYSTEM = "Role:\nassistant\n\nTask instruction:\ndo the task\n\nOutput format:\nJSON\n"
@@ -78,6 +79,26 @@ class TestRateLimitPolicy:
     def test_rejects_non_finite(self, kwargs):
         with pytest.raises(ValueError, match="must be finite and positive"):
             RateLimitPolicy(**kwargs)
+
+
+class TestTimeout:
+    @pytest.mark.parametrize("timeout", [math.inf, math.nan, -1.0, 0.0])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda timeout: HttpChatProvider("http://127.0.0.1:9/v1", "m", timeout=timeout),
+            lambda timeout: HttpHarvestClient("http://127.0.0.1:9", timeout=timeout),
+        ],
+        ids=["chat", "harvest"],
+    )
+    def test_rejects_non_finite_or_non_positive(self, make, timeout):
+        with pytest.raises(ValueError, match=f"timeout must be finite and positive, got {timeout}"):
+            make(timeout)
+
+    @pytest.mark.parametrize("backoff_base", [math.inf, math.nan, 0.0])
+    def test_harvest_client_rejects_non_finite_or_non_positive_backoff(self, backoff_base):
+        with pytest.raises(ValueError, match=f"backoff_base must be finite and positive, got {backoff_base}"):
+            HttpHarvestClient("http://127.0.0.1:9", backoff_base=backoff_base)
 
 
 class TestComplete:

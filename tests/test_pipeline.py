@@ -188,6 +188,18 @@ class TestGeneralize:
         with pytest.raises(StageFailure):
             run_generalize(nine_candidates, make_config(), mock_gateway, selection=9)
 
+    @pytest.mark.parametrize("selection", [99, -1, 4])
+    def test_selection_out_of_range_refused_before_any_call(self, nine_candidates, mock_gateway, selection):
+        # checked only after the calls, a selection no variant could have made all 3 of them first
+        counting = FailAfter(mock_gateway, allow=10_000)
+        with pytest.raises(StageFailure, match=f"variant selection {selection} out of range"):
+            run_generalize(nine_candidates, make_config(), counting, selection=selection)
+        assert counting.calls == 0
+
+    def test_selection_made_unreachable_by_a_discarded_variant(self, nine_candidates, mock_gateway):
+        with pytest.raises(StageFailure, match=r"variant selection 3 out of range \(have 3 variants\)"):
+            run_generalize(nine_candidates, make_config(), FirstReply("garbage", mock_gateway), selection=3)
+
     def test_selected_variant_binds_checkpoint_fingerprint(
         self, nine_candidates, sample_store, mock_gateway, tmp_path
     ):
@@ -506,6 +518,22 @@ class TestFileLoaders:
         with pytest.raises(CorpusError, match=re.escape(f"{path}, line 2001: UnicodeDecodeError")):
             loader(path)
 
+    @pytest.mark.parametrize("loader", [load_results, load_candidates, CorpusStore.load])
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (b'[1]\n{"doi": "10.1/b\xff"}\n', "line 1: TypeError"),
+            (b'{"doi": "10.1/a\xff"}\n[1]\n', "line 1: UnicodeDecodeError"),
+        ],
+        ids=["malformed-then-undecodable", "undecodable-then-malformed"],
+    )
+    def test_first_faulty_line_is_named(self, tmp_path, loader, text, named):
+        # decoded a read chunk at a time, an undecodable byte on line 2 was named before a malformed line 1
+        path = tmp_path / "input.jsonl"
+        path.write_bytes(text)
+        with pytest.raises(CorpusError, match=re.escape(f"{path}, {named}")):
+            loader(path)
+
     def test_load_results_keeps_unicode_line_boundaries(self, tmp_path):
         path = tmp_path / "results.jsonl"
         result = result_from_dict({"doi": "10.1/a", "species": [{"name": "Acacia\u2028dealbata"}]})
@@ -757,6 +785,51 @@ class TestTornWrites:
             journal.write(delta[: delta.index("Ä".encode()) + 1])
         assert Checkpoint.load(path).processed() == {"10.1/a"}
         assert f"{path}: dropping torn last line at byte offset {offset}" in caplog.text
+
+    def test_results_line_torn_inside_a_character_is_dropped(self, sample_store, mock_gateway, tmp_path, caplog):
+        _, baseline_results, _ = self.run_full(sample_store, mock_gateway, tmp_path, name="baseline")
+        results, checkpoint = self.interrupted(sample_store, mock_gateway, tmp_path)
+        offset = results.stat().st_size
+        line = serialize_result(result_from_dict({"doi": "10.5555/ecomine.0019", "species": [{"name": "Ä"}]})).encode()
+        with results.open("ab") as handle:
+            handle.write(line[: line.index("Ä".encode()) + 1])
+        summary = self.resume(sample_store, mock_gateway, results, checkpoint)
+        assert (summary.extracted, summary.out_of_scope, summary.quarantined) == (17, 3, 0)
+        assert results.read_bytes() == baseline_results.read_bytes()
+        assert f"{results}: dropping torn last line at byte offset {offset}" in caplog.text
+
+    def test_malformed_earlier_results_line_fails_before_any_call(self, sample_store, mock_gateway, tmp_path):
+        # read back only at compaction, it failed the run after all 20 provider calls, and every rerun too
+        results = tmp_path / "r.jsonl"
+        results.write_text('{"doi": "10.1/a", "status": "extracted"}\n{"doi": "10.1/b",\n', encoding="utf-8")
+        counting = FailAfter(mock_gateway, allow=10_000)
+        with pytest.raises(CorpusError, match=rf"results file {re.escape(str(results))}, line 2\b"):
+            run_extract(sample_store, standard_schema(), make_config(), counting, results_path=results)
+        assert counting.calls == 0
+
+    @pytest.mark.parametrize("kept", [0, 18])
+    def test_checkpoint_dois_without_results_lines_refused(self, sample_store, mock_gateway, tmp_path, kept):
+        # with its results file gone, the rerun made no call, reported 17 extracted and left an empty file
+        _, results, checkpoint = self.run_full(sample_store, mock_gateway, tmp_path)
+        lines = results.read_text(encoding="utf-8").splitlines(keepends=True)
+        results.write_text("".join(lines[-kept:] if kept else []), encoding="utf-8")
+        saved = checkpoint.read_bytes()
+        counting = FailAfter(mock_gateway, allow=10_000)
+        named = (
+            f"checkpoint {checkpoint} lists {20 - kept} DOI(s) with no line in results file {results}, "
+            "the lowest 10.5555/ecomine.0001; restore that results file or remove the checkpoint"
+        )
+        with pytest.raises(CheckpointError, match=re.escape(named)):
+            self.resume(sample_store, counting, results, checkpoint)
+        assert counting.calls == 0
+        assert checkpoint.read_bytes() == saved
+
+    def test_quarantined_dois_need_no_results_line(self, sample_store, mock_gateway, tmp_path):
+        results, checkpoint = tmp_path / "q.jsonl", tmp_path / "q.ckpt.json"
+        seed_format(checkpoint, quarantined={"10.5555/ecomine.0001": "unpromptable"})
+        counting = FailAfter(mock_gateway, allow=10_000)
+        summary = self.resume(sample_store, counting, results, checkpoint)
+        assert (counting.calls, summary.processed, summary.quarantined) == (19, 20, 1)
 
     def test_undecodable_byte_in_a_delta_names_its_line(self, tmp_path):
         path = tmp_path / "bad.ckpt.json"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecomine.harvest import FixtureHarvestClient, fixture_filename
-from ecomine.pipeline import _compact_results, _cut_torn_tail
+from ecomine.pipeline import _compact_results, _read_results
 from ecomine.schema import (
     RESULT_BLOCKS,
     ExtractionResult,
@@ -76,14 +76,13 @@ def test_compaction_matches_decode_everything_reference(earlier, torn, run):
         path = Path(directory) / "results.jsonl"
         tail = serialize_result(ExtractionResult(paper_doi="10.1/torn"))[:torn]
         path.write_text("".join(line + "\n" for line in earlier) + tail, encoding="utf-8")
-        size = _cut_torn_tail(path)
-        written = {}
+        lines = _read_results(path)
         with path.open("a", encoding="utf-8") as sink:
             for result in run:
-                line = written[result.paper_doi] = serialize_result(result)
+                line = lines[result.paper_doi] = serialize_result(result)
                 sink.write(line + "\n")
         expected = _ref_compact(path).encode("utf-8")
-        _compact_results(path, size, written)
+        _compact_results(path, lines)
         assert path.read_bytes() == expected
 
 
