@@ -214,6 +214,8 @@ def fan_out(
     (or, on close, awaited). Items therefore start in iteration order,
     and the items that started are a prefix of items.
     """
+    if parallelism < 1:
+        raise ValueError("parallelism must be at least 1")  # no thread would start, and no item be processed
     source = iter(items)
     lock = threading.Lock()
     finished: queue.SimpleQueue = queue.SimpleQueue()
@@ -239,7 +241,7 @@ def fan_out(
         finally:
             finished.put(None)
 
-    threads = [threading.Thread(target=worker) for _ in range(max(1, parallelism))]
+    threads = [threading.Thread(target=worker) for _ in range(parallelism)]
     for thread in threads:
         thread.start()
     try:

@@ -65,7 +65,9 @@ class HttpHarvestClient:
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         require_finite_positive("timeout", timeout)
-        require_finite_positive("backoff_base", backoff_base)  # ingest builds no RateLimitPolicy to check it
+        require_finite_positive("backoff_base", backoff_base)  # ingest builds no RateLimitPolicy to check these
+        if max_retries <= 0:
+            raise ValueError("max_retries must be positive")
         import requests  # here, not at module top: offline runs never load the HTTP stack
 
         self.base_url = base_url.rstrip("/")

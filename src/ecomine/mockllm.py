@@ -53,6 +53,13 @@ class MockProvider:
 
     def __init__(self, rulebook: dict | None = None) -> None:
         self.rulebook = rulebook if rulebook is not None else load_rulebook()
+        # Kind -> (name, lowercase form if ASCII, boundary pattern, attributes)
+        # in name order; each pattern compiles on first use, through re's cache.
+        self._gazetteer: dict[str, list[tuple[str, str | None, str, dict]]] = {kind: [] for kind in _PROPOSALS}
+        for kind, table in self._gazetteer.items():
+            for name, attrs in sorted(self.rulebook.get(kind, {}).items()):
+                pattern = rf"(?<![A-Za-z0-9]){re.escape(name)}(?![A-Za-z0-9])"
+                table.append((name, name.lower() if name.isascii() else None, pattern, attrs))
 
     def send(self, system: str, user: str, deterministic: bool = True) -> str:
         if "semantic modeling" in system:
@@ -131,19 +138,16 @@ class MockProvider:
         return {kind: self._match(text, kind) for kind in _PROPOSALS}
 
     def _match(self, text: str, kind: str) -> list[dict]:
-        # A lowercase substring test cannot miss a match when text and name
-        # are both ASCII; Unicode case folding (ſ, ı, İ, the Kelvin sign)
-        # needs the regex.
+        # When text and name are both ASCII, lower() keeps every index, so the
+        # first lowercase hit is the earliest place a match can start (the
+        # lookbehind still sees the text before it). Unicode case folding
+        # (ſ, ı, İ, the Kelvin sign) needs the regex over the whole text.
         folded = text.lower() if text.isascii() else None
         entries = []
-        for name in sorted(self.rulebook.get(kind, {})):
-            if folded is not None and name.isascii() and name.lower() not in folded:
-                continue
-            pattern = rf"(?<![A-Za-z0-9]){re.escape(name)}(?![A-Za-z0-9])"
-            if re.search(pattern, text, re.IGNORECASE):
-                entry = {"name": name}
-                entry.update(self.rulebook[kind][name])
-                entries.append(entry)
+        for name, lowered, pattern, attrs in self._gazetteer[kind]:
+            start = folded.find(lowered) if folded is not None and lowered is not None else 0
+            if start >= 0 and re.compile(pattern, re.IGNORECASE).search(text, start):
+                entries.append({"name": name, **attrs})
         return entries
 
     @staticmethod

@@ -12,7 +12,7 @@ import pytest
 import ecomine
 from conftest import SAMPLE_CORPUS
 from ecomine import analytics, cli
-from ecomine.harvest import fixture_filename
+from ecomine.harvest import FixtureHarvestClient, HttpHarvestClient, fixture_filename
 from ecomine.mockllm import MockProvider
 from ecomine.pipeline import load_results
 from ecomine.schema import schema_fingerprint, schema_to_json, standard_schema
@@ -250,7 +250,8 @@ class TestIngest:
         state.hard_fail_dois = {"10.9/fail"}
         state.delay = 0.05  # the failure answers while the three fetches are still in flight
         (tmp_path / "dois.txt").write_text("\n".join(dois) + "\n")
-        monkeypatch.setenv("ECOMINE_MAX_RETRIES", "0")
+        monkeypatch.setenv("ECOMINE_MAX_RETRIES", "1")  # the least budget; one quick retry, then the failure
+        monkeypatch.setenv("ECOMINE_BACKOFF_BASE", "0.001")
         corpus = tmp_path / "harvested.jsonl"
 
         code = run_cli(
@@ -263,6 +264,49 @@ class TestIngest:
         assert "ingest aborted at 10.9/fail" in err
         assert [json.loads(line)["doi"] for line in corpus.read_text().splitlines()] == dois[:3]
         assert corpus.with_suffix(".skipped.log").read_text() == ""
+
+    @pytest.mark.parametrize(
+        "flags, env, message",
+        [
+            (["--parallelism", "0"], {}, "parallelism must be at least 1"),
+            (["--parallelism", "-3"], {}, "parallelism must be at least 1"),
+            ([], {"ECOMINE_MAX_RETRIES": "0"}, "max_retries must be positive"),
+            ([], {"ECOMINE_MAX_RETRIES": "-2"}, "max_retries must be positive"),
+        ],
+        ids=["parallelism-0", "parallelism-minus-3", "max-retries-0", "max-retries-minus-2"],
+    )
+    def test_refuses_what_extract_refuses_before_any_fetch(
+        self, tmp_path, corpus_path, monkeypatch, capsys, flags, env, message
+    ):
+        # ingest ran on one thread at parallelism 0 or below, and made one attempt at max_retries 0 or below
+        def refuse(*_):
+            raise AssertionError("fetch or provider call made")
+
+        monkeypatch.setattr(FixtureHarvestClient, "fetch", refuse)
+        monkeypatch.setattr(HttpHarvestClient, "fetch", refuse)
+        monkeypatch.setattr(MockProvider, "send", refuse)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "10.9_one.json").write_text(json.dumps({"title": "One", "abstract": "a b"}))
+        dois = tmp_path / "dois.txt"
+        dois.write_text("10.9/one\n")
+        schema = tmp_path / "schema.json"
+        schema.write_text(schema_to_json(standard_schema()), encoding="utf-8")
+        corpus = tmp_path / "harvested.jsonl"
+        source = ["--fixtures", fixtures] if flags else ["--base-url", "http://127.0.0.1:9"]
+        errors = []
+        for argv in (
+            ["--corpus", corpus, *flags, "ingest", "--dois", dois, *source],
+            ["--corpus", corpus_path, *flags, "extract", "--schema", schema, "--results", tmp_path / "r.jsonl"],
+        ):
+            assert run_cli(*argv) == 1
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            errors.append([line for line in err.splitlines() if line.startswith("error:")])
+        assert errors[0] == errors[1] == [f"error: {message}"]
+        assert not corpus.exists() and not corpus.with_suffix(".skipped.log").exists()
 
 
 class TestWorkflow:

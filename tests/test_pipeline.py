@@ -511,7 +511,7 @@ class TestFileLoaders:
 
     @pytest.mark.parametrize("loader", [load_results, load_candidates, CorpusStore.load])
     def test_undecodable_byte_names_file_and_line(self, tmp_path, loader):
-        # the byte sits past the first read chunk, so the line is found by reading again
+        # the byte sits deep in the file; each line is decoded on its own in the one read, so its line is named
         path = tmp_path / "input.jsonl"
         line = b'{"doi": "10.1/a", "blocks": {}}\n'
         path.write_bytes(line * 2000 + b'{"doi": "10.1/b\xff"}\n' + line)
