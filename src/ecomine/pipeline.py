@@ -1,8 +1,8 @@
 """Stage orchestration: specialize, generalize, extract.
 
-The extract stage is built for multi-day batches: per-paper results are
-appended to a results file as they commit, each commit is journalled
-to the checkpoint file as a one-line delta, and a fingerprint of the
+The extract stage is built for multi-day batches: a paper commits when its
+result is appended to a results file, or, quarantined, when a one-line
+delta is journalled to the checkpoint file, and a fingerprint of the
 schema in force binds checkpoint and results together so a resumed run
 can never mix schemas. Workers only call the gateway; parsing and persistence happen
 on the calling thread (single writer).
@@ -82,10 +82,12 @@ class Checkpoint:
     """Resumable extract-stage state.
 
     On disk: one checkpoint document, then zero or more one-line deltas
-    ``{"doi", "status"[, "reason"]}`` appended as papers commit, where
-    status names the set the DOI joins. A line counts once its newline
-    is written; an unterminated last line is a torn write and is
+    ``{"doi", "status"[, "reason"]}``, where status names the set the DOI
+    joins; extract appends them for quarantines only. A line counts once its
+    newline is written; an unterminated last line is a torn write and is
     dropped. ``save`` compacts everything into a single document.
+    results_lines, set only in the document an extract run opens with,
+    counts the results its results file held: each later one is a commit.
     """
 
     stage: str
@@ -93,10 +95,13 @@ class Checkpoint:
     completed: set[str] = field(default_factory=set)
     out_of_scope: set[str] = field(default_factory=set)
     quarantined: dict[str, str] = field(default_factory=dict)
+    results_lines: int | None = None
 
     def __post_init__(self) -> None:
         if "" in self.completed or "" in self.out_of_scope or "" in self.quarantined:
             raise CheckpointError("checkpoint DOIs must be non-empty")
+        if self.results_lines is not None and self.results_lines < 0:
+            raise CheckpointError(f"'results_lines' must be a non-negative integer, got {self.results_lines}")
 
     def processed(self) -> set[str]:
         return self.completed | self.out_of_scope | set(self.quarantined)
@@ -125,27 +130,20 @@ class Checkpoint:
             "out_of_scope": sorted(self.out_of_scope),
             "quarantined": self.quarantined,
         }
+        if self.results_lines is not None:
+            doc["results_lines"] = self.results_lines
         atomic_write_text(Path(path), json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
+        source, torn, decoder = f"checkpoint {path}", [], json.JSONDecoder()
         try:
-            data = Path(path).read_bytes()
-            # The bytes past cut are an unterminated last line: a torn delta, left
-            # undecoded because a tear can fall inside a character, unless the
-            # document itself ends there without a newline.
-            cut = data.rfind(b"\n") + 1
-            text = data[:cut].decode("utf-8")
-            try:
-                doc, end = json.JSONDecoder().raw_decode(text, len(text) - len(text.lstrip()))
-            except ValueError:
-                text, cut = data.decode("utf-8"), len(data)
-                doc, end = json.JSONDecoder().raw_decode(text, len(text) - len(text.lstrip()))
-        except UnicodeDecodeError as exc:  # name the line, and the position in it, as read_lines does
-            start = data.rfind(b"\n", 0, exc.start) + 1
-            where = UnicodeDecodeError(exc.encoding, data[start:], exc.start - start, exc.end - start, exc.reason)
-            line = data.count(b"\n", 0, start) + 1
-            raise CheckpointError(f"checkpoint {path}, line {line}: UnicodeDecodeError: {where}") from exc
+            try:  # an unterminated last line is a torn delta, left undecoded: a tear can fall inside a character
+                text = "".join(read_lines(path, source, CheckpointError, torn.append))
+                doc, end = decoder.raw_decode(text, len(text) - len(text.lstrip()))
+            except ValueError:  # unless the document itself ends there without a newline
+                text, torn = "".join(read_lines(path, source, CheckpointError)), []
+                doc, end = decoder.raw_decode(text, len(text) - len(text.lstrip()))
         except (OSError, ValueError) as exc:
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
         try:
@@ -153,9 +151,9 @@ class Checkpoint:
         except (KeyError, TypeError, CheckpointError) as exc:
             raise CheckpointError(f"checkpoint {path}: {type(exc).__name__}: {exc}") from exc
         first_line = text.count("\n", 0, end) + 1
-        parse_json_lines(text[end:].split("\n"), f"checkpoint {path}", CheckpointError, checkpoint.apply, first_line)
-        if data[cut:].strip():
-            logger.warning("%s: dropping torn last line at byte offset %d", path, cut)
+        parse_json_lines(text[end:].split("\n"), source, CheckpointError, checkpoint.apply, first_line)
+        if torn:
+            logger.warning("%s: dropping torn last line at byte offset %d", path, torn[0])
         sets = [("completed", checkpoint.completed), ("out_of_scope", checkpoint.out_of_scope)]
         for (one, a), (other, b) in combinations([*sets, ("quarantined", checkpoint.quarantined.keys())], 2):
             if both := a & b:
@@ -311,10 +309,10 @@ def run_extract(
     """Apply the standardized schema to every paper with an abstract.
 
     Every eligible paper ends up in exactly one of extracted,
-    out_of_scope, or quarantined. Completions are appended to
-    results_path as they commit, and each commit is then journalled to
-    the checkpoint, so a rerun with the same checkpoint resumes where
-    even a killed run left off. After a hard gateway failure no further
+    out_of_scope, or quarantined. A paper commits once its line is
+    appended to results_path, or, quarantined, journalled to the
+    checkpoint, so a rerun with the same checkpoint resumes where even a
+    killed run left off. After a hard gateway failure no further
     call starts; responses already returned are committed, then the
     checkpoint is compacted and the failure re-raised. The lines earlier
     runs left are read, and checked against the checkpoint, before the
@@ -334,9 +332,16 @@ def run_extract(
                 "checkpoint was written under a different schema; refusing to mix schemas"
             )
 
+    def commit(result: ExtractionResult) -> None:  # once its results line is written
+        (checkpoint.out_of_scope if result.status == "out_of_scope" else checkpoint.completed).add(result.paper_doi)
+
     results_path = Path(results_path)
     results_path.parent.mkdir(parents=True, exist_ok=True)
-    lines = _read_results(results_path) if results_path.exists() else {}  # DOI -> results line; the last wins
+    results = _read_results(results_path) if results_path.exists() else []
+    lines = {result.paper_doi: serialize_result(result) for result in results}  # DOI -> results line; the last wins
+    start = len(results) if checkpoint.results_lines is None else checkpoint.results_lines
+    for result in results[start:]:  # the commits of a run killed after its opening document
+        commit(result)
     if unlisted := (checkpoint.completed | checkpoint.out_of_scope) - lines.keys():
         raise CheckpointError(
             f"checkpoint {checkpoint_path} lists {len(unlisted)} DOI(s) with no line in results file "
@@ -350,13 +355,12 @@ def run_extract(
 
     journal = None
     if checkpoint_path is not None:
-        checkpoint.save(checkpoint_path)  # the document the deltas follow
+        checkpoint.results_lines = len(results)  # each result appended past these is a commit of this run
+        checkpoint.save(checkpoint_path)  # the document quarantine deltas follow
         journal = Path(checkpoint_path).open("a", encoding="utf-8")
 
-    def commit(doi: str, status: str, reason: str | None = None) -> None:
-        delta = {"doi": doi, "status": status}
-        if reason is not None:
-            delta["reason"] = reason
+    def quarantine(doi: str, reason: str) -> None:
+        delta = {"doi": doi, "status": "quarantined", "reason": reason}
         checkpoint.apply(delta)
         if journal is not None:
             journal.write(json.dumps(delta, ensure_ascii=False, sort_keys=True) + "\n")
@@ -379,7 +383,7 @@ def run_extract(
                 if isinstance(exc, PromptError):
                     # the paper itself cannot form a prompt; retrying won't help
                     logger.warning("quarantining unpromptable paper %s: %s", doi, exc)
-                    commit(doi, "quarantined", str(exc))
+                    quarantine(doi, str(exc))
                     continue
                 if exc is not None:
                     raise exc
@@ -388,15 +392,16 @@ def run_extract(
                     line = serialize_result(result)
                 except QuarantineError as exc:
                     logger.warning("quarantining extract response for %s", doi)
-                    commit(doi, "quarantined", str(exc))
+                    quarantine(doi, str(exc))
                 else:
                     lines[doi] = line
                     sink.write(line + "\n")
                     sink.flush()
-                    commit(doi, "out_of_scope" if result.status == "out_of_scope" else "completed")
+                    commit(result)
     finally:
         if journal is not None:
             journal.close()
+            checkpoint.results_lines = None  # the exit document lists every commit
             checkpoint.save(checkpoint_path)
 
     if failure is not None:
@@ -411,18 +416,18 @@ def run_extract(
     )
 
 
-def _read_results(path: Path) -> dict[str, str]:
-    """Each result earlier runs left, by DOI, decoded and serialised again, so
-    a bad line is named before any provider call. An unterminated last line,
-    which a kill mid-write leaves, is truncated so the next append starts a
-    fresh line instead of gluing onto it."""
+def _read_results(path: Path) -> list[ExtractionResult]:
+    """Each result earlier runs left, in file order, decoded so a bad line is
+    named before any provider call. An unterminated last line, which a kill
+    mid-write leaves, is truncated so the next append starts a fresh line
+    instead of gluing onto it."""
     source, torn = f"results file {path}", []
     lines = read_lines(path, source, CorpusError, torn.append)
     results = parse_json_lines(lines, source, CorpusError, result_from_dict)
     if torn:
         logger.warning("%s: dropping torn last line at byte offset %d", path, torn[0])
         os.truncate(path, torn[0])
-    return {result.paper_doi: serialize_result(result) for result in results}
+    return results
 
 
 def _compact_results(path: Path, lines: dict[str, str]) -> None:

@@ -1,0 +1,173 @@
+"""Deterministic faults for extract: a provider whose replies follow a
+per-DOI schedule, and a run in a forked child that ends with os._exit at
+one chosen write, so no finally block, flush or atexit hook runs after
+it, as after a SIGKILL.
+
+Fork before the run starts its worker threads: the child calls the run,
+so every thread it starts is its own.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import signal
+import time
+import traceback
+from collections import Counter
+from dataclasses import dataclass
+from pathlib import Path
+
+from ecomine.mockllm import MockProvider
+from ecomine.prompts import build_paper_user_prompt
+
+PROSE = "I am sorry, but I cannot list the entities in this abstract."
+FAULTS = ("prose", "truncated")
+
+#: exit codes of a forked run
+CRASHED, FINISHED, FAILED = 86, 0, 1
+
+#: a forked run still going after this is killed and fails the test
+TIMEOUT_S = 30.0
+
+
+class FaultyProvider:
+    """The mock, except that a DOI the schedule maps to "prose" is answered
+    with prose, and one mapped to "truncated" with the first half of the
+    mock's reply. Both quarantine the paper. Records the DOI of every send."""
+
+    provider_id = "faulty"
+
+    def __init__(self, store, schedule: dict[str, str]) -> None:
+        self.inner = MockProvider()
+        self.schedule = schedule
+        self.doi_of = {build_paper_user_prompt(r): r.doi for r in store.available_records() if r.title and r.abstract}
+        self.sent: list[str] = []
+
+    def send(self, system: str, user: str, deterministic: bool = True) -> str:
+        raw = self.inner.send(system, user, deterministic=deterministic)
+        doi = self.doi_of[user]
+        self.sent.append(doi)
+        fault = self.schedule.get(doi)
+        if fault == "prose":
+            return PROSE
+        if fault == "truncated":
+            return raw[: len(raw) // 2]
+        return raw
+
+
+@dataclass(frozen=True)
+class CrashPoint:
+    """Where a forked run ends.
+
+    - ``("flushed", n)``: right after the n-th results line is flushed;
+    - ``("results" | "journal" | "tmp", n, k)``: after the first k bytes
+      of the n-th write to the results file, the checkpoint journal, or
+      an atomic write's ``.tmp`` file (all of it, if shorter);
+    - ``("replace", n)``: just before the n-th ``os.replace``, of a
+      checkpoint document or of compaction.
+    """
+
+    kind: str
+    n: int
+    k: int = 0
+
+
+class _Writer:
+    """A text file opened for writing that counts writes and flushes."""
+
+    def __init__(self, handle, kind: str, reached) -> None:
+        self.handle, self.kind, self.reached = handle, kind, reached
+
+    def write(self, text: str) -> int:
+        cut = self.reached(self.kind)
+        if cut is not None:
+            self.handle.flush()
+            self.handle.buffer.write(text.encode("utf-8")[:cut])
+            self.handle.buffer.flush()
+            os._exit(CRASHED)
+        return self.handle.write(text)
+
+    def flush(self) -> None:
+        self.handle.flush()
+        if self.kind == "results" and self.reached("flushed") is not None:
+            os._exit(CRASHED)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.handle.close()
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+
+def _install(crash: CrashPoint, results: Path) -> None:
+    """Route the child's file writes and renames through crash's counters:
+    extract writes only the results file, the checkpoint journal and .tmp
+    files."""
+    counts: Counter = Counter()
+    real_open, real_replace = pathlib.Path.open, os.replace
+
+    def reached(kind: str) -> int | None:
+        counts[kind] += 1
+        return crash.k if (kind, counts[kind]) == (crash.kind, crash.n) else None
+
+    def open_(path, mode="r", *args, **kwargs):
+        handle = real_open(path, mode, *args, **kwargs)
+        if not set(mode) & set("wa"):
+            return handle
+        kind = "tmp" if path.name.endswith(".tmp") else "results" if path == results else "journal"
+        return _Writer(handle, kind, reached)
+
+    def replace(src, dst, *args, **kwargs):
+        if reached("replace") is not None:
+            os._exit(CRASHED)
+        return real_replace(src, dst, *args, **kwargs)
+
+    pathlib.Path.open = open_
+    os.replace = replace
+
+
+def run_crashed(crash: CrashPoint, run, results: Path) -> bool:
+    """Call run() in a forked child that ends at crash. True if it ended
+    there, False if the run returned first; a run that raises fails."""
+    pid = os.fork()
+    if pid == 0:
+        code = FINISHED
+        try:
+            _install(crash, Path(results))
+            run()
+        except Exception:
+            traceback.print_exc()
+            code = FAILED
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + TIMEOUT_S
+    while (ended := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise AssertionError(f"forked run still going after {TIMEOUT_S} s")
+        time.sleep(0.001)
+    code = os.waitstatus_to_exitcode(ended[1])
+    assert code in (CRASHED, FINISHED), f"forked run ended with {code}; a traceback is on stderr if it raised"
+    return code == CRASHED
+
+
+def committed(results: Path, checkpoint: Path) -> set[str]:
+    """The DOIs whose record was complete on disk: each results line and
+    journal delta that ends in a newline, and each DOI the checkpoint
+    document lists."""
+    dois = set()
+    if results.exists():
+        dois |= {json.loads(line)["doi"] for line in results.read_bytes().split(b"\n")[:-1] if line.strip()}
+    if checkpoint.exists():
+        data = checkpoint.read_bytes()
+        text = data[: data.rfind(b"\n") + 1].decode("utf-8")
+        doc, end = json.JSONDecoder().raw_decode(text)
+        dois |= {*doc["completed"], *doc["out_of_scope"], *doc["quarantined"]}
+        dois |= {json.loads(line)["doi"] for line in text[end:].splitlines() if line.strip()}
+    return dois

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -43,6 +44,13 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("extract")
         assert excinfo.value.code == 2
+
+    def test_python_dash_m_runs_the_command_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["ecomine", "--help"])
+        with pytest.raises(SystemExit) as excinfo:
+            runpy.run_module("ecomine", run_name="__main__")
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ecomine")
 
 
 class TestStats:

@@ -1,0 +1,126 @@
+"""Extract killed at any write: a forked run ends at one crash point, and a
+resume in this process must finish as an uninterrupted run does."""
+
+import json
+from functools import cache
+from pathlib import Path
+from tempfile import TemporaryDirectory
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import SAMPLE_CORPUS, fast_policy
+from faults import FAULTS, CrashPoint, FaultyProvider, committed, run_crashed
+from ecomine.corpus import CorpusStore
+from ecomine.gateway import LlmGateway
+from ecomine.pipeline import StageConfig, run_extract
+from ecomine.schema import ExtractionResult, serialize_result, standard_schema
+
+STORE = CorpusStore.load(SAMPLE_CORPUS)
+DOIS = [record.doi for record in STORE.available_records()]
+CONFIG = StageConfig(rate_policy=fast_policy(), parallelism=1)  # one worker: each example replays exactly
+
+# About 35 ms per example (forked runs, then the resume) on the 20-paper sample corpus, 2 vCPUs.
+PROPERTY = settings(max_examples=40, deadline=None)
+
+SCHEDULES = st.dictionaries(st.sampled_from(DOIS), st.sampled_from(FAULTS), max_size=6)
+CRASHES = st.one_of(
+    st.builds(CrashPoint, st.just("flushed"), st.integers(1, 21)),
+    st.builds(CrashPoint, st.sampled_from(["results", "journal", "tmp"]), st.integers(1, 22), st.integers(0, 300)),
+    st.builds(CrashPoint, st.just("replace"), st.integers(1, 3)),
+)
+
+
+def extract(provider, directory):
+    gateway = LlmGateway(provider, fast_policy(), sleep=lambda s: None)
+    return run_extract(STORE, standard_schema(), CONFIG, gateway, directory / "r.jsonl", directory / "r.ckpt.json")
+
+
+@cache
+def uninterrupted(schedule):
+    with TemporaryDirectory() as name:
+        directory = Path(name)
+        summary = extract(FaultyProvider(STORE, dict(schedule)), directory)
+        return summary, (directory / "r.jsonl").read_bytes(), (directory / "r.ckpt.json").read_bytes()
+
+
+def crash_then_resume(schedule, crashes, directory):
+    """Run extract once per crash point, each in a forked child that ends
+    there, then resume here; returns what the resume sent and reported, and
+    the DOIs committed on disk before it."""
+    results, checkpoint = directory / "r.jsonl", directory / "r.ckpt.json"
+    for crash in crashes:
+        run_crashed(crash, lambda: extract(FaultyProvider(STORE, schedule), directory), results)
+    before = committed(results, checkpoint)
+    provider = FaultyProvider(STORE, schedule)
+    summary = extract(provider, directory)
+    return provider.sent, summary, before
+
+
+@PROPERTY
+@given(schedule=SCHEDULES, crashes=st.lists(CRASHES, min_size=1, max_size=2))
+def test_resume_after_any_crash_finishes_byte_identically(schedule, crashes):
+    summary, results, checkpoint = uninterrupted(tuple(sorted(schedule.items())))
+    with TemporaryDirectory() as name:
+        directory = Path(name)
+        _, resumed, _ = crash_then_resume(schedule, crashes, directory)
+        assert (directory / "r.jsonl").read_bytes() == results
+        assert (directory / "r.ckpt.json").read_bytes() == checkpoint
+    assert resumed == summary
+    assert resumed.extracted + resumed.out_of_scope + resumed.quarantined == resumed.processed
+
+
+@PROPERTY
+@given(schedule=SCHEDULES, crashes=st.lists(CRASHES, min_size=1, max_size=2))
+@example(schedule={DOIS[2]: "prose"}, crashes=[CrashPoint("flushed", 5)])
+def test_no_committed_doi_is_sent_again(schedule, crashes):
+    with TemporaryDirectory() as name:
+        sent, _, before = crash_then_resume(schedule, crashes, Path(name))
+    assert not before & set(sent)
+    assert len(sent) == len(set(sent))
+
+
+def test_checkpoint_holds_only_the_opening_document_and_quarantine_deltas(tmp_path):
+    schedule = {DOIS[1]: "prose", DOIS[7]: "truncated"}
+    checkpoint = tmp_path / "r.ckpt.json"
+    run = lambda: extract(FaultyProvider(STORE, schedule), tmp_path)  # noqa: E731
+    assert run_crashed(CrashPoint("replace", 2), run, tmp_path / "r.jsonl")  # before the exit document
+
+    text = checkpoint.read_text(encoding="utf-8")
+    document, end = json.JSONDecoder().raw_decode(text)
+    deltas = [json.loads(line) for line in text[end:].splitlines() if line.strip()]
+    assert (document["completed"], document["out_of_scope"], document["quarantined"]) == ([], [], {})
+    assert document["results_lines"] == 0
+    assert [(delta["doi"], delta["status"]) for delta in deltas] == [(DOIS[1], "quarantined"), (DOIS[7], "quarantined")]
+    assert len((tmp_path / "r.jsonl").read_text(encoding="utf-8").splitlines()) == 18
+
+
+def old_lines(path):
+    """A results file left by a run without a checkpoint: every paper out of scope."""
+    path.write_text("".join(serialize_result(ExtractionResult(doi, "out_of_scope")) + "\n" for doi in DOIS))
+
+
+def test_fresh_checkpoint_sends_every_paper_again_and_overlays_old_lines(tmp_path):
+    _, baseline, _ = uninterrupted(())
+    old_lines(tmp_path / "r.jsonl")
+    provider = FaultyProvider(STORE, {})
+    summary = extract(provider, tmp_path)
+    assert sorted(provider.sent) == DOIS
+    assert (summary.extracted, summary.out_of_scope, summary.quarantined) == (17, 3, 0)
+    assert (tmp_path / "r.jsonl").read_bytes() == baseline
+
+
+@pytest.mark.parametrize("kill_after", [1, 5, 13])
+def test_resume_over_old_lines_sends_only_uncommitted_papers(tmp_path, kill_after):
+    _, baseline, _ = uninterrupted(())
+    results = tmp_path / "r.jsonl"
+    old_lines(results)
+    run = lambda: extract(FaultyProvider(STORE, {}), tmp_path)  # noqa: E731
+    assert run_crashed(CrashPoint("flushed", kill_after), run, results)
+
+    provider = FaultyProvider(STORE, {})
+    summary = extract(provider, tmp_path)
+    assert len(provider.sent) == 20 - kill_after
+    assert (summary.extracted, summary.out_of_scope, summary.quarantined) == (17, 3, 0)
+    assert results.read_bytes() == baseline

@@ -703,7 +703,10 @@ class TestCheckpointJournal:
         lines = (tmp_path / "journal.jsonl").read_text(encoding="utf-8").splitlines()
         committed = {json.loads(line)["doi"] for line in lines}
         assert len(committed) == 7
-        assert Checkpoint.load(tmp_path / "journal.ckpt.json").processed() == committed
+        opening = Checkpoint.load(tmp_path / "journal.ckpt.json")
+        # the opening document plus the results lines past its count hold every commit
+        past = {json.loads(line)["doi"] for line in lines[opening.results_lines:]}
+        assert (opening.processed(), opening.results_lines, past) == (set(), 0, committed)
 
         counting = FailAfter(mock_gateway, allow=10_000)
         self.extract(sample_store, counting, tmp_path, "journal")
@@ -851,6 +854,33 @@ class TestTornWrites:
         path.write_text(json.dumps(document, ensure_ascii=False, indent=indent), encoding="utf-8")
         assert Checkpoint.load(path) == checkpoint
         assert "torn" not in caplog.text
+
+    def test_undecodable_byte_in_a_document_without_final_newline_names_its_line(self, tmp_path):
+        path = tmp_path / "bare.ckpt.json"
+        path.write_bytes(b'{"stage": "extract", "schema_fingerprint": "f",\n "completed": ["10.1/a\xff"]}')
+        where = rf"checkpoint {re.escape(str(path))}, line 2: UnicodeDecodeError: .* in position 22\b"
+        with pytest.raises(CheckpointError, match=where):
+            Checkpoint.load(path)
+
+    def test_unterminated_whitespace_is_a_torn_line(self, tmp_path, caplog):
+        path = tmp_path / "blank.ckpt.json"
+        seed_format(path, completed=["10.1/a"])
+        offset = path.stat().st_size
+        with path.open("a", encoding="utf-8") as journal:
+            journal.write("  ")
+        assert Checkpoint.load(path).completed == {"10.1/a"}
+        assert f"{path}: dropping torn last line at byte offset {offset}" in caplog.text
+
+    @pytest.mark.parametrize("count", [-1, "3", 2.5, True, [0]])
+    def test_results_lines_must_be_a_non_negative_integer(self, sample_store, mock_gateway, tmp_path, count):
+        path = tmp_path / "count.ckpt.json"
+        doc = {"stage": "extract", "schema_fingerprint": schema_fingerprint(standard_schema()), "results_lines": count}
+        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        where = rf"checkpoint {re.escape(str(path))}: .*'results_lines' must be"
+        counting = FailAfter(mock_gateway, allow=10_000)
+        with pytest.raises(CheckpointError, match=where):
+            run_extract(sample_store, standard_schema(), make_config(), counting, tmp_path / "count.jsonl", path)
+        assert counting.calls == 0
 
     @pytest.mark.parametrize(
         "fields, delta",

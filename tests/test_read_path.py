@@ -76,7 +76,7 @@ def test_compaction_matches_decode_everything_reference(earlier, torn, run):
         path = Path(directory) / "results.jsonl"
         tail = serialize_result(ExtractionResult(paper_doi="10.1/torn"))[:torn]
         path.write_text("".join(line + "\n" for line in earlier) + tail, encoding="utf-8")
-        lines = _read_results(path)
+        lines = {result.paper_doi: serialize_result(result) for result in _read_results(path)}
         with path.open("a", encoding="utf-8") as sink:
             for result in run:
                 line = lines[result.paper_doi] = serialize_result(result)
