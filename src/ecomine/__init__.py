@@ -49,7 +49,6 @@ from .errors import (
 from .gateway import (
     HttpChatProvider,
     LlmGateway,
-    LlmResponse,
     PromptPair,
     RateLimitPolicy,
     SlidingWindowRateLimiter,

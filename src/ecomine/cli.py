@@ -67,17 +67,21 @@ class CliConfig:
     timeout: float = 60.0
     top: int = 10
 
+    def rate_policy(self) -> RateLimitPolicy:
+        """The retry policy of every remote call, and the rate cap of chat."""
+        return RateLimitPolicy(
+            max_requests_per_window=self.rate_requests,
+            window=self.rate_window,
+            max_retries=self.max_retries,
+            backoff_base=self.backoff_base,
+        )
+
     def stage_config(self) -> StageConfig:
         return StageConfig(
             sample_size=self.sample_size,
             generalize_variants=self.variants,
             parallelism=self.parallelism,
-            rate_policy=RateLimitPolicy(
-                max_requests_per_window=self.rate_requests,
-                window=self.rate_window,
-                max_retries=self.max_retries,
-                backoff_base=self.backoff_base,
-            ),
+            rate_policy=self.rate_policy(),
             rng_seed=self.seed,
         )
 
@@ -152,7 +156,7 @@ def make_gateway(config: CliConfig) -> LlmGateway:
             api_key=os.environ[config.api_key_var],
             timeout=config.timeout,
         )
-    return LlmGateway(provider, config.stage_config().rate_policy)
+    return LlmGateway(provider, config.rate_policy())
 
 
 def _open_store(config: CliConfig, must_exist: bool = True) -> CorpusStore:
@@ -173,11 +177,11 @@ def cmd_ingest(args: argparse.Namespace, config: CliConfig) -> int:
     if config.fixtures:
         client = FixtureHarvestClient(config.fixtures)
     elif config.base_url:
+        # unpaced (see HttpHarvestClient); the policy sets retries and backoff
         client = HttpHarvestClient(
             config.base_url,
+            config.rate_policy(),
             timeout=config.timeout,
-            max_retries=config.max_retries,
-            backoff_base=config.backoff_base,
         )
     else:
         raise EcomineError("ingest needs --fixtures DIR or --base-url URL")
@@ -256,16 +260,10 @@ def cmd_generalize(args: argparse.Namespace, config: CliConfig) -> int:
     for index, schema in enumerate(outcome.variants):
         atomic_write_text(out_dir / f"variant_{index}.json", schema_to_json(schema) + "\n")
     atomic_write_text(out_dir / "chosen.json", schema_to_json(outcome.chosen) + "\n")
-    report = outcome.merge_report
     atomic_write_text(
         out_dir / "merge_report.json",
         json.dumps(
-            {
-                "candidate_count": report.candidate_count,
-                "threshold": report.threshold,
-                "dropped": [list(item) for item in report.dropped],
-                "unmapped_blocks": [list(item) for item in report.unmapped_blocks],
-            },
+            dataclasses.asdict(outcome.merge_report),
             ensure_ascii=False,
             sort_keys=True,
             indent=2,
@@ -416,10 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = resolve_config(args)
         return args.func(args, config)
-    except EcomineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (EcomineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

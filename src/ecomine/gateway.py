@@ -1,9 +1,10 @@
 """Uniform interface to chat-completion providers.
 
-A gateway wraps one provider behind a shared rate limiter and a bounded
-retry loop, so pipeline stages never talk to a transport directly. The
-system prompt discipline (labeled Role / Task instruction / Output
-format sections) is enforced here before any request is dispatched.
+A gateway wraps one provider behind a paced Gate (rate limiter plus the
+bounded retry loop every remote call goes through), so pipeline stages
+never talk to a transport directly. The system prompt discipline
+(labeled Role / Task instruction / Output format sections) is enforced
+here before any request is dispatched.
 """
 
 from __future__ import annotations
@@ -52,16 +53,6 @@ class PromptPair:
                     f"system prompt must contain sections {SYSTEM_SECTIONS} in order; missing or misplaced {label!r}"
                 )
             position = found
-
-
-@dataclass
-class LlmResponse:
-    """One provider response; stages parse raw_text themselves."""
-
-    raw_text: str
-    provider_id: str
-    latency: float
-    attempt_count: int
 
 
 @dataclass
@@ -121,11 +112,66 @@ class SlidingWindowRateLimiter:
                 self._cond.wait(timeout=max(wait, 0.001))
 
 
-class LlmGateway:
-    """Rate-limited, retrying front door to one provider.
+class Gate:
+    """The one retry rule of the package, shared by chat and harvest.
 
-    Safe for concurrent callers; the rate limiter is the shared
-    synchronization point. Configure once, then share the instance.
+    call(attempt, what) runs attempt() at most 1 + policy.max_retries
+    times, retrying only RetryableTransportError and sleeping
+    backoff_base * 2**(k-1) before retry k. A paced gate first takes a
+    grant of the policy's rate cap for every attempt, retries included.
+    Safe for concurrent callers.
+    """
+
+    def __init__(
+        self,
+        policy: RateLimitPolicy | None = None,
+        *,
+        paced: bool = True,
+        sleep: Callable[[float], None] = time.sleep,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        self.policy = policy or RateLimitPolicy()
+        self._sleep = sleep
+        self._limiter = None
+        if paced:
+            self._limiter = SlidingWindowRateLimiter(
+                self.policy.max_requests_per_window, self.policy.window, clock=clock
+            )
+
+    def call(self, attempt: Callable[[], T], what: str) -> T:
+        attempts = 0
+        while True:
+            attempts += 1
+            if self._limiter:
+                self._limiter.acquire()
+            try:
+                return attempt()
+            except RetryableTransportError as exc:
+                if attempts > self.policy.max_retries:
+                    raise TransportError(
+                        f"{what}: retry budget exhausted after {attempts} attempts: {exc}", exc.status
+                    ) from exc
+                backoff = self.policy.backoff_base * 2 ** (attempts - 1)
+                logger.warning(
+                    "%s failed (attempt %d, status %s); retrying in %.2fs", what, attempts, exc.status, backoff
+                )
+                self._sleep(backoff)
+
+
+def raise_for_status(status: int, what: str) -> None:
+    """The one status rule of both HTTP transports: a 200 passes, a 429
+    or any 5xx (a 529 "overloaded" too) raises RetryableTransportError,
+    and any other status raises TransportError. A network error is
+    retryable as well; each transport raises that itself."""
+    if status != 200:
+        error = RetryableTransportError if status == 429 or status >= 500 else TransportError
+        raise error(f"{what} returned {status}", status)
+
+
+class LlmGateway:
+    """Validated prompts to one provider, through a Gate.
+
+    Configure once, then share the instance between concurrent callers.
     """
 
     def __init__(
@@ -137,66 +183,21 @@ class LlmGateway:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.provider = provider
-        self.policy = policy or RateLimitPolicy()
-        self._sleep = sleep
-        self._clock = clock
-        self._limiter = SlidingWindowRateLimiter(
-            self.policy.max_requests_per_window, self.policy.window, clock=clock
-        )
+        self._gate = Gate(policy, sleep=sleep, clock=clock)
+        self._what = f"provider {getattr(provider, 'provider_id', 'unknown')}"
 
-    def complete(self, prompt: PromptPair) -> LlmResponse:
-        """Send one prompt, retrying transient failures within the budget.
+    def complete(self, prompt: PromptPair) -> str:
+        """Send one prompt and return the reply text, retrying transient
+        failures within the budget.
 
         Raises PromptError before any dispatch when the prompt breaks the
         system-prompt contract, and TransportError carrying the last
         status once the retry budget is exhausted.
         """
         prompt.validate()
-        provider_id = getattr(self.provider, "provider_id", "unknown")
-
-        def attempt() -> tuple[str, float]:
-            self._limiter.acquire()  # every attempt, retries included, takes a grant
-            start = self._clock()
-            raw = self.provider.send(prompt.system, prompt.user, deterministic=True)
-            return raw, self._clock() - start
-
-        (raw, latency), attempts = call_with_retries(
-            attempt, self.policy.max_retries, self.policy.backoff_base, self._sleep, f"provider {provider_id}"
+        return self._gate.call(
+            lambda: self.provider.send(prompt.system, prompt.user, deterministic=True), self._what
         )
-        return LlmResponse(raw_text=raw, provider_id=provider_id, latency=latency, attempt_count=attempts)
-
-
-def call_with_retries(
-    attempt: Callable[[], T],
-    max_retries: int,
-    backoff_base: float,
-    sleep: Callable[[float], None],
-    what: str,
-) -> tuple[T, int]:
-    """Call attempt() until it returns; the one retry rule of the package.
-
-    Only RetryableTransportError is retried, at most max_retries times,
-    so attempt() runs at most 1 + max_retries times. Before retry k the
-    caller sleeps backoff_base * 2**(k-1) and one warning is logged;
-    there is no sleep after the last attempt. Once the budget is spent,
-    TransportError carries the last status. Returns the value and the
-    number of attempts made.
-    """
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            return attempt(), attempts
-        except RetryableTransportError as exc:
-            if attempts > max_retries:
-                raise TransportError(
-                    f"{what}: retry budget exhausted after {attempts} attempts: {exc}", exc.status
-                ) from exc
-            backoff = backoff_base * 2 ** (attempts - 1)
-            logger.warning(
-                "%s failed (attempt %d, status %s); retrying in %.2fs", what, attempts, exc.status, backoff
-            )
-            sleep(backoff)
 
 
 def fan_out(
@@ -306,12 +307,7 @@ class HttpChatProvider:
             )
         except requests.RequestException as exc:
             raise RetryableTransportError(f"chat request failed: {exc}") from exc
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise RetryableTransportError(
-                f"provider returned {resp.status_code}", resp.status_code
-            )
-        if resp.status_code != 200:
-            raise TransportError(f"provider returned {resp.status_code}", resp.status_code)
+        raise_for_status(resp.status_code, "provider")
         try:
             content = resp.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:

@@ -19,14 +19,12 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .corpus import CorpusStore, PaperRecord, decode, normalize_doi
 from .errors import CorpusError, EcomineError, PartialIngestError, RetryableTransportError, TransportError
-from .gateway import call_with_retries, fan_out, require_finite_positive
+from .gateway import Gate, RateLimitPolicy, fan_out, raise_for_status, require_finite_positive
 
 if TYPE_CHECKING:
     import requests
 
 logger = logging.getLogger(__name__)
-
-_RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
 
 
 @dataclass
@@ -50,39 +48,34 @@ class HttpHarvestClient:
 
     Wire format: GET {base_url}/paper?doi=<doi>, answered by
     the record as a JSON object. A 404 means the DOI is not indexed.
-    Transient failures (429, 5xx, network) are retried under
-    gateway.call_with_retries, the rule chat calls use too.
+    Every attempt goes through a gateway.Gate under policy, so transient
+    failures (429, 5xx, network) are retried under the rule chat calls
+    use too. The policy's rate cap paces the attempts only when paced is
+    true; `ecomine ingest` leaves harvest unpaced, since no harvest
+    server's limit is known.
     """
 
     def __init__(
         self,
         base_url: str,
+        policy: RateLimitPolicy | None = None,
         *,
+        paced: bool = False,
         timeout: float = 10.0,
-        max_retries: int = 3,
-        backoff_base: float = 0.5,
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         require_finite_positive("timeout", timeout)
-        require_finite_positive("backoff_base", backoff_base)  # ingest builds no RateLimitPolicy to check these
-        if max_retries <= 0:
-            raise ValueError("max_retries must be positive")
         import requests  # here, not at module top: offline runs never load the HTTP stack
 
         self.base_url = base_url.rstrip("/")
         self.url = f"{self.base_url}/paper"
         self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
         self._session = session or requests.Session()
-        self._sleep = sleep
+        self._gate = Gate(policy, paced=paced, sleep=sleep)
 
     def fetch(self, doi: str) -> dict | None:
-        doc, _ = call_with_retries(
-            lambda: self._get(doi), self.max_retries, self.backoff_base, self._sleep, f"harvest {self.url}"
-        )
-        return doc
+        return self._gate.call(lambda: self._get(doi), f"harvest {self.url}")
 
     def _get(self, doi: str) -> dict | None:
         """One attempt: the JSON object, or None for a 404."""
@@ -95,10 +88,7 @@ class HttpHarvestClient:
             raise RetryableTransportError(f"harvest request failed: {exc}") from exc
         if resp.status_code == 404:
             return None
-        if resp.status_code in _RETRYABLE_STATUSES:
-            raise RetryableTransportError(f"harvest got {resp.status_code} from {url}", resp.status_code)
-        if resp.status_code != 200:
-            raise TransportError(f"harvest got {resp.status_code} from {url}", resp.status_code)
+        raise_for_status(resp.status_code, f"harvest {url}")
         try:
             doc = resp.json()
         except ValueError as exc:

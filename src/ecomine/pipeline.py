@@ -228,8 +228,7 @@ def run_specialize(
     quarantined: dict[str, str] = {}
     for record in sample:
         try:
-            response = gateway.complete(build_specialize_prompt(record))
-            candidates.append(parse_candidate(response.raw_text, record.doi))
+            candidates.append(parse_candidate(gateway.complete(build_specialize_prompt(record)), record.doi))
         except (PromptError, SchemaParseError) as exc:
             logger.warning("quarantining specialize paper %s: %s", record.doi, exc)
             quarantined[record.doi] = str(exc)
@@ -273,10 +272,10 @@ def run_generalize(
             base_prompt,
             user=base_prompt.user + f"\nGenerate variant {index} of {config.generalize_variants}.\n",
         )
-        response = gateway.complete(prompt)
-        raw_responses.append(response.raw_text)
+        raw = gateway.complete(prompt)
+        raw_responses.append(raw)
         try:
-            variants.append(ensure_valid_schema(parse_schema(response.raw_text)))
+            variants.append(ensure_valid_schema(parse_schema(raw)))
         except (SchemaParseError, InvalidSchemaError) as exc:
             logger.warning("discarding invalid generalize variant %d: %s", index, exc)
 
@@ -367,7 +366,7 @@ def run_extract(
             journal.flush()
 
     def call(record: PaperRecord) -> str:
-        return gateway.complete(PromptPair(system, build_paper_user_prompt(record))).raw_text
+        return gateway.complete(PromptPair(system, build_paper_user_prompt(record)))
 
     failure: TransportError | None = None
     try:

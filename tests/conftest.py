@@ -56,6 +56,7 @@ class StubState:
         self.delay = 0.0  # seconds before each single-DOI success, so failures answer first
         self.requests = 0
         self.queries = []  # each request's parsed query string, in arrival order
+        self.stamps = []  # each request's arrival time, time.monotonic()
 
 
 def _make_handler(state: StubState):
@@ -64,6 +65,7 @@ def _make_handler(state: StubState):
             pass
 
         def do_GET(self):
+            state.stamps.append(time.monotonic())
             state.requests += 1
             query = parse_qs(urlparse(self.path).query)
             state.queries.append(query)

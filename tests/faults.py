@@ -1,7 +1,7 @@
-"""Deterministic faults for extract: a provider whose replies follow a
-per-DOI schedule, and a run in a forked child that ends with os._exit at
-one chosen write, so no finally block, flush or atexit hook runs after
-it, as after a SIGKILL.
+"""Deterministic faults: a provider whose extract replies follow a
+per-DOI schedule, a harvest client whose fetches do, and a run in a
+forked child that ends with os._exit at one chosen write or fetch, so no
+finally block, flush or atexit hook runs after it, as after a SIGKILL.
 
 Fork before the run starts its worker threads: the child calls the run,
 so every thread it starts is its own.
@@ -19,11 +19,15 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from ecomine.errors import RetryableTransportError, TransportError
+from ecomine.gateway import Gate, RateLimitPolicy
+from ecomine.harvest import FixtureHarvestClient
 from ecomine.mockllm import MockProvider
 from ecomine.prompts import build_paper_user_prompt
 
 PROSE = "I am sorry, but I cannot list the entities in this abstract."
 FAULTS = ("prose", "truncated")
+HARVEST_FAULTS = ("retryable", "hard")
 
 #: exit codes of a forked run
 CRASHED, FINISHED, FAILED = 86, 0, 1
@@ -55,6 +59,38 @@ class FaultyProvider:
         if fault == "truncated":
             return raw[: len(raw) // 2]
         return raw
+
+
+class FaultyHarvestClient:
+    """The fixture client behind an unpaced Gate, as HttpHarvestClient is
+    by default, so harvest's retry rule applies. The schedule maps a DOI
+    to the faults of its first attempts, in order: "retryable" is a 429,
+    "hard" a 403; later attempts read the fixture. kill_at ends the
+    process at the start of the n-th fetch. Records the DOI of every
+    fetch."""
+
+    def __init__(
+        self, directory, schedule: dict[str, list[str]], policy: RateLimitPolicy, *, kill_at: int | None = None
+    ) -> None:
+        self.inner = FixtureHarvestClient(directory)
+        self.schedule = {doi: list(faults) for doi, faults in schedule.items()}
+        self.gate = Gate(policy, paced=False, sleep=lambda s: None)
+        self.kill_at = kill_at
+        self.fetched: list[str] = []
+
+    def fetch(self, doi: str) -> dict | None:
+        self.fetched.append(doi)
+        if len(self.fetched) == self.kill_at:
+            os._exit(CRASHED)
+        return self.gate.call(lambda: self._attempt(doi), f"harvest {doi}")
+
+    def _attempt(self, doi: str) -> dict | None:
+        fault = self.schedule[doi].pop(0) if self.schedule.get(doi) else None
+        if fault == "retryable":
+            raise RetryableTransportError("scripted 429", 429)
+        if fault == "hard":
+            raise TransportError("scripted 403", 403)
+        return self.inner.fetch(doi)
 
 
 @dataclass(frozen=True)
@@ -131,14 +167,16 @@ def _install(crash: CrashPoint, results: Path) -> None:
     os.replace = replace
 
 
-def run_crashed(crash: CrashPoint, run, results: Path) -> bool:
-    """Call run() in a forked child that ends at crash. True if it ended
+def run_crashed(crash: CrashPoint | None, run, results: Path) -> bool:
+    """Call run() in a forked child that ends at crash, or where run ends
+    itself with os._exit(CRASHED) when crash is None. True if it ended
     there, False if the run returned first; a run that raises fails."""
     pid = os.fork()
     if pid == 0:
         code = FINISHED
         try:
-            _install(crash, Path(results))
+            if crash is not None:
+                _install(crash, Path(results))
             run()
         except Exception:
             traceback.print_exc()

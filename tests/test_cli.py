@@ -280,13 +280,23 @@ class TestIngest:
             (["--parallelism", "-3"], {}, "parallelism must be at least 1"),
             ([], {"ECOMINE_MAX_RETRIES": "0"}, "max_retries must be positive"),
             ([], {"ECOMINE_MAX_RETRIES": "-2"}, "max_retries must be positive"),
+            ([], {"ECOMINE_BACKOFF_BASE": "nan"}, "backoff_base must be finite and positive, got nan"),
+            ([], {"ECOMINE_RATE_WINDOW": "inf"}, "window must be finite and positive, got inf"),
         ],
-        ids=["parallelism-0", "parallelism-minus-3", "max-retries-0", "max-retries-minus-2"],
+        ids=[
+            "parallelism-0",
+            "parallelism-minus-3",
+            "max-retries-0",
+            "max-retries-minus-2",
+            "backoff-base-nan",
+            "rate-window-inf",
+        ],
     )
     def test_refuses_what_extract_refuses_before_any_fetch(
         self, tmp_path, corpus_path, monkeypatch, capsys, flags, env, message
     ):
-        # ingest ran on one thread at parallelism 0 or below, and made one attempt at max_retries 0 or below
+        # ingest ran on one thread at parallelism 0 or below, made one attempt at max_retries 0 or below,
+        # and built no policy to refuse a non-finite backoff_base or rate_window
         def refuse(*_):
             raise AssertionError("fetch or provider call made")
 

@@ -1,19 +1,23 @@
-"""Extract killed at any write: a forked run ends at one crash point, and a
-resume in this process must finish as an uninterrupted run does."""
+"""Extract killed at any write, and ingest killed at any fetch: a forked run
+ends at one crash point, and a rerun in this process must finish as an
+uninterrupted run does."""
 
 import json
 from functools import cache
 from pathlib import Path
 from tempfile import TemporaryDirectory
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_CORPUS, fast_policy
-from faults import FAULTS, CrashPoint, FaultyProvider, committed, run_crashed
+from faults import FAULTS, HARVEST_FAULTS, CrashPoint, FaultyHarvestClient, FaultyProvider, committed, run_crashed
+from ecomine import cli
 from ecomine.corpus import CorpusStore
 from ecomine.gateway import LlmGateway
+from ecomine.harvest import fixture_filename
 from ecomine.pipeline import StageConfig, run_extract
 from ecomine.schema import ExtractionResult, serialize_result, standard_schema
 
@@ -124,3 +128,81 @@ def test_resume_over_old_lines_sends_only_uncommitted_papers(tmp_path, kill_afte
     assert len(provider.sent) == 20 - kill_after
     assert (summary.extracted, summary.out_of_scope, summary.quarantined) == (17, 3, 0)
     assert results.read_bytes() == baseline
+
+
+# ingest killed at a fetch
+
+HARVEST_SCHEDULES = st.dictionaries(
+    st.sampled_from(DOIS), st.lists(st.sampled_from(HARVEST_FAULTS), min_size=1, max_size=5), max_size=4
+)
+MAX_RETRIES = fast_policy().max_retries
+
+
+@pytest.fixture(scope="module")
+def harvest_dir(tmp_path_factory):
+    """A DOI file and one fixture per available paper of the sample corpus."""
+    directory = tmp_path_factory.mktemp("harvest")
+    (directory / "fixtures").mkdir()
+    for record in STORE.available_records():
+        (directory / "fixtures" / fixture_filename(record.doi)).write_text(json.dumps(record.to_dict()))
+    (directory / "dois.txt").write_text("".join(doi + "\n" for doi in DOIS))
+    return directory
+
+
+def ingest(client, harvest_dir, corpus):
+    """`ecomine ingest` on one worker, fetching through client."""
+    argv = ["--corpus", str(corpus), "--parallelism", "1", "ingest", "--dois", str(harvest_dir / "dois.txt")]
+    with mock.patch.object(cli, "FixtureHarvestClient", lambda _directory: client):
+        return cli.main([*argv, "--fixtures", str(harvest_dir / "fixtures")])
+
+
+def kill_then_rerun(schedule, kill_at, harvest_dir, corpus):
+    """Ingest in a forked child killed at the kill_at-th fetch (or ended by a
+    failed fetch before it), then rerun here with no faults; returns the
+    DOIs the rerun fetched."""
+    first = FaultyHarvestClient(harvest_dir / "fixtures", schedule, fast_policy(), kill_at=kill_at)
+    run_crashed(None, lambda: ingest(first, harvest_dir, corpus), corpus)
+    rerun = FaultyHarvestClient(harvest_dir / "fixtures", {}, fast_policy())
+    assert ingest(rerun, harvest_dir, corpus) == 0
+    return rerun.fetched
+
+
+def committed_before(schedule, kill_at):
+    """What the first run had committed: on one worker ingest commits in
+    DOI-list order, up to the fetch that was killed or failed (a hard error,
+    or more retryable errors than the retry budget)."""
+    done = set()
+    for fetch, doi in enumerate(DOIS, 1):
+        faults = schedule.get(doi, [])
+        if fetch == kill_at or "hard" in faults or len(faults) > MAX_RETRIES:
+            break
+        done.add(doi)
+    return done
+
+
+# About 35 ms per example (a forked ingest of the 20 fixtures, then the rerun), 2 vCPUs.
+INGEST_PROPERTY = settings(max_examples=15, deadline=None)
+
+
+@INGEST_PROPERTY
+@given(schedule=HARVEST_SCHEDULES, kill_at=st.integers(1, len(DOIS)))
+def test_rerun_after_a_killed_ingest_finishes_the_corpus(harvest_dir, schedule, kill_at):
+    with TemporaryDirectory() as name:
+        whole, corpus = Path(name) / "whole.jsonl", Path(name) / "c.jsonl"
+        assert ingest(FaultyHarvestClient(harvest_dir / "fixtures", {}, fast_policy()), harvest_dir, whole) == 0
+        kill_then_rerun(schedule, kill_at, harvest_dir, corpus)
+        assert corpus.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ingest writes the corpus only after every fetch returns, so a killed ingest commits nothing to disk "
+    "and a rerun fetches every DOI again",
+)
+@INGEST_PROPERTY
+@given(schedule=HARVEST_SCHEDULES, kill_at=st.integers(1, len(DOIS)))
+@example(schedule={DOIS[2]: ["retryable", "retryable"], DOIS[9]: ["hard"]}, kill_at=6)
+def test_rerun_after_a_killed_ingest_fetches_only_what_it_had_not_committed(harvest_dir, schedule, kill_at):
+    with TemporaryDirectory() as name:
+        fetched = kill_then_rerun(schedule, kill_at, harvest_dir, Path(name) / "c.jsonl")
+    assert sorted(fetched) == sorted(set(DOIS) - committed_before(schedule, kill_at))

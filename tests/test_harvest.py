@@ -4,9 +4,9 @@ import pytest
 
 from ecomine.corpus import CorpusStore
 from ecomine.errors import CorpusError, PartialIngestError, RetryableTransportError, TransportError
-from ecomine.gateway import LlmGateway, RateLimitPolicy
+from ecomine.gateway import LlmGateway, RateLimitPolicy, SlidingWindowRateLimiter
 from ecomine.harvest import FixtureHarvestClient, HttpHarvestClient, fixture_filename, ingest_dois
-from test_gateway import ScriptedProvider, valid_prompt
+from test_gateway import ScriptedProvider, max_dispatches_in_window, valid_prompt
 
 ABSTRACT_ONLY = {"title": "A", "abstract": "some abstract text"}
 WITH_FULL_TEXT = {"title": "B", "abstract": "other text", "full_text": "body", "year": 2001}
@@ -88,14 +88,14 @@ class TestHttpClient:
         base_url, state = stub_server
         state.documents["10.1/a"] = ABSTRACT_ONLY
         state.fail_statuses = [429, 503]
-        client = HttpHarvestClient(base_url, max_retries=3, sleep=lambda s: None)
+        client = HttpHarvestClient(base_url, RateLimitPolicy(max_retries=3), sleep=lambda s: None)
         assert client.fetch("10.1/a")["title"] == "A"
         assert state.requests == 3
 
     def test_retry_budget_exhausted(self, stub_server):
         base_url, state = stub_server
         state.fail_statuses = [500] * 10
-        client = HttpHarvestClient(base_url, max_retries=2, sleep=lambda s: None)
+        client = HttpHarvestClient(base_url, RateLimitPolicy(max_retries=2), sleep=lambda s: None)
         with pytest.raises(TransportError):
             client.fetch("10.1/a")
         assert state.requests == 3  # initial try + 2 retries
@@ -103,7 +103,7 @@ class TestHttpClient:
     def test_non_retryable_status_raises_immediately(self, stub_server):
         base_url, state = stub_server
         state.fail_statuses = [403]
-        client = HttpHarvestClient(base_url, max_retries=5, sleep=lambda s: None)
+        client = HttpHarvestClient(base_url, RateLimitPolicy(max_retries=5), sleep=lambda s: None)
         with pytest.raises(TransportError) as excinfo:
             client.fetch("10.1/a")
         assert excinfo.value.status == 403
@@ -113,7 +113,7 @@ class TestHttpClient:
         base_url, state = stub_server
         state.documents["10.1/a"] = ABSTRACT_ONLY
         state.hard_fail_dois = {"10.1/b"}
-        client = HttpHarvestClient(base_url, max_retries=1, sleep=lambda s: None)
+        client = HttpHarvestClient(base_url, RateLimitPolicy(max_retries=1), sleep=lambda s: None)
         store = CorpusStore()
         with pytest.raises(PartialIngestError) as excinfo:
             ingest_dois(store, ["10.1/a", "10.1/b"], client, parallelism=1)
@@ -140,6 +140,27 @@ class TestHttpClient:
         assert [list(query) for query in state.queries] == [["doi"]] * 3  # no "dois" request
         assert sorted(query["doi"] for query in state.queries) == [["10.1/a"], ["10.1/b"], ["10.1/c"]]
 
+    def test_ingest_is_paced_by_the_rate_cap(self, stub_server):
+        base_url, state = stub_server
+        dois = [f"10.1/{n}" for n in range(9)]
+        state.documents.update((doi, ABSTRACT_ONLY) for doi in dois)
+        client = HttpHarvestClient(base_url, RateLimitPolicy(max_requests_per_window=3, window=0.2), paced=True)
+        summary = ingest_dois(CorpusStore(), dois, client, parallelism=4)
+        assert summary.found == 9
+        assert max_dispatches_in_window(sorted(state.stamps), 0.2) <= 3
+
+    def test_ingest_is_unpaced_by_default(self, stub_server, monkeypatch):
+        base_url, state = stub_server
+        dois = [f"10.1/{n}" for n in range(9)]
+        state.documents.update((doi, ABSTRACT_ONLY) for doi in dois)
+
+        def no_grant(limiter):
+            raise AssertionError("harvest took a limiter grant")
+
+        monkeypatch.setattr(SlidingWindowRateLimiter, "acquire", no_grant)
+        client = HttpHarvestClient(base_url, RateLimitPolicy(max_requests_per_window=1, window=60.0))
+        assert ingest_dois(CorpusStore(), dois, client, parallelism=4).found == 9
+
     @pytest.mark.parametrize(
         "dois, parallelism, body",
         [
@@ -151,7 +172,7 @@ class TestHttpClient:
     def test_response_shape_is_a_named_hard_failure(self, stub_server, dois, parallelism, body):
         base_url, state = stub_server
         state.raw_body = body
-        client = HttpHarvestClient(base_url, max_retries=3, sleep=lambda s: None)
+        client = HttpHarvestClient(base_url, RateLimitPolicy(max_retries=3), sleep=lambda s: None)
         with pytest.raises(PartialIngestError) as excinfo:
             ingest_dois(CorpusStore(), dois, client, parallelism=parallelism)
         assert type(excinfo.value.__cause__) is TransportError
@@ -159,7 +180,7 @@ class TestHttpClient:
         assert state.requests == 1  # not retried
 
 
-STATUSES = [429, 500, 502, 503, 504]
+STATUSES = [429, 500, 501, 503, 529]  # every 5xx is retryable, 529 "overloaded" too
 
 
 def exhaust_gateway(request, max_retries, backoff_base):
@@ -175,7 +196,8 @@ def exhaust_harvest(request, max_retries, backoff_base):
     base_url, state = request.getfixturevalue("stub_server")
     state.fail_statuses = list(STATUSES)
     sleeps = []
-    client = HttpHarvestClient(base_url, max_retries=max_retries, backoff_base=backoff_base, sleep=sleeps.append)
+    policy = RateLimitPolicy(max_retries=max_retries, backoff_base=backoff_base)
+    client = HttpHarvestClient(base_url, policy, sleep=sleeps.append)
     with pytest.raises(TransportError) as excinfo:
         client.fetch("10.1/a")
     return state.requests, sleeps, excinfo.value

@@ -15,7 +15,7 @@ from ecomine.errors import (
     StageFailure,
     TransportError,
 )
-from ecomine.gateway import LlmGateway, LlmResponse
+from ecomine.gateway import LlmGateway
 from ecomine.mockllm import MockProvider
 from ecomine.pipeline import (
     Checkpoint,
@@ -120,7 +120,7 @@ class StubGateway:
         self.raw_text = raw_text
 
     def complete(self, prompt):
-        return LlmResponse(self.raw_text, "stub", 0.0, 1)
+        return self.raw_text
 
 
 class FirstReply:
@@ -134,7 +134,7 @@ class FirstReply:
     def complete(self, prompt):
         self.calls += 1
         if self.calls == 1:
-            return LlmResponse(self.raw_text, "stub", 0.0, 1)
+            return self.raw_text
         return self.inner.complete(prompt)
 
 
@@ -232,7 +232,7 @@ class TestGeneralize:
         class Spy(StubGateway):
             def complete(self, prompt):
                 seen.append(prompt.user)
-                return LlmResponse("garbage", "stub", 0.0, 1)
+                return "garbage"
 
         with pytest.raises(StageFailure):
             run_generalize(nine_candidates, make_config(), Spy("garbage"))
