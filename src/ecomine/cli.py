@@ -174,27 +174,27 @@ def _open_store(config: CliConfig, must_exist: bool = True) -> CorpusStore:
 
 def cmd_ingest(args: argparse.Namespace, config: CliConfig) -> int:
     dois = _read_dois(args.dois)
+    stage = StageConfig(parallelism=config.parallelism, rate_policy=config.rate_policy())  # checked before any write
     if config.fixtures:
         client = FixtureHarvestClient(config.fixtures)
     elif config.base_url:
         # unpaced (see HttpHarvestClient); the policy sets retries and backoff
-        client = HttpHarvestClient(
-            config.base_url,
-            config.rate_policy(),
-            timeout=config.timeout,
-        )
+        client = HttpHarvestClient(config.base_url, stage.rate_policy, timeout=config.timeout)
     else:
         raise EcomineError("ingest needs --fixtures DIR or --base-url URL")
 
-    store = _open_store(config, must_exist=False)
+    corpus = Path(config.corpus)
+    store = CorpusStore.load_log(corpus)
+    corpus.parent.mkdir(parents=True, exist_ok=True)
     failure = None
     try:
-        summary = ingest_dois(store, dois, client, parallelism=config.parallelism)
+        with corpus.open("a", encoding="utf-8") as log:  # each fetched record is appended as it commits
+            summary = ingest_dois(store, dois, client, parallelism=stage.parallelism, log=log)
     except PartialIngestError as exc:
         failure, summary = exc, exc.summary  # keep what committed before the failure
-    export_corpus(store, config.corpus)
+    export_corpus(store, corpus)  # compacts the log to one DOI-sorted line per record
 
-    skip_log = Path(config.corpus).with_suffix(".skipped.log")
+    skip_log = corpus.with_suffix(".skipped.log")
     atomic_write_text(
         skip_log,
         "".join(f"missing\t{doi}\n" for doi in summary.missing)

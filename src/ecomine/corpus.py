@@ -9,17 +9,20 @@ cleanly and round-trip byte-identically.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import reprlib
 from contextlib import suppress
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from .errors import CorpusError, EcomineError
 
 T = TypeVar("T")
+
+logger = logging.getLogger(__name__)
 
 _DOI_PREFIXES = ("https://doi.org/", "http://doi.org/", "doi.org/", "doi:")
 
@@ -159,6 +162,11 @@ class CorpusStore:
             raise CorpusError(f"corpus file not found: {path}")
         return cls(read_json_lines(path, f"corpus file {path}", CorpusError, partial(decode, PaperRecord)))
 
+    @classmethod
+    def load_log(cls, path: str | Path) -> "CorpusStore":
+        """Read the corpus ingest appends to (empty if there is none yet)."""
+        return cls(read_log(path, f"corpus file {path}", CorpusError, partial(decode, PaperRecord), whole_tail=True))
+
 
 def compute_stats(store: CorpusStore) -> CorpusStats:
     """Availability partition plus token statistics per text kind.
@@ -226,10 +234,45 @@ def export_corpus(store: CorpusStore, path: str | Path, fmt: str = "jsonl") -> i
     if fmt != "jsonl":
         raise CorpusError(f"unknown corpus format: {fmt!r}")
     records = store.records()
-    atomic_write_text(
-        Path(path), "".join(json.dumps(r.to_dict(), ensure_ascii=False, sort_keys=True) + "\n" for r in records)
-    )
+    atomic_write_text(Path(path), "".join(record_line(r) + "\n" for r in records))
     return len(records)
+
+
+def record_line(record: PaperRecord) -> str:
+    """A record's corpus line, without its newline."""
+    return json.dumps(record.to_dict(), ensure_ascii=False, sort_keys=True)
+
+
+def commit_line(sink: IO[str], line: str) -> None:
+    """Append and flush one line of an append-only log: written, it is committed."""
+    sink.write(line + "\n")
+    sink.flush()
+
+
+def read_log(
+    path: str | Path, source: str, error: type[EcomineError], convert: Callable[[object], T], whole_tail: bool = False
+) -> list[T]:
+    """Each entry of an append-only log (none if there is no file yet) in
+    file order, decoded so a bad line is named before the next append. An
+    unterminated last line, which a kill mid-write leaves, is truncated, so
+    the next append starts a fresh line instead of gluing onto it. Given
+    whole_tail, one that is valid JSON (no cut object is) was written without
+    its newline, by hand or by another tool: it gets its newline and is kept."""
+    if not Path(path).exists():
+        return []
+    torn = []
+    entries = parse_json_lines(read_lines(path, source, error, torn.append), source, error, convert)
+    if torn and whole_tail:
+        with open(path, "rb+") as handle, suppress(ValueError):  # a cut character or document: a tear
+            handle.seek(torn[0])
+            json.loads(handle.read())
+            handle.write(b"\n")
+            handle.flush()
+            return read_log(path, source, error, convert)
+    if torn:
+        logger.warning("%s: dropping torn last line at byte offset %d", path, torn[0])
+        os.truncate(path, torn[0])
+    return entries
 
 
 def parse_json_lines(

@@ -15,9 +15,9 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Sequence
 
-from .corpus import CorpusStore, PaperRecord, decode, normalize_doi
+from .corpus import CorpusStore, PaperRecord, commit_line, decode, normalize_doi, record_line
 from .errors import CorpusError, EcomineError, PartialIngestError, RetryableTransportError, TransportError
 from .gateway import Gate, RateLimitPolicy, fan_out, raise_for_status, require_finite_positive
 
@@ -134,16 +134,18 @@ def ingest_dois(
     client,
     *,
     parallelism: int = 4,
+    log: IO[str] | None = None,
 ) -> IngestSummary:
     """Resolve each DOI through the client and persist found records.
 
-    Malformed DOIs are skipped with a warning and never abort the ingest.
-    After a failed fetch (a transport failure that survives the client's
-    retries, a malformed fixture, or a mistyped record) no further fetch
-    starts; fetches already running are committed, then
-    PartialIngestError names the first failed DOI in list order and
-    carries the counts of what committed. Workers fetch and decode; all
-    store writes happen on the calling thread, in list order.
+    Malformed DOIs are skipped with a warning. Each DOI is fetched once, and
+    not at all if the store holds it with text (it counts as found). Workers
+    fetch and decode; the calling thread commits each record as its fetch
+    finishes: upsert, then commit_line to log. After a failed fetch (a
+    transport failure that survives the client's retries, a malformed
+    fixture, or a mistyped record) no further fetch starts; those running
+    are committed, then PartialIngestError names the first failed DOI in
+    list order and carries the counts of what committed.
     """
     if not doi_list:
         raise CorpusError("doi_list must be non-empty")
@@ -158,24 +160,30 @@ def ingest_dois(
             logger.warning("skipping malformed DOI %r", raw)
             summary.malformed.append(raw)
 
-    fetched: dict[int, tuple] = {}
-    committed = 0  # DOIs commit in list order, whatever order their fetches finish in
-    failure: tuple[str, BaseException] | None = None
+    todo: list[str] = []
+    for doi in dict.fromkeys(normalized):
+        if (held := store.get(doi)) is not None and held.available:
+            _count_found(summary, held)
+        else:
+            todo.append(doi)
+
+    failures: dict[int, tuple[str, BaseException]] = {}
     for (index, doi), record, exc in fan_out(
-        lambda pair: _fetch_record(client, pair[1]), enumerate(normalized), parallelism, stop_on=Exception
+        lambda pair: _fetch_record(client, pair[1]), enumerate(todo), parallelism, stop_on=Exception
     ):
-        fetched[index] = (doi, record, exc)
-        while committed in fetched:
-            doi, record, exc = fetched.pop(committed)
-            committed += 1
-            if exc is None:
-                _commit(store, doi, record, summary)
-            else:
-                failure = failure or (doi, exc)
+        if exc is not None:
+            failures[index] = (doi, exc)
+        elif record is None:
+            summary.missing.append(doi)
+        else:
+            store.upsert(record)
+            if log is not None:
+                commit_line(log, record_line(record))
+            _count_found(summary, record)
 
     summary.missing.sort()
-    if failure is not None:
-        doi, exc = failure
+    if failures:
+        doi, exc = failures[min(failures)]
         if not isinstance(exc, EcomineError):
             raise exc
         raise PartialIngestError(f"ingest aborted at {doi}: {exc}", summary) from exc
@@ -195,11 +203,7 @@ def _fetch_record(client, doi: str) -> PaperRecord | None:
     return record if record.available else None
 
 
-def _commit(store: CorpusStore, doi: str, record: PaperRecord | None, summary: IngestSummary) -> None:
-    if record is None:
-        summary.missing.append(doi)
-        return
-    store.upsert(record)
+def _count_found(summary: IngestSummary, record: PaperRecord) -> None:
     summary.found += 1
     if record.full_text:
         summary.with_full_text += 1

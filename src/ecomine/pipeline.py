@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import os
 import random
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -21,7 +20,8 @@ from itertools import combinations
 from pathlib import Path
 from typing import Collection, Sequence
 
-from .corpus import CorpusStore, PaperRecord, atomic_write_text, decode, parse_json_lines, read_json_lines, read_lines
+from .corpus import CorpusStore, PaperRecord, atomic_write_text, decode
+from .corpus import commit_line, parse_json_lines, read_json_lines, read_lines, read_log
 from .errors import (
     CheckpointError,
     CorpusError,
@@ -336,7 +336,7 @@ def run_extract(
 
     results_path = Path(results_path)
     results_path.parent.mkdir(parents=True, exist_ok=True)
-    results = _read_results(results_path) if results_path.exists() else []
+    results = read_log(results_path, f"results file {results_path}", CorpusError, result_from_dict)
     lines = {result.paper_doi: serialize_result(result) for result in results}  # DOI -> results line; the last wins
     start = len(results) if checkpoint.results_lines is None else checkpoint.results_lines
     for result in results[start:]:  # the commits of a run killed after its opening document
@@ -362,8 +362,7 @@ def run_extract(
         delta = {"doi": doi, "status": "quarantined", "reason": reason}
         checkpoint.apply(delta)
         if journal is not None:
-            journal.write(json.dumps(delta, ensure_ascii=False, sort_keys=True) + "\n")
-            journal.flush()
+            commit_line(journal, json.dumps(delta, ensure_ascii=False, sort_keys=True))
 
     def call(record: PaperRecord) -> str:
         return gateway.complete(PromptPair(system, build_paper_user_prompt(record)))
@@ -394,8 +393,7 @@ def run_extract(
                     quarantine(doi, str(exc))
                 else:
                     lines[doi] = line
-                    sink.write(line + "\n")
-                    sink.flush()
+                    commit_line(sink, line)
                     commit(result)
     finally:
         if journal is not None:
@@ -413,20 +411,6 @@ def run_extract(
         out_of_scope=len(checkpoint.out_of_scope),
         quarantined=len(checkpoint.quarantined),
     )
-
-
-def _read_results(path: Path) -> list[ExtractionResult]:
-    """Each result earlier runs left, in file order, decoded so a bad line is
-    named before any provider call. An unterminated last line, which a kill
-    mid-write leaves, is truncated so the next append starts a fresh line
-    instead of gluing onto it."""
-    source, torn = f"results file {path}", []
-    lines = read_lines(path, source, CorpusError, torn.append)
-    results = parse_json_lines(lines, source, CorpusError, result_from_dict)
-    if torn:
-        logger.warning("%s: dropping torn last line at byte offset %d", path, torn[0])
-        os.truncate(path, torn[0])
-    return results
 
 
 def _compact_results(path: Path, lines: dict[str, str]) -> None:

@@ -97,7 +97,8 @@ class FaultyHarvestClient:
 class CrashPoint:
     """Where a forked run ends.
 
-    - ``("flushed", n)``: right after the n-th results line is flushed;
+    - ``("flushed", n)``: right after the n-th line of the results file
+      (or of the corpus, in an ingest) is flushed;
     - ``("results" | "journal" | "tmp", n, k)``: after the first k bytes
       of the n-th write to the results file, the checkpoint journal, or
       an atomic write's ``.tmp`` file (all of it, if shorter);
@@ -143,6 +144,7 @@ class _Writer:
 def _install(crash: CrashPoint, results: Path) -> None:
     """Route the child's file writes and renames through crash's counters:
     extract writes only the results file, the checkpoint journal and .tmp
+    files; ingest, given its corpus as results, only the corpus and .tmp
     files."""
     counts: Counter = Counter()
     real_open, real_replace = pathlib.Path.open, os.replace
@@ -195,14 +197,14 @@ def run_crashed(crash: CrashPoint | None, run, results: Path) -> bool:
     return code == CRASHED
 
 
-def committed(results: Path, checkpoint: Path) -> set[str]:
-    """The DOIs whose record was complete on disk: each results line and
-    journal delta that ends in a newline, and each DOI the checkpoint
-    document lists."""
+def committed(log: Path, checkpoint: Path | None = None) -> set[str]:
+    """The DOIs whose record was complete on disk: each line of the log (a
+    results file or a corpus) and each journal delta that ends in a newline,
+    and each DOI the checkpoint document lists."""
     dois = set()
-    if results.exists():
-        dois |= {json.loads(line)["doi"] for line in results.read_bytes().split(b"\n")[:-1] if line.strip()}
-    if checkpoint.exists():
+    if log.exists():
+        dois |= {json.loads(line)["doi"] for line in log.read_bytes().split(b"\n")[:-1] if line.strip()}
+    if checkpoint is not None and checkpoint.exists():
         data = checkpoint.read_bytes()
         text = data[: data.rfind(b"\n") + 1].decode("utf-8")
         doc, end = json.JSONDecoder().raw_decode(text)

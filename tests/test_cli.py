@@ -245,6 +245,45 @@ class TestIngest:
         assert "missing\t10.9/two" in skip_log.read_text()
         assert "malformed\tjunk" in skip_log.read_text()
 
+    def test_last_record_without_final_newline_is_kept(self, tmp_path, capsys, caplog):
+        # read as a torn line, the held record was cut from the corpus and only the new one was left
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "10.9_one.json").write_text(json.dumps({"title": "One", "abstract": "a b"}))
+        (tmp_path / "dois.txt").write_text("10.9/one\n")
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps({"doi": "10.9/held", "title": "Held", "abstract": "c d"}), encoding="utf-8")
+
+        assert run_cli("--corpus", corpus, "ingest", "--dois", tmp_path / "dois.txt", "--fixtures", fixtures) == 0
+        assert last_line(capsys) == "queried=1 found=1 abstract_only=1 with_full_text=0 malformed=0"
+        assert [json.loads(line)["doi"] for line in corpus.read_text().splitlines()] == ["10.9/held", "10.9/one"]
+        assert "torn" not in caplog.text
+
+    @pytest.mark.parametrize("tail", [b'{"doi": "10.9/held", "tit', '{"doi": "10.9/held", "title": "\xc4'.encode()[:-1]])
+    def test_torn_last_record_is_cut(self, tmp_path, capsys, caplog, tail):
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (tmp_path / "dois.txt").write_text("10.9/one\n")
+        corpus = tmp_path / "c.jsonl"
+        kept = json.dumps({"doi": "10.9/kept", "title": "Kept", "abstract": "c d"}) + "\n"
+        corpus.write_bytes(kept.encode() + tail)  # cut inside a word, or inside a character
+
+        assert run_cli("--corpus", corpus, "ingest", "--dois", tmp_path / "dois.txt", "--fixtures", fixtures) == 0
+        assert [json.loads(line)["doi"] for line in corpus.read_text().splitlines()] == ["10.9/kept"]
+        assert f"{corpus}: dropping torn last line at byte offset {len(kept)}" in caplog.text
+
+    def test_ignores_counts_only_other_stages_use(self, tmp_path, monkeypatch, capsys):
+        # building every stage's config, ingest refused a sample size of 1 and no variants
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "10.9_one.json").write_text(json.dumps({"title": "One", "abstract": "a b"}))
+        (tmp_path / "dois.txt").write_text("10.9/one\n")
+        monkeypatch.setenv("ECOMINE_SAMPLE_SIZE", "1")
+        monkeypatch.setenv("ECOMINE_VARIANTS", "0")
+        corpus = tmp_path / "c.jsonl"
+        assert run_cli("--corpus", corpus, "ingest", "--dois", tmp_path / "dois.txt", "--fixtures", fixtures) == 0
+        assert last_line(capsys) == "queried=1 found=1 abstract_only=1 with_full_text=0 malformed=0"
+
     def test_requires_a_source(self, tmp_path):
         dois = tmp_path / "dois.txt"
         dois.write_text("10.9/one\n")

@@ -1,8 +1,9 @@
 """One dispatcher for extract and ingest: gateway.fan_out. At most
 parallelism calls are in flight, no call starts after a stopping failure,
-and ingest commits chunks in the order of the DOI list. Threads are
+and ingest commits each record as its fetch finishes. Threads are
 ordered with events and barriers, never with sleeps."""
 
+import io
 import json
 import logging
 import re
@@ -206,17 +207,18 @@ def doc(doi):
 
 
 class TestIngestDispatch:
-    def test_chunks_commit_in_submission_order(self, processed_outcomes):
+    def test_records_commit_in_completion_order(self, processed_outcomes):
         class FirstFinishesLast:
             def fetch(self, doi):
-                if doi == "10.1/a":  # held until ingest has taken 10.1/b's fetch
+                if doi == "10.1/a":  # held until ingest has committed 10.1/b
                     assert processed_outcomes.wait(WAIT)
                 return doc(doi)
 
-        store = RecordingStore()
-        summary = ingest_dois(store, ["10.1/a", "10.1/b", "10.1/c"], FirstFinishesLast(), parallelism=2)
-        assert store.upserts == ["10.1/a", "10.1/b", "10.1/c"]
-        assert summary.found == 3
+        store, log = RecordingStore(), io.StringIO()
+        summary = ingest_dois(store, ["10.1/a", "10.1/b"], FirstFinishesLast(), parallelism=2, log=log)
+        assert store.upserts == ["10.1/b", "10.1/a"]
+        assert [json.loads(line)["doi"] for line in log.getvalue().splitlines()] == ["10.1/b", "10.1/a"]
+        assert summary.found == 2
 
     def test_failure_names_the_lowest_failed_chunk(self, processed_outcomes):
         class TwoFailLowestLast:

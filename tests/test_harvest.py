@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ecomine.corpus import CorpusStore
+from ecomine.corpus import CorpusStore, PaperRecord
 from ecomine.errors import CorpusError, PartialIngestError, RetryableTransportError, TransportError
 from ecomine.gateway import LlmGateway, RateLimitPolicy, SlidingWindowRateLimiter
 from ecomine.harvest import FixtureHarvestClient, HttpHarvestClient, fixture_filename, ingest_dois
@@ -14,6 +14,16 @@ WITH_FULL_TEXT = {"title": "B", "abstract": "other text", "full_text": "body", "
 
 def write_fixture(directory, doi, doc):
     (directory / fixture_filename(doi)).write_text(json.dumps(doc), encoding="utf-8")
+
+
+class RecordingClient(FixtureHarvestClient):
+    def __init__(self, directory):
+        super().__init__(directory)
+        self.fetched = []
+
+    def fetch(self, doi):
+        self.fetched.append(doi)
+        return super().fetch(doi)
 
 
 @pytest.fixture
@@ -60,6 +70,23 @@ class TestFixtureClient:
         before = store.records()
         ingest_dois(store, dois, FixtureHarvestClient(fixture_dir))
         assert store.records() == before
+
+    def test_a_doi_listed_twice_is_fetched_once(self, fixture_dir):
+        client = RecordingClient(fixture_dir)
+        summary = ingest_dois(CorpusStore(), ["10.1/a", "https://doi.org/10.1/A", "doi:10.1/a"], client)
+        assert client.fetched == ["10.1/a"]
+        assert (summary.queried, summary.found, summary.abstract_only) == (3, 1, 1)
+
+    def test_a_doi_the_store_holds_with_text_is_not_fetched(self, fixture_dir):
+        held = PaperRecord("10.1/c", title="Held", abstract="held text", full_text="held body")
+        store = CorpusStore([held, PaperRecord("10.1/b", title="No text yet")])
+        client = RecordingClient(fixture_dir)
+        summary = ingest_dois(store, ["10.1/a", "10.1/b", "10.1/c", "10.1/d"], client, parallelism=1)
+        assert client.fetched == ["10.1/a", "10.1/b", "10.1/d"]
+        assert (summary.found, summary.abstract_only, summary.with_full_text) == (3, 2, 1)
+        assert summary.missing == ["10.1/d"]
+        assert store.get("10.1/c") == held
+        assert store.get("10.1/b").title == "A2"
 
     def test_doi_normalized_before_lookup(self, fixture_dir):
         store = CorpusStore()
