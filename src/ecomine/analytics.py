@@ -129,10 +129,6 @@ def _table(label: str, rows: Iterable[tuple[str, int, object]], total: int | Non
     return FrequencyTable(label, rows, sum(row.count for row in rows) if total is None else total)
 
 
-def _build_table(label: str, mentions: Iterable[str], total: int) -> FrequencyTable:
-    return _table(label, ((name_key(raw), 1, raw) for raw in mentions), total)
-
-
 def _species(results: Iterable[ExtractionResult], stoplist: Collection[str] | None) -> list[tuple]:
     """(name key, role key, papers, first entry) per species key outside the stoplist."""
     stop = {name_key(term) for term in stoplist} if stoplist else set()

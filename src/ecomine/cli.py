@@ -161,11 +161,7 @@ def make_gateway(config: CliConfig) -> LlmGateway:
 
 def _open_store(config: CliConfig, must_exist: bool = True) -> CorpusStore:
     path = Path(config.corpus)
-    if not path.exists():
-        if must_exist:
-            raise EcomineError(f"corpus not found: {path}")
-        return CorpusStore()
-    return CorpusStore.load(path)
+    return CorpusStore.load(path) if must_exist or path.exists() else CorpusStore()
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +180,7 @@ def cmd_ingest(args: argparse.Namespace, config: CliConfig) -> int:
         raise EcomineError("ingest needs --fixtures DIR or --base-url URL")
 
     corpus = Path(config.corpus)
-    store = CorpusStore.load_log(corpus)
+    store = CorpusStore.load_log(corpus) if corpus.exists() else CorpusStore()
     corpus.parent.mkdir(parents=True, exist_ok=True)
     failure = None
     try:

@@ -157,15 +157,12 @@ class CorpusStore:
     @classmethod
     def load(cls, path: str | Path) -> "CorpusStore":
         """Read a store from disk as written by export_corpus."""
-        path = Path(path)
-        if not path.exists():
-            raise CorpusError(f"corpus file not found: {path}")
         return cls(read_json_lines(path, f"corpus file {path}", CorpusError, partial(decode, PaperRecord)))
 
     @classmethod
     def load_log(cls, path: str | Path) -> "CorpusStore":
-        """Read the corpus ingest appends to (empty if there is none yet)."""
-        return cls(read_log(path, f"corpus file {path}", CorpusError, partial(decode, PaperRecord), whole_tail=True))
+        """Read the corpus ingest appends to, as its one writer."""
+        return cls(read_json_lines(path, f"corpus file {path}", CorpusError, partial(decode, PaperRecord), repair=True))
 
 
 def compute_stats(store: CorpusStore) -> CorpusStats:
@@ -249,32 +246,6 @@ def commit_line(sink: IO[str], line: str) -> None:
     sink.flush()
 
 
-def read_log(
-    path: str | Path, source: str, error: type[EcomineError], convert: Callable[[object], T], whole_tail: bool = False
-) -> list[T]:
-    """Each entry of an append-only log (none if there is no file yet) in
-    file order, decoded so a bad line is named before the next append. An
-    unterminated last line, which a kill mid-write leaves, is truncated, so
-    the next append starts a fresh line instead of gluing onto it. Given
-    whole_tail, one that is valid JSON (no cut object is) was written without
-    its newline, by hand or by another tool: it gets its newline and is kept."""
-    if not Path(path).exists():
-        return []
-    torn = []
-    entries = parse_json_lines(read_lines(path, source, error, torn.append), source, error, convert)
-    if torn and whole_tail:
-        with open(path, "rb+") as handle, suppress(ValueError):  # a cut character or document: a tear
-            handle.seek(torn[0])
-            json.loads(handle.read())
-            handle.write(b"\n")
-            handle.flush()
-            return read_log(path, source, error, convert)
-    if torn:
-        logger.warning("%s: dropping torn last line at byte offset %d", path, torn[0])
-        os.truncate(path, torn[0])
-    return entries
-
-
 def parse_json_lines(
     lines: Iterable[str], source: str, error: type[EcomineError], convert: Callable[[object], T], first: int = 1
 ) -> list[T]:
@@ -297,10 +268,15 @@ def read_lines(
 ) -> Iterator[str]:
     """The lines of a UTF-8 file, split at b"\n" only and each decoded on
     its own with its "\n", so a byte UTF-8 cannot decode raises ``error``
-    naming source, line and the position in that line. Given torn, an
-    unterminated last line is never decoded (a tear can fall inside a
-    character): torn gets its byte offset instead."""
-    with Path(path).open("rb") as handle:
+    naming source, line and the position in that line, and a missing file
+    raises ``error`` naming source. Given torn, an unterminated last line is
+    never decoded (a tear can fall inside a character): torn gets its byte
+    offset instead."""
+    try:
+        handle = Path(path).open("rb")
+    except FileNotFoundError:
+        raise error(f"{source} not found") from None
+    with handle:
         offset = 0
         for number, line in enumerate(handle, 1):
             if torn is not None and not line.endswith(b"\n"):
@@ -314,11 +290,30 @@ def read_lines(
 
 
 def read_json_lines(
-    path: str | Path, source: str, error: type[EcomineError], convert: Callable[[object], T]
+    path: str | Path, source: str, error: type[EcomineError], convert: Callable[[object], T], repair: bool = False
 ) -> list[T]:
     """parse_json_lines over read_lines, so the first faulty line in file
-    order, undecodable or not, is the one named."""
-    return parse_json_lines(read_lines(path, source, error), source, error, convert)
+    order, undecodable or not, is the one named.
+
+    An unterminated last line that is valid JSON (no cut object is) was
+    written without its newline and is kept; any other is a torn write. A
+    reader refuses a tear, naming its line, and never writes: a live writer
+    may be appending. Given repair, the file's one writer cuts a tear, so
+    its next append starts a fresh line, and gives a kept line its newline."""
+    torn = []
+    entries = parse_json_lines(read_lines(path, source, error, torn.append if repair else None), source, error, convert)
+    if torn:
+        with open(path, "rb+") as handle:
+            handle.seek(torn[0])
+            try:
+                loads_utf8(handle.read().decode("utf-8"))
+            except ValueError:  # a cut character or document
+                logger.warning("%s: dropping torn last line at byte offset %d", path, torn[0])
+                handle.truncate(torn[0])
+                return entries
+            handle.write(b"\n")
+        return read_json_lines(path, source, error, convert)  # a whole line, now read as any other
+    return entries
 
 
 def loads_utf8(text: str) -> object:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Collection, Sequence
 
 from .corpus import CorpusStore, PaperRecord, atomic_write_text, decode
-from .corpus import commit_line, parse_json_lines, read_json_lines, read_lines, read_log
+from .corpus import commit_line, normalize_doi, parse_json_lines, read_json_lines, read_lines
 from .errors import (
     CheckpointError,
     CorpusError,
@@ -207,9 +207,10 @@ def run_specialize(
 
     Responses that do not parse as a candidate schema are quarantined
     with the reason; human-flagged papers can be kept out of the draw
-    via excluded_dois.
+    via excluded_dois: each matches a stored DOI as written or as
+    normalize_doi keys it, and a malformed one is refused before any call.
     """
-    excluded = set(excluded_dois)
+    excluded = {*excluded_dois, *map(normalize_doi, excluded_dois)}
     eligible = [
         record
         for record in store.available_records()
@@ -336,7 +337,11 @@ def run_extract(
 
     results_path = Path(results_path)
     results_path.parent.mkdir(parents=True, exist_ok=True)
-    results = read_log(results_path, f"results file {results_path}", CorpusError, result_from_dict)
+    results = []  # extract, the results file's one writer, repairs its last line
+    if results_path.exists():
+        results = read_json_lines(
+            results_path, f"results file {results_path}", CorpusError, result_from_dict, repair=True
+        )
     lines = {result.paper_doi: serialize_result(result) for result in results}  # DOI -> results line; the last wins
     start = len(results) if checkpoint.results_lines is None else checkpoint.results_lines
     for result in results[start:]:  # the commits of a run killed after its opening document
@@ -420,9 +425,6 @@ def _compact_results(path: Path, lines: dict[str, str]) -> None:
 
 def load_results(path: str | Path) -> list[ExtractionResult]:
     """Read a results file; on duplicate DOIs the last line wins."""
-    path = Path(path)
-    if not path.exists():
-        return []
     results = read_json_lines(path, f"results file {path}", CorpusError, result_from_dict)
     return list({result.paper_doi: result for result in results}.values())
 

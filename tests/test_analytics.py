@@ -13,7 +13,7 @@ from ecomine.analytics import (
     FrequencyTable,
     LinkagePair,
     SortedResults,
-    _build_table,
+    _table,
     ecosystem_frequencies,
     emit_report,
     habitat_linkages,
@@ -352,16 +352,21 @@ def _ref_species_mentions(results, stoplist=None):
     return mentions
 
 
+def _ref_table(label, mentions, total):
+    """One row per name key, counting each mention once."""
+    return _table(label, ((name_key(raw), 1, raw) for raw in mentions), total)
+
+
 def _ref_role_inventory(results, stoplist=None):
     mentions = _ref_species_mentions(results, stoplist)
     roles = [role for _, role in mentions if role.strip()]
-    return _build_table("species roles", roles, total=len(mentions))
+    return _ref_table("species roles", roles, total=len(mentions))
 
 
 def _ref_top_species(results, role, k, stoplist=None):
     wanted = name_key(role)
     names = [name for name, r in _ref_species_mentions(results, stoplist) if name_key(r) == wanted]
-    return _build_table(f"top species ({display_name(role)})", names, total=len(names)).top(k)
+    return _ref_table(f"top species ({display_name(role)})", names, total=len(names)).top(k)
 
 
 def _ref_location_frequencies(results, granularity="all"):
@@ -379,7 +384,7 @@ def _ref_location_frequencies(results, granularity="all"):
             if granularity != "all" and geo != granularity:
                 continue
             mentions.append(display_name(entry["name"]))
-    return _build_table(f"locations ({granularity})", mentions, total=len(mentions))
+    return _ref_table(f"locations ({granularity})", mentions, total=len(mentions))
 
 
 def _ref_ecosystem_frequencies(results):
@@ -399,8 +404,8 @@ def _ref_ecosystem_frequencies(results):
             if kind in ECOSYSTEM_TYPES:
                 types.append(kind)
     return EcosystemFrequencies(
-        names=_build_table("ecosystems", names, total=len(names)),
-        types=_build_table("ecosystem types", types, total=len(names)),
+        names=_ref_table("ecosystems", names, total=len(names)),
+        types=_ref_table("ecosystem types", types, total=len(names)),
     )
 
 

@@ -228,6 +228,35 @@ class TestUndecodableInput:
         assert re.search(named, err, re.MULTILINE), err
 
 
+class TestMissingInput:
+    """A missing input file ends in exit 1 and one error line naming it,
+    and nothing is written. Read as no results, a missing results file had
+    analyze write empty reports and validate pass."""
+
+    @pytest.mark.parametrize(
+        "command", ["analyze", "validate", "generalize", "specialize", "extract", "ingest", "config"]
+    )
+    def test_exit_1_names_the_file(self, tmp_path, corpus_path, capsys, command):
+        missing = tmp_path / "typo.jsonl"
+        schema = tmp_path / "schema.json"
+        schema.write_text(schema_to_json(standard_schema()) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = {
+            "analyze": ["analyze", "--results", missing, "--out", out],
+            "validate": ["validate", "--results", missing, "--schema", schema],
+            "generalize": ["generalize", "--candidates", missing, "--out-dir", out],
+            "specialize": ["--corpus", corpus_path, "specialize", "--exclude", missing, "--out", out],
+            "extract": ["--corpus", missing, "extract", "--schema", schema, "--results", out],
+            "ingest": ["--corpus", out, "ingest", "--dois", missing, "--fixtures", tmp_path],
+            "config": ["--config", missing, "stats"],
+        }[command]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert re.search(rf"^error: .*{re.escape(str(missing))} not found$", captured.err, re.MULTILINE), captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestIngest:
     def test_fixture_ingest_writes_corpus_and_skip_log(self, tmp_path, capsys):
         fixtures = tmp_path / "fixtures"

@@ -132,6 +132,20 @@ def test_resume_over_old_lines_sends_only_uncommitted_papers(tmp_path, kill_afte
     assert results.read_bytes() == baseline
 
 
+def test_last_results_line_without_its_newline_is_kept_on_resume(tmp_path):
+    # cut as a torn line, the 5th paper was sent again: 16 calls instead of 15
+    _, baseline, _ = uninterrupted(())
+    results = tmp_path / "r.jsonl"
+    assert run_crashed(CrashPoint("flushed", 5), lambda: extract(FaultyProvider(STORE, {}), tmp_path), results)
+    results.write_bytes(results.read_bytes().removesuffix(b"\n"))  # a whole line, its newline never written
+
+    provider = FaultyProvider(STORE, {})
+    summary = extract(provider, tmp_path)
+    assert len(provider.sent) == 15 and DOIS[4] not in provider.sent
+    assert (summary.extracted, summary.out_of_scope, summary.quarantined) == (17, 3, 0)
+    assert results.read_bytes() == baseline
+
+
 # ingest killed at a fetch, or after a flushed corpus line
 
 HARVEST_SCHEDULES = st.dictionaries(

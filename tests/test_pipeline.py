@@ -90,6 +90,26 @@ class TestSpecialize:
         outcome = run_specialize(sample_store, make_config(), mock_gateway, excluded_dois=excluded)
         assert not excluded & set(outcome.sampled_dois)
 
+    @pytest.mark.parametrize(
+        "form", [str.upper, "https://doi.org/{}".format, "doi:{}".format], ids=["uppercase", "resolver", "scheme"]
+    )
+    def test_exclusion_in_any_doi_form_respected(self, sample_store, mock_gateway, form):
+        # compared as raw strings, an excluded DOI not written in normalized form was still drawn
+        first = run_specialize(sample_store, make_config(), mock_gateway).sampled_dois[0]
+        outcome = run_specialize(sample_store, make_config(), mock_gateway, excluded_dois=[form(first)])
+        assert first not in outcome.sampled_dois
+
+    def test_exclusion_matches_a_stored_doi_as_written(self, mock_gateway):
+        store = CorpusStore([PaperRecord(doi=doi, title="t", abstract="x") for doi in ("10.1/A", "10.1/b")])
+        with pytest.raises(StageFailure, match="store has 1$"):
+            run_specialize(store, make_config(sample_size=2), mock_gateway, excluded_dois=["10.1/A"])
+
+    def test_malformed_exclusion_refused_before_any_call(self, sample_store, mock_gateway):
+        counting = FailAfter(mock_gateway, allow=10_000)
+        with pytest.raises(CorpusError, match="malformed DOI: 'not a doi'"):
+            run_specialize(sample_store, make_config(), counting, excluded_dois=["10.5555/ecomine.0001", "not a doi"])
+        assert counting.calls == 0
+
     def test_all_responses_unusable_fails(self, sample_store):
         outcome_gateway = StubGateway("not a schema at all")
         with pytest.raises(StageFailure):
@@ -533,6 +553,32 @@ class TestFileLoaders:
         path.write_bytes(text)
         with pytest.raises(CorpusError, match=re.escape(f"{path}, {named}")):
             loader(path)
+
+    @pytest.mark.parametrize("loader", [load_results, load_candidates, CorpusStore.load])
+    def test_missing_file_is_named(self, tmp_path, loader):
+        # load_results read a missing file as no results, and load_candidates raised a bare OSError
+        path = tmp_path / "typo.jsonl"
+        with pytest.raises(CorpusError, match=re.escape(f"{path} not found")):
+            loader(path)
+
+    @pytest.mark.parametrize(
+        "tail", [b'{"doi": "10.1/b", "spe', '{"doi": "10.1/b", "species": [{"name": "\xc4'.encode()[:-1]]
+    )
+    def test_load_results_refuses_a_torn_last_line_and_leaves_it(self, tmp_path, tail):
+        # a reader never writes: a live extract may be appending to the line
+        path = tmp_path / "results.jsonl"
+        data = b'{"doi": "10.1/a"}\n' + tail
+        path.write_bytes(data)
+        with pytest.raises(CorpusError, match=re.escape(f"results file {path}, line 2")):
+            load_results(path)
+        assert path.read_bytes() == data
+
+    def test_load_results_keeps_a_last_line_without_its_newline_and_leaves_it(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        data = b'{"doi": "10.1/a"}\n{"doi": "10.1/b"}'
+        path.write_bytes(data)
+        assert [result.paper_doi for result in load_results(path)] == ["10.1/a", "10.1/b"]
+        assert path.read_bytes() == data
 
     def test_load_results_keeps_unicode_line_boundaries(self, tmp_path):
         path = tmp_path / "results.jsonl"

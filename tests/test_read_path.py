@@ -9,7 +9,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecomine.corpus import read_log
+from ecomine.corpus import read_json_lines
 from ecomine.errors import CorpusError
 from ecomine.harvest import FixtureHarvestClient, fixture_filename
 from ecomine.pipeline import _compact_results
@@ -78,7 +78,7 @@ def test_compaction_matches_decode_everything_reference(earlier, torn, run):
         path = Path(directory) / "results.jsonl"
         tail = serialize_result(ExtractionResult(paper_doi="10.1/torn"))[:torn]
         path.write_text("".join(line + "\n" for line in earlier) + tail, encoding="utf-8")
-        results = read_log(path, f"results file {path}", CorpusError, result_from_dict)
+        results = read_json_lines(path, f"results file {path}", CorpusError, result_from_dict, repair=True)
         lines = {result.paper_doi: serialize_result(result) for result in results}
         with path.open("a", encoding="utf-8") as sink:
             for result in run:
