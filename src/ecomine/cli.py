@@ -33,8 +33,9 @@ from .pipeline import (
     run_extract,
     run_generalize,
     run_specialize,
+    save_candidates,
 )
-from .schema import candidate_to_dict, schema_to_json, validate_result
+from .schema import schema_to_json, validate_result
 
 logger = logging.getLogger(__name__)
 
@@ -227,16 +228,7 @@ def cmd_specialize(args: argparse.Namespace, config: CliConfig) -> int:
     store = _open_store(config)
     excluded = _read_dois(args.exclude) if args.exclude else []
     outcome = run_specialize(store, config.stage_config(), make_gateway(config), excluded_dois=excluded)
-    payload = "".join(
-        json.dumps(
-            {"doi": c.paper_doi, "blocks": candidate_to_dict(c)},
-            ensure_ascii=False,
-            sort_keys=True,
-        )
-        + "\n"
-        for c in outcome.candidates
-    )
-    atomic_write_text(Path(args.out), payload)
+    save_candidates(args.out, outcome.candidates)
     for doi, reason in sorted(outcome.quarantined.items()):
         logger.warning("quarantined %s: %s", doi, reason)
     print(

@@ -1,4 +1,5 @@
-"""Document collection: records, persistence, token statistics, bibliometrics.
+"""Document collection: records, persistence, token statistics, bibliometrics,
+and the JSON codec (decode, encode) of every record class the package writes.
 
 The store is a DOI-keyed collection of paper records, persisted as
 line-delimited JSON, one record per line. Optional record fields are
@@ -77,13 +78,6 @@ class PaperRecord:
     def available(self) -> bool:
         """True when the record carries at least one text field."""
         return bool(self.abstract) or bool(self.full_text)
-
-    def to_dict(self) -> dict:
-        """Serializable form; optional fields omitted when absent."""
-        return {name: value for name in _RECORD_FIELDS if (value := getattr(self, name)) is not None}
-
-
-_RECORD_FIELDS = tuple(f.name for f in fields(PaperRecord))
 
 
 @dataclass
@@ -235,9 +229,9 @@ def export_corpus(store: CorpusStore, path: str | Path, fmt: str = "jsonl") -> i
     return len(records)
 
 
-def record_line(record: PaperRecord) -> str:
-    """A record's corpus line, without its newline."""
-    return json.dumps(record.to_dict(), ensure_ascii=False, sort_keys=True)
+def record_line(record: object) -> str:
+    """A record's line (a corpus record or an extraction result), without its newline."""
+    return json.dumps(encode(record), ensure_ascii=False, sort_keys=True)
 
 
 def commit_line(sink: IO[str], line: str) -> None:
@@ -295,25 +289,34 @@ def read_json_lines(
     """parse_json_lines over read_lines, so the first faulty line in file
     order, undecodable or not, is the one named.
 
-    An unterminated last line that is valid JSON (no cut object is) was
-    written without its newline and is kept; any other is a torn write. A
-    reader refuses a tear, naming its line, and never writes: a live writer
-    may be appending. Given repair, the file's one writer cuts a tear, so
-    its next append starts a fresh line, and gives a kept line its newline."""
+    An unterminated last line is kept when whole_last_line finds it whole;
+    any other is a torn write. A reader refuses a tear, naming its line,
+    and never writes: a live writer may be appending. Given repair, the
+    file's one writer cuts a tear, so its next append starts a fresh line,
+    and gives a kept line its newline."""
     torn = []
     entries = parse_json_lines(read_lines(path, source, error, torn.append if repair else None), source, error, convert)
-    if torn:
-        with open(path, "rb+") as handle:
-            handle.seek(torn[0])
-            try:
-                loads_utf8(handle.read().decode("utf-8"))
-            except ValueError:  # a cut character or document
-                logger.warning("%s: dropping torn last line at byte offset %d", path, torn[0])
-                handle.truncate(torn[0])
-                return entries
+    if torn and not whole_last_line(path, torn[0]):
+        logger.warning("%s: dropping torn last line at byte offset %d", path, torn[0])
+        os.truncate(path, torn[0])
+    elif torn:
+        with open(path, "ab") as handle:
             handle.write(b"\n")
         return read_json_lines(path, source, error, convert)  # a whole line, now read as any other
     return entries
+
+
+def whole_last_line(path: str | Path, offset: int) -> bool:
+    """The one last-line rule: the unterminated last line from byte offset
+    on is whole, written without its newline, when it is valid JSON (no cut
+    object is); else it is a torn write."""
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        try:
+            loads_utf8(handle.read().decode("utf-8"))
+        except ValueError:  # a cut character or document
+            return False
+    return True
 
 
 def loads_utf8(text: str) -> object:
@@ -380,6 +383,17 @@ def decode(cls: type[T], doc: object) -> T:
         elif required:
             raise KeyError(key)
     return cls(**values)
+
+
+def encode(record: object) -> dict:
+    """decode's inverse: each field of a dataclass under its JSON key, a set
+    as a sorted list; a None is left out."""
+    doc = {}
+    for name, key, _, _, convert, _ in _decoded_fields(type(record)):
+        value = getattr(record, name)
+        if value is not None:
+            doc[key] = sorted(value) if convert is set else value
+    return doc
 
 
 def atomic_write_text(path: Path, payload: str) -> None:

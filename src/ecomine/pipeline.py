@@ -20,8 +20,8 @@ from itertools import combinations
 from pathlib import Path
 from typing import Collection, Sequence
 
-from .corpus import CorpusStore, PaperRecord, atomic_write_text, decode
-from .corpus import commit_line, normalize_doi, parse_json_lines, read_json_lines, read_lines
+from .corpus import CorpusStore, PaperRecord, atomic_write_text, commit_line, decode, encode, normalize_doi
+from .corpus import parse_json_lines, read_json_lines, read_lines, record_line, whole_last_line
 from .errors import (
     CheckpointError,
     CorpusError,
@@ -52,7 +52,7 @@ from .schema import (
     parse_schema,
     result_from_dict,
     schema_fingerprint,
-    serialize_result,
+    schema_to_dict,
 )
 
 logger = logging.getLogger(__name__)
@@ -83,9 +83,10 @@ class Checkpoint:
 
     On disk: one checkpoint document, then zero or more one-line deltas
     ``{"doi", "status"[, "reason"]}``, where status names the set the DOI
-    joins; extract appends them for quarantines only. A line counts once its
-    newline is written; an unterminated last line is a torn write and is
-    dropped. ``save`` compacts everything into a single document.
+    joins; extract appends them for quarantines only. An unterminated last
+    delta follows the one last-line rule (corpus.whole_last_line): kept when
+    whole, else dropped as a torn write, which ``save``, compacting
+    everything into a single document, then rewrites.
     results_lines, set only in the document an extract run opens with,
     counts the results its results file held: each later one is a commit.
     """
@@ -123,23 +124,16 @@ class Checkpoint:
             raise CheckpointError(f"unknown status {status!r}")
 
     def save(self, path: str | Path) -> None:
-        doc = {
-            "stage": self.stage,
-            "schema_fingerprint": self.schema_fingerprint,
-            "completed": sorted(self.completed),
-            "out_of_scope": sorted(self.out_of_scope),
-            "quarantined": self.quarantined,
-        }
-        if self.results_lines is not None:
-            doc["results_lines"] = self.results_lines
-        atomic_write_text(Path(path), json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+        atomic_write_text(Path(path), json.dumps(encode(self), ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
         source, torn, decoder = f"checkpoint {path}", [], json.JSONDecoder()
         try:
-            try:  # an unterminated last line is a torn delta, left undecoded: a tear can fall inside a character
+            try:  # an unterminated last line is left undecoded, as a tear can fall inside a character
                 text = "".join(read_lines(path, source, CheckpointError, torn.append))
+                if torn and whole_last_line(path, torn[0]):  # a delta written without its newline
+                    text, torn = "".join(read_lines(path, source, CheckpointError)), []
                 doc, end = decoder.raw_decode(text, len(text) - len(text.lstrip()))
             except ValueError:  # unless the document itself ends there without a newline
                 text, torn = "".join(read_lines(path, source, CheckpointError)), []
@@ -317,7 +311,7 @@ def run_extract(
     checkpoint is compacted and the failure re-raised. The lines earlier
     runs left are read, and checked against the checkpoint, before the
     first call; on completion they and this run's lines are written back
-    as one DOI-sorted line per paper.
+    as one DOI-sorted line per paper not quarantined.
     """
     system = build_extract_system_prompt(schema)  # validates the schema
     fingerprint = schema_fingerprint(schema)
@@ -342,7 +336,7 @@ def run_extract(
         results = read_json_lines(
             results_path, f"results file {results_path}", CorpusError, result_from_dict, repair=True
         )
-    lines = {result.paper_doi: serialize_result(result) for result in results}  # DOI -> results line; the last wins
+    lines = {result.paper_doi: record_line(result) for result in results}  # DOI -> results line; the last wins
     start = len(results) if checkpoint.results_lines is None else checkpoint.results_lines
     for result in results[start:]:  # the commits of a run killed after its opening document
         commit(result)
@@ -392,7 +386,7 @@ def run_extract(
                     raise exc
                 try:
                     result = parse_result(raw, doi)
-                    line = serialize_result(result)
+                    line = record_line(result)
                 except QuarantineError as exc:
                     logger.warning("quarantining extract response for %s", doi)
                     quarantine(doi, str(exc))
@@ -409,7 +403,7 @@ def run_extract(
     if failure is not None:
         raise failure
 
-    _compact_results(results_path, lines)
+    _compact_results(results_path, {doi: line for doi, line in lines.items() if doi not in checkpoint.quarantined})
     return ExtractionRunSummary(
         processed=len(checkpoint.processed()),
         extracted=len(checkpoint.completed),
@@ -429,8 +423,14 @@ def load_results(path: str | Path) -> list[ExtractionResult]:
     return list({result.paper_doi: result for result in results}.values())
 
 
+def save_candidates(path: str | Path, candidates: Sequence[CandidateSchema]) -> None:
+    """Write the specialize stage's candidates file: one {"doi", "blocks"} line per candidate."""
+    docs = ({"doi": c.paper_doi, "blocks": schema_to_dict(c)} for c in candidates)
+    atomic_write_text(Path(path), "".join(json.dumps(doc, ensure_ascii=False, sort_keys=True) + "\n" for doc in docs))
+
+
 def load_candidates(path: str | Path) -> list[CandidateSchema]:
-    """Read a candidates file written by the specialize stage."""
+    """Read a candidates file written by save_candidates."""
     return read_json_lines(
         path, f"candidates file {path}", CorpusError, lambda doc: candidate_from_blocks(doc["doi"], doc["blocks"])
     )

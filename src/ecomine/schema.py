@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .corpus import decode, loads_utf8
+from .corpus import decode, loads_utf8, record_line
 from .errors import InvalidSchemaError, QuarantineError, SchemaParseError
 
 
@@ -516,25 +516,11 @@ class ExtractionResult:
             raise ValueError("result DOI must be non-empty")
 
 
-def out_of_scope_result(doi: str) -> ExtractionResult:
-    return ExtractionResult(paper_doi=doi, status="out_of_scope")
-
-
-def result_to_dict(result: ExtractionResult) -> dict:
-    return {
-        "doi": result.paper_doi,
-        "status": result.status,
-        **{attr: getattr(result, attr) for attr, _ in RESULT_BLOCKS},
-    }
-
-
 def result_from_dict(doc: dict) -> ExtractionResult:
     return decode(ExtractionResult, doc)
 
 
-def serialize_result(result: ExtractionResult) -> str:
-    """One-line JSON form used in results files; stable key order."""
-    return json.dumps(result_to_dict(result), ensure_ascii=False, sort_keys=True)
+serialize_result = record_line  # a results line; the name perfbench imports
 
 
 def parse_result(raw: str, doi: str) -> ExtractionResult:
@@ -546,7 +532,7 @@ def parse_result(raw: str, doi: str) -> ExtractionResult:
     """
     text = strip_fences(raw)
     if text.casefold() == "n/a":
-        return out_of_scope_result(doi)
+        return ExtractionResult(paper_doi=doi, status="out_of_scope")
     try:
         doc = loads_utf8(text)
     except json.JSONDecodeError as exc:

@@ -10,6 +10,7 @@ from ecomine.corpus import (
     bibliometrics,
     compute_stats,
     count_tokens,
+    encode,
     export_corpus,
     normalize_doi,
 )
@@ -51,7 +52,7 @@ class TestPaperRecord:
         assert not record("10.1/c").available
 
     def test_serialization_omits_absent_fields(self):
-        doc = record("10.1/a", abstract="text").to_dict()
+        doc = encode(record("10.1/a", abstract="text"))
         assert "full_text" not in doc and "year" not in doc and "publisher" not in doc
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import SAMPLE_CORPUS, fast_policy
 from faults import FAULTS, HARVEST_FAULTS, CrashPoint, FaultyHarvestClient, FaultyProvider, committed, run_crashed
 from ecomine import cli
-from ecomine.corpus import CorpusStore
+from ecomine.corpus import CorpusStore, encode
 from ecomine.gateway import LlmGateway
 from ecomine.harvest import fixture_filename
 from ecomine.pipeline import StageConfig, run_extract
@@ -146,6 +146,33 @@ def test_last_results_line_without_its_newline_is_kept_on_resume(tmp_path):
     assert results.read_bytes() == baseline
 
 
+def test_last_checkpoint_delta_without_its_newline_is_kept_on_resume(tmp_path, caplog):
+    # dropped as a torn line, the quarantined paper was sent again: 17 calls instead of 16
+    schedule = {DOIS[1]: "prose"}
+    summary, baseline, baseline_checkpoint = uninterrupted(tuple(schedule.items()))
+    results, checkpoint = tmp_path / "r.jsonl", tmp_path / "r.ckpt.json"
+    run = lambda: extract(FaultyProvider(STORE, schedule), tmp_path)  # noqa: E731
+    assert run_crashed(CrashPoint("flushed", 3), run, results)  # after 0001, 0002's delta, 0003 and 0004
+    checkpoint.write_bytes(checkpoint.read_bytes().removesuffix(b"\n"))  # a whole delta, its newline never written
+
+    provider = FaultyProvider(STORE, schedule)
+    assert extract(provider, tmp_path) == summary
+    assert len(provider.sent) == 16 and DOIS[1] not in provider.sent
+    assert (results.read_bytes(), checkpoint.read_bytes()) == (baseline, baseline_checkpoint)
+    assert "torn" not in caplog.text
+
+
+@pytest.mark.parametrize("checkpoint", [None, "r.ckpt.json"])
+def test_paper_a_rerun_quarantines_keeps_no_earlier_results_line(tmp_path, checkpoint):
+    # the compacted file kept the first run's line for the quarantined paper: 20 lines, not 19
+    results = tmp_path / "r.jsonl"
+    for schedule, path in (({}, None), ({DOIS[1]: "prose"}, checkpoint and tmp_path / checkpoint)):
+        gateway = LlmGateway(FaultyProvider(STORE, schedule), fast_policy(), sleep=lambda s: None)
+        summary = run_extract(STORE, standard_schema(), CONFIG, gateway, results, path)
+    assert (summary.extracted, summary.out_of_scope, summary.quarantined) == (16, 3, 1)
+    assert results.read_bytes() == uninterrupted(((DOIS[1], "prose"),))[1]
+
+
 # ingest killed at a fetch, or after a flushed corpus line
 
 HARVEST_SCHEDULES = st.dictionaries(
@@ -165,7 +192,7 @@ def harvest_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("harvest")
     (directory / "fixtures").mkdir()
     for record in STORE.available_records():
-        (directory / "fixtures" / fixture_filename(record.doi)).write_text(json.dumps(record.to_dict()))
+        (directory / "fixtures" / fixture_filename(record.doi)).write_text(json.dumps(encode(record)))
     listed = [*DOIS[:10], "not a doi", MISSING, *DOIS[10:], "https://doi.org/" + DOIS[3].upper()]
     (directory / "dois.txt").write_text("".join(doi + "\n" for doi in listed))
     return directory

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from conftest import SAMPLE_SEED, fast_policy
-from ecomine.corpus import CorpusStore, PaperRecord
+from ecomine.corpus import CorpusStore, PaperRecord, encode
 from ecomine.errors import (
     CheckpointError,
     CorpusError,
@@ -30,7 +30,6 @@ from ecomine.pipeline import (
 from ecomine.schema import (
     candidate_to_dict,
     result_from_dict,
-    result_to_dict,
     schema_fingerprint,
     schema_to_dict,
     serialize_result,
@@ -614,7 +613,7 @@ class TestFileLoaders:
         path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
         results = load_results(path)
         assert len(results) == 1
-        assert result_to_dict(results[0])["species"] == []
+        assert encode(results[0])["species"] == []
 
 
 def seed_format(path, **sets):

@@ -9,7 +9,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecomine.corpus import read_json_lines
+from ecomine.corpus import encode, read_json_lines
 from ecomine.errors import CorpusError
 from ecomine.harvest import FixtureHarvestClient, fixture_filename
 from ecomine.pipeline import _compact_results
@@ -22,7 +22,6 @@ from ecomine.schema import (
     display_name,
     name_key,
     result_from_dict,
-    result_to_dict,
     serialize_result,
     standard_schema,
     validate_result,
@@ -61,7 +60,7 @@ RESULTS = st.builds(
 def earlier_lines(draw):
     """A results line as any earlier run may have left it: the program's
     layout, or another key order and escaping of the same document."""
-    doc = result_to_dict(draw(RESULTS))
+    doc = encode(draw(RESULTS))
     if draw(st.booleans()):
         return json.dumps(doc, ensure_ascii=False, sort_keys=True)
     return json.dumps(dict(reversed(doc.items())), ensure_ascii=True)
