@@ -240,23 +240,6 @@ def commit_line(sink: IO[str], line: str) -> None:
     sink.flush()
 
 
-def parse_json_lines(
-    lines: Iterable[str], source: str, error: type[EcomineError], convert: Callable[[object], T], first: int = 1
-) -> list[T]:
-    """Parse each non-blank line as JSON through convert; a failure, or text
-    UTF-8 cannot encode anywhere in the line's value, raises ``error``
-    naming source and line. Lines end at "\n" only, never at U+2028: split
-    text on "\n", or read a file with read_lines."""
-    converted = []
-    for number, line in enumerate(lines, first):
-        if line.strip():
-            try:
-                converted.append(convert(loads_utf8(line)))
-            except (ValueError, KeyError, TypeError, AttributeError, EcomineError) as exc:
-                raise error(f"{source}, line {number}: {type(exc).__name__}: {exc}") from exc
-    return converted
-
-
 def read_lines(
     path: str | Path, source: str, error: type[EcomineError], torn: Callable[[int], object] | None = None
 ) -> Iterator[str]:
@@ -286,37 +269,36 @@ def read_lines(
 def read_json_lines(
     path: str | Path, source: str, error: type[EcomineError], convert: Callable[[object], T], repair: bool = False
 ) -> list[T]:
-    """parse_json_lines over read_lines, so the first faulty line in file
-    order, undecodable or not, is the one named.
+    """Parse each non-blank line of a file, read with read_lines, as JSON
+    through convert; a failure, or text UTF-8 cannot encode anywhere in the
+    line's value, raises ``error`` naming source and line, so the first
+    faulty line in file order, undecodable or not, is the one named.
 
-    An unterminated last line is kept when whole_last_line finds it whole;
-    any other is a torn write. A reader refuses a tear, naming its line,
-    and never writes: a live writer may be appending. Given repair, the
-    file's one writer cuts a tear, so its next append starts a fresh line,
-    and gives a kept line its newline."""
-    torn = []
-    entries = parse_json_lines(read_lines(path, source, error, torn.append if repair else None), source, error, convert)
-    if torn and not whole_last_line(path, torn[0]):
-        logger.warning("%s: dropping torn last line at byte offset %d", path, torn[0])
-        os.truncate(path, torn[0])
-    elif torn:
-        with open(path, "ab") as handle:
-            handle.write(b"\n")
-        return read_json_lines(path, source, error, convert)  # a whole line, now read as any other
-    return entries
-
-
-def whole_last_line(path: str | Path, offset: int) -> bool:
-    """The one last-line rule: the unterminated last line from byte offset
-    on is whole, written without its newline, when it is valid JSON (no cut
-    object is); else it is a torn write."""
-    with open(path, "rb") as handle:
-        handle.seek(offset)
+    The one last-line rule: an unterminated last line is whole, written
+    without its newline, when it is valid JSON (no cut object is); any
+    other is a torn write. A reader refuses a tear, naming its line, and
+    never writes: a live writer may be appending. Given repair, the file's
+    one writer cuts a tear, so its next append starts a fresh line, and
+    gives a kept line its newline."""
+    torn, converted = [], []
+    for number, line in enumerate(read_lines(path, source, error, torn.append if repair else None), 1):
+        if line.strip():
+            try:
+                converted.append(convert(loads_utf8(line)))
+            except (ValueError, KeyError, TypeError, AttributeError, EcomineError) as exc:
+                raise error(f"{source}, line {number}: {type(exc).__name__}: {exc}") from exc
+    if not torn:
+        return converted
+    with open(path, "rb+") as handle:
+        handle.seek(torn[0])
         try:
             loads_utf8(handle.read().decode("utf-8"))
         except ValueError:  # a cut character or document
-            return False
-    return True
+            logger.warning("%s: dropping torn last line at byte offset %d", path, torn[0])
+            handle.truncate(torn[0])
+            return converted
+        handle.write(b"\n")
+    return read_json_lines(path, source, error, convert)  # a whole line, now read as any other
 
 
 def loads_utf8(text: str) -> object:

@@ -1,11 +1,10 @@
 """Stage orchestration: specialize, generalize, extract.
 
 The extract stage is built for multi-day batches: a paper commits when its
-result is appended to a results file, or, quarantined, when a one-line
-delta is journalled to the checkpoint file, and a fingerprint of the
-schema in force binds checkpoint and results together so a resumed run
-can never mix schemas. Workers only call the gateway; parsing and persistence happen
-on the calling thread (single writer).
+line, a result or a quarantine, is appended to a results file, and a
+fingerprint of the schema in force binds checkpoint and results together
+so a resumed run can never mix schemas. Workers only call the gateway;
+parsing and persistence happen on the calling thread (single writer).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from pathlib import Path
 from typing import Collection, Sequence
 
 from .corpus import CorpusStore, PaperRecord, atomic_write_text, commit_line, decode, encode, normalize_doi
-from .corpus import parse_json_lines, read_json_lines, read_lines, record_line, whole_last_line
+from .corpus import read_json_lines, read_lines, record_line
 from .errors import (
     CheckpointError,
     CorpusError,
@@ -79,16 +78,10 @@ class StageConfig:
 
 @dataclass
 class Checkpoint:
-    """Resumable extract-stage state.
+    """Resumable extract-stage state: one JSON document, written whole.
 
-    On disk: one checkpoint document, then zero or more one-line deltas
-    ``{"doi", "status"[, "reason"]}``, where status names the set the DOI
-    joins; extract appends them for quarantines only. An unterminated last
-    delta follows the one last-line rule (corpus.whole_last_line): kept when
-    whole, else dropped as a torn write, which ``save``, compacting
-    everything into a single document, then rewrites.
     results_lines, set only in the document an extract run opens with,
-    counts the results its results file held: each later one is a commit.
+    counts the lines its results file held: each later one is a commit.
     """
 
     stage: str
@@ -107,56 +100,29 @@ class Checkpoint:
     def processed(self) -> set[str]:
         return self.completed | self.out_of_scope | set(self.quarantined)
 
-    def apply(self, delta: dict) -> None:
-        """Fold one journal delta into the sets; a mistyped delta is a CheckpointError."""
-        doi, status, reason = delta.get("doi"), delta.get("status"), delta.get("reason")
-        if not _nonempty_str(doi):
-            raise CheckpointError(f"delta 'doi' must be a non-empty string, got {doi!r}")
-        if status == "completed":
-            self.completed.add(doi)
-        elif status == "out_of_scope":
-            self.out_of_scope.add(doi)
-        elif status == "quarantined":
-            if not _nonempty_str(reason):
-                raise CheckpointError(f"delta 'reason' must be a non-empty string, got {reason!r}")
-            self.quarantined[doi] = reason
-        else:
-            raise CheckpointError(f"unknown status {status!r}")
-
     def save(self, path: str | Path) -> None:
         atomic_write_text(Path(path), json.dumps(encode(self), ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
-        source, torn, decoder = f"checkpoint {path}", [], json.JSONDecoder()
         try:
-            try:  # an unterminated last line is left undecoded, as a tear can fall inside a character
-                text = "".join(read_lines(path, source, CheckpointError, torn.append))
-                if torn and whole_last_line(path, torn[0]):  # a delta written without its newline
-                    text, torn = "".join(read_lines(path, source, CheckpointError)), []
-                doc, end = decoder.raw_decode(text, len(text) - len(text.lstrip()))
-            except ValueError:  # unless the document itself ends there without a newline
-                text, torn = "".join(read_lines(path, source, CheckpointError)), []
-                doc, end = decoder.raw_decode(text, len(text) - len(text.lstrip()))
+            doc = json.loads("".join(read_lines(path, f"checkpoint {path}", CheckpointError)))
         except (OSError, ValueError) as exc:
+            if getattr(exc, "msg", None) == "Extra data":  # an older version journalled quarantines there
+                raise CheckpointError(
+                    f"checkpoint {path}, line {exc.lineno}: a line after the checkpoint document, as an older "
+                    "version left a run it did not finish; remove the checkpoint to resume"
+                ) from exc
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
         try:
             checkpoint = decode(cls, doc)
         except (KeyError, TypeError, CheckpointError) as exc:
             raise CheckpointError(f"checkpoint {path}: {type(exc).__name__}: {exc}") from exc
-        first_line = text.count("\n", 0, end) + 1
-        parse_json_lines(text[end:].split("\n"), source, CheckpointError, checkpoint.apply, first_line)
-        if torn:
-            logger.warning("%s: dropping torn last line at byte offset %d", path, torn[0])
         sets = [("completed", checkpoint.completed), ("out_of_scope", checkpoint.out_of_scope)]
         for (one, a), (other, b) in combinations([*sets, ("quarantined", checkpoint.quarantined.keys())], 2):
             if both := a & b:
                 raise CheckpointError(f"checkpoint {path} has DOI {min(both)} both {one} and {other}")
         return checkpoint
-
-
-def _nonempty_str(value) -> bool:
-    return isinstance(value, str) and value != ""
 
 
 @dataclass
@@ -303,15 +269,16 @@ def run_extract(
     """Apply the standardized schema to every paper with an abstract.
 
     Every eligible paper ends up in exactly one of extracted,
-    out_of_scope, or quarantined. A paper commits once its line is
-    appended to results_path, or, quarantined, journalled to the
-    checkpoint, so a rerun with the same checkpoint resumes where even a
-    killed run left off. After a hard gateway failure no further
-    call starts; responses already returned are committed, then the
-    checkpoint is compacted and the failure re-raised. The lines earlier
-    runs left are read, and checked against the checkpoint, before the
-    first call; on completion they and this run's lines are written back
-    as one DOI-sorted line per paper not quarantined.
+    out_of_scope, or quarantined. A paper commits once its line, a result
+    or a quarantine, is appended to results_path, so a rerun with the
+    same checkpoint resumes where even a killed run left off. After a
+    hard gateway failure no further call starts; responses already
+    returned are committed, then the checkpoint is saved and the failure
+    re-raised. The lines earlier runs left are read, and checked against
+    the checkpoint, before the first call; a DOI's last line wins, and a
+    quarantine line leaves it none. On completion they and this run's
+    lines are written back as one DOI-sorted line per paper not
+    quarantined.
     """
     system = build_extract_system_prompt(schema)  # validates the schema
     fingerprint = schema_fingerprint(schema)
@@ -326,8 +293,23 @@ def run_extract(
                 "checkpoint was written under a different schema; refusing to mix schemas"
             )
 
+    lines: dict[str, str] = {}  # DOI -> results line of each paper not quarantined; the last line wins
+
+    def keep(result: ExtractionResult, line: str) -> None:
+        if result.status == "quarantined":
+            lines.pop(result.paper_doi, None)
+        else:
+            lines[result.paper_doi] = line
+
     def commit(result: ExtractionResult) -> None:  # once its results line is written
-        (checkpoint.out_of_scope if result.status == "out_of_scope" else checkpoint.completed).add(result.paper_doi)
+        doi = result.paper_doi
+        checkpoint.completed.discard(doi)
+        checkpoint.out_of_scope.discard(doi)
+        checkpoint.quarantined.pop(doi, None)
+        if result.status == "quarantined":
+            checkpoint.quarantined[doi] = result.reason
+        else:
+            (checkpoint.out_of_scope if result.status == "out_of_scope" else checkpoint.completed).add(doi)
 
     results_path = Path(results_path)
     results_path.parent.mkdir(parents=True, exist_ok=True)
@@ -336,7 +318,8 @@ def run_extract(
         results = read_json_lines(
             results_path, f"results file {results_path}", CorpusError, result_from_dict, repair=True
         )
-    lines = {result.paper_doi: record_line(result) for result in results}  # DOI -> results line; the last wins
+    for result in results:
+        keep(result, record_line(result))
     start = len(results) if checkpoint.results_lines is None else checkpoint.results_lines
     for result in results[start:]:  # the commits of a run killed after its opening document
         commit(result)
@@ -351,17 +334,9 @@ def run_extract(
     todo = [record for record in eligible if record.doi not in done]
     logger.info("extract: %d eligible, %d already processed", len(eligible), len(eligible) - len(todo))
 
-    journal = None
     if checkpoint_path is not None:
-        checkpoint.results_lines = len(results)  # each result appended past these is a commit of this run
-        checkpoint.save(checkpoint_path)  # the document quarantine deltas follow
-        journal = Path(checkpoint_path).open("a", encoding="utf-8")
-
-    def quarantine(doi: str, reason: str) -> None:
-        delta = {"doi": doi, "status": "quarantined", "reason": reason}
-        checkpoint.apply(delta)
-        if journal is not None:
-            commit_line(journal, json.dumps(delta, ensure_ascii=False, sort_keys=True))
+        checkpoint.results_lines = len(results)  # each line appended past these is a commit of this run
+        checkpoint.save(checkpoint_path)
 
     def call(record: PaperRecord) -> str:
         return gateway.complete(PromptPair(system, build_paper_user_prompt(record)))
@@ -377,26 +352,19 @@ def run_extract(
                     logger.warning("extract: hard failure on %s; committing calls in flight: %s", doi, exc)
                     failure = failure or exc
                     continue
-                if isinstance(exc, PromptError):
-                    # the paper itself cannot form a prompt; retrying won't help
-                    logger.warning("quarantining unpromptable paper %s: %s", doi, exc)
-                    quarantine(doi, str(exc))
-                    continue
-                if exc is not None:
-                    raise exc
                 try:
+                    if exc is not None:
+                        raise exc
                     result = parse_result(raw, doi)
-                    line = record_line(result)
-                except QuarantineError as exc:
-                    logger.warning("quarantining extract response for %s", doi)
-                    quarantine(doi, str(exc))
-                else:
-                    lines[doi] = line
-                    commit_line(sink, line)
-                    commit(result)
+                except (PromptError, QuarantineError) as error:  # the paper or its reply: retrying won't help
+                    logger.warning("quarantining extract paper %s: %s", doi, error)
+                    result = ExtractionResult(paper_doi=doi, status="quarantined", reason=str(error))
+                line = record_line(result)
+                commit_line(sink, line)
+                keep(result, line)
+                commit(result)
     finally:
-        if journal is not None:
-            journal.close()
+        if checkpoint_path is not None:
             checkpoint.results_lines = None  # the exit document lists every commit
             checkpoint.save(checkpoint_path)
 
@@ -418,9 +386,11 @@ def _compact_results(path: Path, lines: dict[str, str]) -> None:
 
 
 def load_results(path: str | Path) -> list[ExtractionResult]:
-    """Read a results file; on duplicate DOIs the last line wins."""
+    """Read a results file; on duplicate DOIs the last line wins, and a
+    quarantine line leaves its DOI out, as compaction would."""
     results = read_json_lines(path, f"results file {path}", CorpusError, result_from_dict)
-    return list({result.paper_doi: result for result in results}.values())
+    latest = {result.paper_doi: result for result in results}
+    return [result for result in latest.values() if result.status != "quarantined"]
 
 
 def save_candidates(path: str | Path, candidates: Sequence[CandidateSchema]) -> None:

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import re
+import reprlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -501,19 +502,25 @@ _RESULT_KEY_ALIASES["relationship"] = "relationships"
 
 @dataclass(slots=True)
 class ExtractionResult:
-    """Populated schema instance for one paper, or an out-of-scope marker."""
+    """Populated schema instance for one paper, an out-of-scope marker, or
+    a quarantine marker with its reason."""
 
     paper_doi: str = field(metadata={"key": "doi"})
-    status: str = "extracted"  # "extracted" | "out_of_scope"
+    status: str = "extracted"  # "extracted" | "out_of_scope" | "quarantined"
     species: list[dict] = field(default_factory=list)
     locations: list[dict] = field(default_factory=list)
     ecosystems: list[dict] = field(default_factory=list)
     habitats: list[dict] = field(default_factory=list)
     relationships: list[dict] = field(default_factory=list)
+    reason: str | None = None
 
     def __post_init__(self) -> None:
         if not self.paper_doi:
             raise ValueError("result DOI must be non-empty")
+        if self.status == "quarantined" and not self.reason:
+            raise ValueError("a quarantined result needs a non-empty reason")
+        if self.status != "quarantined" and self.reason is not None:
+            raise ValueError(f"only a quarantined result has a reason, not a {self.status!r} one")
 
 
 def result_from_dict(doc: dict) -> ExtractionResult:
@@ -528,7 +535,9 @@ def parse_result(raw: str, doi: str) -> ExtractionResult:
 
     An "N/A" marker (case-insensitive, after trimming and
     fence-stripping) means the paper is out of scope. Anything neither
-    a marker nor a JSON object is quarantined with the raw text intact.
+    a marker nor a JSON object is quarantined with the raw text intact,
+    as is an object whose status is neither "extracted" (the default)
+    nor "out_of_scope", or that is out of scope and lists entities.
     """
     text = strip_fences(raw)
     if text.casefold() == "n/a":
@@ -542,13 +551,18 @@ def parse_result(raw: str, doi: str) -> ExtractionResult:
     if not isinstance(doc, dict):
         raise QuarantineError(f"extraction response for {doi} is not a JSON object", doi, raw)
 
-    result = ExtractionResult(paper_doi=doi, status=str(doc.get("status", "extracted")))
+    status = doc.get("status", "extracted")
+    if status not in ("extracted", "out_of_scope"):
+        raise QuarantineError(f"extraction response for {doi} has unknown status {reprlib.repr(status)}", doi, raw)
+    result = ExtractionResult(paper_doi=doi, status=status)
     for key, value in doc.items():
         attr = _RESULT_KEY_ALIASES.get(str(key).strip().lower())
         if attr is None or not isinstance(value, list):
             continue
         entries = [entry if isinstance(entry, dict) else {"name": str(entry)} for entry in value]
         getattr(result, attr).extend(entries)
+    if status == "out_of_scope" and any(getattr(result, attr) for attr, _ in RESULT_BLOCKS):
+        raise QuarantineError(f"extraction response for {doi} is out of scope yet lists entities", doi, raw)
     return result
 
 

@@ -99,9 +99,9 @@ class CrashPoint:
 
     - ``("flushed", n)``: right after the n-th line of the results file
       (or of the corpus, in an ingest) is flushed;
-    - ``("results" | "journal" | "tmp", n, k)``: after the first k bytes
-      of the n-th write to the results file, the checkpoint journal, or
-      an atomic write's ``.tmp`` file (all of it, if shorter);
+    - ``("results" | "tmp", n, k)``: after the first k bytes of the n-th
+      write to the results file or to an atomic write's ``.tmp`` file (all
+      of it, if shorter);
     - ``("replace", n)``: just before the n-th ``os.replace``, of a
       checkpoint document or of compaction.
     """
@@ -143,9 +143,9 @@ class _Writer:
 
 def _install(crash: CrashPoint, results: Path) -> None:
     """Route the child's file writes and renames through crash's counters:
-    extract writes only the results file, the checkpoint journal and .tmp
-    files; ingest, given its corpus as results, only the corpus and .tmp
-    files."""
+    extract writes only the results file and .tmp files; ingest, given its
+    corpus as results, only the corpus and .tmp files. A write to any other
+    file raises, so no log can slip out of the crash points."""
     counts: Counter = Counter()
     real_open, real_replace = pathlib.Path.open, os.replace
 
@@ -157,8 +157,10 @@ def _install(crash: CrashPoint, results: Path) -> None:
         handle = real_open(path, mode, *args, **kwargs)
         if not set(mode) & set("wa"):
             return handle
-        kind = "tmp" if path.name.endswith(".tmp") else "results" if path == results else "journal"
-        return _Writer(handle, kind, reached)
+        if path != results and not path.name.endswith(".tmp"):
+            handle.close()
+            raise AssertionError(f"a write to {path}, which no crash point covers")
+        return _Writer(handle, "results" if path == results else "tmp", reached)
 
     def replace(src, dst, *args, **kwargs):
         if reached("replace") is not None:
@@ -199,15 +201,12 @@ def run_crashed(crash: CrashPoint | None, run, results: Path) -> bool:
 
 def committed(log: Path, checkpoint: Path | None = None) -> set[str]:
     """The DOIs whose record was complete on disk: each line of the log (a
-    results file or a corpus) and each journal delta that ends in a newline,
-    and each DOI the checkpoint document lists."""
+    results file or a corpus) that ends in a newline, and each DOI the
+    checkpoint document lists."""
     dois = set()
     if log.exists():
         dois |= {json.loads(line)["doi"] for line in log.read_bytes().split(b"\n")[:-1] if line.strip()}
     if checkpoint is not None and checkpoint.exists():
-        data = checkpoint.read_bytes()
-        text = data[: data.rfind(b"\n") + 1].decode("utf-8")
-        doc, end = json.JSONDecoder().raw_decode(text)
+        doc = json.loads(checkpoint.read_bytes())
         dois |= {*doc["completed"], *doc["out_of_scope"], *doc["quarantined"]}
-        dois |= {json.loads(line)["doi"] for line in text[end:].splitlines() if line.strip()}
     return dois

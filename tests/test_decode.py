@@ -1,5 +1,5 @@
-"""One decoder at every load boundary: corpus lines, results lines, the
-checkpoint document and its deltas, and harvested records. Any JSON value
+"""One decoder at every load boundary: corpus lines, results lines (a
+quarantine's included), the checkpoint document, and harvested records. Any JSON value
 in any field either loads as a value the writer serialises back byte for
 byte, or is the format's named error."""
 
@@ -266,38 +266,23 @@ def test_checkpoint_document_round_trips_or_is_named(tmp_path_factory, key, valu
 
 
 @PROPERTY
-@given(
-    status=st.sampled_from(["completed", "out_of_scope", "quarantined"]),
-    key=st.sampled_from(["doi", "status", "reason", "extra"]),
-    value=VALUES,
-)
-def test_checkpoint_delta_folds_in_or_is_named(tmp_path_factory, status, key, value):
-    directory = tmp_path_factory.mktemp("delta")
-    path = directory / "in.ckpt.json"
-    delta = with_value({"doi": "10.1/d", "status": status, "reason": "why"}, key, value)
-    path.write_text(indented(CHECKPOINT) + dump(delta) + "\n", encoding="utf-8")
+@given(key=st.sampled_from(["doi", "status", "reason", "extra"]), value=VALUES)
+def test_quarantine_line_folds_in_or_is_named(tmp_path_factory, key, value):
+    path = tmp_path_factory.mktemp("quarantine") / "results.jsonl"
+    line = with_value({"doi": "10.1/a", "status": "quarantined", "reason": "why"}, key, value)
+    path.write_text(dump(RESULT) + "\n" + dump(line) + "\n", encoding="utf-8")
 
-    # reference fold: what the delta rule accepts, and what it produces
-    doi, status, reason = delta["doi"], delta["status"], delta["reason"]
-    expected = {**CHECKPOINT, "quarantined": dict(CHECKPOINT["quarantined"])}
-    accepted = isinstance(doi, str) and doi != ""
-    if accepted and status in ("completed", "out_of_scope"):
-        expected[status] = sorted({*expected[status], doi})
-    elif accepted and status == "quarantined" and isinstance(reason, str) and reason != "":
-        expected["quarantined"][doi] = reason
-    else:
-        accepted = False
-    accepted = accepted and not set(expected["completed"]) & set(expected["quarantined"])
-
+    # reference fold: what the quarantine rule accepts, and what it leaves of the results line before it
+    doi, status, reason = line["doi"], line["status"], line["reason"]
+    accepted = all(isinstance(v, str) and v != "" for v in (doi, reason)) and status == "quarantined"
     try:
-        checkpoint = Checkpoint.load(path)
-    except CheckpointError as exc:
+        results = load_results(path)
+    except CorpusError as exc:
         assert not accepted
-        assert f"{path}" in str(exc)
+        assert f"{path}, line 2: " in str(exc)
         return
     assert accepted
-    checkpoint.save(directory / "out.ckpt.json")
-    assert (directory / "out.ckpt.json").read_text(encoding="utf-8") == indented(expected)
+    assert [serialize_result(result) for result in results] == ([] if doi == "10.1/a" else [dump(RESULT)])
 
 
 @PROPERTY
@@ -344,7 +329,7 @@ RESULTS = st.builds(
     paper_doi=NAMES,
     status=st.sampled_from(["extracted", "out_of_scope"]),
     **{attr: ENTRIES for attr, _ in RESULT_BLOCKS},
-)
+) | st.builds(ExtractionResult, paper_doi=NAMES, status=st.just("quarantined"), reason=NAMES)
 CHECKPOINTS = st.builds(
     Checkpoint,
     stage=TEXTS,
@@ -362,7 +347,9 @@ def reference_record_line(record):
 
 
 def reference_result_line(result):
-    return dump({"doi": result.paper_doi, "status": result.status, **{a: getattr(result, a) for a, _ in RESULT_BLOCKS}})
+    reason = {} if result.reason is None else {"reason": result.reason}
+    entities = {attr: getattr(result, attr) for attr, _ in RESULT_BLOCKS}
+    return dump({"doi": result.paper_doi, "status": result.status, **entities, **reason})
 
 
 def reference_checkpoint(checkpoint):

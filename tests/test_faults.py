@@ -33,7 +33,7 @@ PROPERTY = settings(max_examples=40, deadline=None)
 SCHEDULES = st.dictionaries(st.sampled_from(DOIS), st.sampled_from(FAULTS), max_size=6)
 CRASHES = st.one_of(
     st.builds(CrashPoint, st.just("flushed"), st.integers(1, 21)),
-    st.builds(CrashPoint, st.sampled_from(["results", "journal", "tmp"]), st.integers(1, 22), st.integers(0, 300)),
+    st.builds(CrashPoint, st.sampled_from(["results", "tmp"]), st.integers(1, 22), st.integers(0, 300)),
     st.builds(CrashPoint, st.just("replace"), st.integers(1, 3)),
 )
 
@@ -87,19 +87,20 @@ def test_no_committed_doi_is_sent_again(schedule, crashes):
     assert len(sent) == len(set(sent))
 
 
-def test_checkpoint_holds_only_the_opening_document_and_quarantine_deltas(tmp_path):
+def test_checkpoint_holds_the_opening_document_and_results_every_commit(tmp_path):
     schedule = {DOIS[1]: "prose", DOIS[7]: "truncated"}
     checkpoint = tmp_path / "r.ckpt.json"
     run = lambda: extract(FaultyProvider(STORE, schedule), tmp_path)  # noqa: E731
     assert run_crashed(CrashPoint("replace", 2), run, tmp_path / "r.jsonl")  # before the exit document
 
-    text = checkpoint.read_text(encoding="utf-8")
-    document, end = json.JSONDecoder().raw_decode(text)
-    deltas = [json.loads(line) for line in text[end:].splitlines() if line.strip()]
+    document = json.loads(checkpoint.read_text(encoding="utf-8"))
     assert (document["completed"], document["out_of_scope"], document["quarantined"]) == ([], [], {})
     assert document["results_lines"] == 0
-    assert [(delta["doi"], delta["status"]) for delta in deltas] == [(DOIS[1], "quarantined"), (DOIS[7], "quarantined")]
-    assert len((tmp_path / "r.jsonl").read_text(encoding="utf-8").splitlines()) == 18
+    lines = [json.loads(line) for line in (tmp_path / "r.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [line["doi"] for line in lines] == DOIS
+    quarantined = [(line["doi"], line["reason"]) for line in lines if line["status"] == "quarantined"]
+    assert [doi for doi, _ in quarantined] == [DOIS[1], DOIS[7]]
+    assert all(doi in reason for doi, reason in quarantined)
 
 
 def old_lines(path):
@@ -146,18 +147,18 @@ def test_last_results_line_without_its_newline_is_kept_on_resume(tmp_path):
     assert results.read_bytes() == baseline
 
 
-def test_last_checkpoint_delta_without_its_newline_is_kept_on_resume(tmp_path, caplog):
-    # dropped as a torn line, the quarantined paper was sent again: 17 calls instead of 16
+def test_last_quarantine_line_without_its_newline_is_kept_on_resume(tmp_path, caplog):
+    # cut as a torn line, the quarantined paper would be sent again: 19 calls instead of 18
     schedule = {DOIS[1]: "prose"}
     summary, baseline, baseline_checkpoint = uninterrupted(tuple(schedule.items()))
     results, checkpoint = tmp_path / "r.jsonl", tmp_path / "r.ckpt.json"
     run = lambda: extract(FaultyProvider(STORE, schedule), tmp_path)  # noqa: E731
-    assert run_crashed(CrashPoint("flushed", 3), run, results)  # after 0001, 0002's delta, 0003 and 0004
-    checkpoint.write_bytes(checkpoint.read_bytes().removesuffix(b"\n"))  # a whole delta, its newline never written
+    assert run_crashed(CrashPoint("flushed", 2), run, results)  # after 0001 and 0002's quarantine line
+    results.write_bytes(results.read_bytes().removesuffix(b"\n"))  # a whole line, its newline never written
 
     provider = FaultyProvider(STORE, schedule)
     assert extract(provider, tmp_path) == summary
-    assert len(provider.sent) == 16 and DOIS[1] not in provider.sent
+    assert len(provider.sent) == 18 and DOIS[1] not in provider.sent
     assert (results.read_bytes(), checkpoint.read_bytes()) == (baseline, baseline_checkpoint)
     assert "torn" not in caplog.text
 

@@ -248,6 +248,37 @@ class TestParseResult:
         with pytest.raises(QuarantineError):
             parse_result("[1, 2, 3]", "10.1/r")
 
+    @pytest.mark.parametrize("status", ["maybe", "quarantined", "Extracted", "", 5, True, None, ["extracted"], {}])
+    def test_unknown_or_non_string_status_quarantined(self, status):
+        # copied as str(status), the reply became a result validate reported as bad_status
+        raw = json.dumps({"status": status, "species": [{"name": "A a"}]})
+        with pytest.raises(QuarantineError, match="unknown status") as excinfo:
+            parse_result(raw, "10.1/r")
+        assert excinfo.value.raw_text == raw
+
+    @pytest.mark.parametrize("block", ["species", "location", "relationships"])
+    def test_out_of_scope_reply_listing_entities_quarantined(self, block):
+        # kept, it became a result validate reported as status_inconsistency
+        raw = json.dumps({"status": "out_of_scope", block: [{"name": "X"}]})
+        with pytest.raises(QuarantineError, match="out of scope yet lists entities"):
+            parse_result(raw, "10.1/r")
+
+    def test_out_of_scope_reply_with_empty_blocks_accepted(self):
+        raw = json.dumps({"status": "out_of_scope", "species": [], "habitats": "none"})
+        assert parse_result(raw, "10.1/r") == ExtractionResult(paper_doi="10.1/r", status="out_of_scope")
+
+    @pytest.mark.parametrize(
+        "status, reason", [("quarantined", None), ("quarantined", ""), ("extracted", "why"), ("out_of_scope", "")]
+    )
+    def test_reason_goes_with_a_quarantine_only(self, status, reason):
+        with pytest.raises(ValueError, match="reason"):
+            ExtractionResult(paper_doi="10.1/r", status=status, reason=reason)
+
+    def test_quarantine_line_holds_its_reason(self):
+        result = ExtractionResult(paper_doi="10.1/r", status="quarantined", reason="prose")
+        assert json.loads(serialize_result(result))["reason"] == "prose"
+        assert "reason" not in json.loads(serialize_result(extracted()))
+
     def test_serialize_round_trip(self):
         result = extracted(
             species=[{"name": "A a", "role": "invasive", "taxonomy_level": "species"}],
