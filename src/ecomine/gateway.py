@@ -206,9 +206,19 @@ def fan_out(
     parallelism: int,
     stop_on: type[BaseException] | tuple[type[BaseException], ...],
 ) -> Iterator[tuple[T, R | None, BaseException | None]]:
-    """Call function on each item from parallelism threads that pull from
-    one shared iterator, so at most parallelism calls are in flight; yield
-    (item, result, exception) on the calling thread in completion order.
+    """Call function on each item, at most parallelism calls in flight, and
+    yield (item, result, exception) on the calling thread in completion
+    order.
+
+    Calls run on the calling thread, one at a time, until together they
+    have spent more wall time off the CPU than on it: threads overlap
+    waits (a remote endpoint, a sleep), never calls that keep the CPU
+    busy, and each hand-off to a thread costs a wake-up and a turn of the
+    interpreter lock. From then on the remaining items go to parallelism
+    threads that pull from the shared iterator, and the run never returns
+    to the calling thread. An exception that is not an Exception (a
+    KeyboardInterrupt) raised by a call on the calling thread propagates
+    at once instead of being yielded.
 
     Once a call raises stop_on, or the caller closes the generator, no
     further item starts; calls already in flight finish and are yielded
@@ -218,6 +228,23 @@ def fan_out(
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")  # no thread would start, and no item be processed
     source = iter(items)
+    waited = 0.0  # time the inline calls spent off the CPU, less the time they spent on it
+    for item in source:
+        wall, cpu = time.perf_counter(), time.thread_time()
+        try:
+            outcome = (item, function(item), None)
+        except Exception as exc:
+            outcome = (item, None, exc)
+        cpu = time.thread_time() - cpu
+        waited += time.perf_counter() - wall - 2 * cpu
+        yield outcome
+        if isinstance(outcome[2], stop_on):
+            return
+        if waited > 0:
+            break
+    else:
+        return
+
     lock = threading.Lock()
     finished: queue.SimpleQueue = queue.SimpleQueue()
     stopped = False
@@ -236,7 +263,8 @@ def fan_out(
                     outcome = (item, function(item), None)
                 except BaseException as exc:
                     if isinstance(exc, stop_on):
-                        stopped = True
+                        with lock:  # so no pull that saw stopped false ends after this outcome is yielded
+                            stopped = True
                     outcome = (item, None, exc)
                 finished.put(outcome)
         finally:
@@ -254,7 +282,8 @@ def fan_out(
             else:
                 yield outcome
     finally:
-        stopped = True
+        with lock:
+            stopped = True
         for thread in threads:
             thread.join()
 

@@ -139,13 +139,15 @@ def ingest_dois(
     """Resolve each DOI through the client and persist found records.
 
     Malformed DOIs are skipped with a warning. Each DOI is fetched once, and
-    not at all if the store holds it with text (it counts as found). Workers
-    fetch and decode; the calling thread commits each record as its fetch
-    finishes: upsert, then commit_line to log. After a failed fetch (a
-    transport failure that survives the client's retries, a malformed
-    fixture, or a mistyped record) no further fetch starts; those running
-    are committed, then PartialIngestError names the first failed DOI in
-    list order and carries the counts of what committed.
+    not at all if the store holds it with text (it counts as found). Fetches
+    (each with its decode) run on the calling thread until they wait, then
+    on up to parallelism threads (gateway.fan_out); the calling thread
+    commits each record as its fetch finishes: upsert, then commit_line to
+    log. After a failed fetch (a transport failure that survives the
+    client's retries, a malformed fixture, or a mistyped record) no
+    further fetch starts; those running are committed, then
+    PartialIngestError names the first failed DOI in list order and
+    carries the counts of what committed.
     """
     if not doi_list:
         raise CorpusError("doi_list must be non-empty")
@@ -191,7 +193,7 @@ def ingest_dois(
 
 
 def _fetch_record(client, doi: str) -> PaperRecord | None:
-    """Worker: fetch one DOI and decode its document, so a mistyped record
+    """Fetch one DOI and decode its document, so a mistyped record
     fails its fetch. A null field is absent, empty text is no text, and a
     DOI without text maps to None."""
     present = {key: value for key, value in (client.fetch(doi) or {}).items() if value is not None}

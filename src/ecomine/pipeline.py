@@ -3,8 +3,10 @@
 The extract stage is built for multi-day batches: a paper commits when its
 line, a result or a quarantine, is appended to a results file, and a
 fingerprint of the schema in force binds checkpoint and results together
-so a resumed run can never mix schemas. Workers only call the gateway;
-parsing and persistence happen on the calling thread (single writer).
+so a resumed run can never mix schemas. Provider calls run on the calling
+thread until they wait, then on up to parallelism threads (gateway.fan_out),
+and only call the gateway; parsing and persistence happen on the calling
+thread (single writer).
 """
 
 from __future__ import annotations

@@ -24,6 +24,20 @@ def fast_policy() -> RateLimitPolicy:
     return RateLimitPolicy(max_requests_per_window=10_000, window=1.0, max_retries=3, backoff_base=0.01)
 
 
+def waits_off_cpu(result=None):
+    """Wait 50 ms off the CPU, then return result. gateway.fan_out runs
+    every call after a first one made through this on its worker threads."""
+    threading.Event().wait(0.05)
+    return result
+
+
+def inline_then_threaded(threads) -> bool:
+    """Whether the first of threads, the thread of each call in start
+    order, is the calling thread (pytest's main thread) and no later one is."""
+    main = threading.main_thread()
+    return threads[0] is main and main not in threads[1:]
+
+
 @pytest.fixture
 def sample_store() -> CorpusStore:
     return CorpusStore.load(SAMPLE_CORPUS)

@@ -25,7 +25,7 @@ from ecomine.schema import ExtractionResult, serialize_result, standard_schema
 
 STORE = CorpusStore.load(SAMPLE_CORPUS)
 DOIS = [record.doi for record in STORE.available_records()]
-CONFIG = StageConfig(rate_policy=fast_policy(), parallelism=1)  # one worker: each example replays exactly
+CONFIG = StageConfig(rate_policy=fast_policy(), parallelism=1)  # one call at a time: each example replays exactly
 
 # About 35 ms per example (forked runs, then the resume) on the 20-paper sample corpus, 2 vCPUs.
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -200,7 +200,7 @@ def harvest_dir(tmp_path_factory):
 
 
 def ingest(client, harvest_dir, corpus):
-    """`ecomine ingest` on one worker, fetching through client; returns its
+    """`ecomine ingest` at parallelism 1, fetching through client; returns its
     exit code and what it printed."""
     argv = ["--corpus", str(corpus), "--parallelism", "1", "ingest", "--dois", str(harvest_dir / "dois.txt")]
     with mock.patch.object(cli, "FixtureHarvestClient", lambda _directory: client), redirect_stdout(StringIO()) as out:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SAMPLE_SEED, fast_policy
+from conftest import SAMPLE_SEED, fast_policy, inline_then_threaded, waits_off_cpu
 from ecomine.corpus import CorpusStore, PaperRecord, encode
 from ecomine.errors import (
     CheckpointError,
@@ -458,7 +458,7 @@ class TestExtract:
     def test_success_in_flight_at_failure_is_committed(self, mock_gateway, tmp_path):
         store = CorpusStore(
             PaperRecord(doi=f"10.1/p{index}", title=title, abstract="Procambarus clarkii spreading")
-            for index, title in enumerate(("Held", "Fails", "Queued"))
+            for index, title in enumerate(("Waits", "Held", "Fails", "Queued"))
         )
         failure_seen = threading.Event()
 
@@ -468,14 +468,19 @@ class TestExtract:
                     failure_seen.set()
 
         class HeldThenFails:
-            """Holds paper Held until the extract loop has taken paper Fails' failure."""
+            """Paper Waits waits off the CPU, so the later calls run on worker
+            threads; holds paper Held until the extract loop has taken paper
+            Fails' failure."""
 
             def __init__(self):
-                self.titles = []
+                self.titles, self.threads = [], []
 
             def complete(self, prompt):
                 title = re.search(r"Title: (\w+)", prompt.user).group(1)
                 self.titles.append(title)
+                self.threads.append(threading.current_thread())
+                if title == "Waits":
+                    return waits_off_cpu(mock_gateway.complete(prompt))
                 if title == "Fails":
                     raise TransportError("injected transport failure", 503)
                 assert failure_seen.wait(timeout=10), "the failure was never reported"
@@ -490,10 +495,11 @@ class TestExtract:
         finally:
             logging.getLogger("ecomine.pipeline").removeHandler(handler)
 
-        assert sorted(gateway.titles) == ["Fails", "Held"]
+        assert sorted(gateway.titles) == ["Fails", "Held", "Waits"]
+        assert inline_then_threaded(gateway.threads)
         lines = (tmp_path / "inflight.jsonl").read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line)["doi"] for line in lines] == ["10.1/p0"]
-        assert Checkpoint.load(tmp_path / "inflight.ckpt.json").processed() == {"10.1/p0"}
+        assert [json.loads(line)["doi"] for line in lines] == ["10.1/p0", "10.1/p1"]
+        assert Checkpoint.load(tmp_path / "inflight.ckpt.json").processed() == {"10.1/p0", "10.1/p1"}
 
     def test_checkpoint_round_trip(self, tmp_path):
         checkpoint = Checkpoint(
