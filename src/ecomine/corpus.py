@@ -58,7 +58,8 @@ def count_tokens(text: str) -> int:
 @dataclass(slots=True)
 class PaperRecord:
     """One scholarly document held by the store; its annotations are the
-    types decode holds corpus lines and harvested records to."""
+    types decode holds corpus lines and harvested records to. Blank text
+    (empty or whitespace only) is no text: it is held as None."""
 
     doi: str
     title: str = ""
@@ -73,6 +74,10 @@ class PaperRecord:
             raise CorpusError("record DOI must be non-empty")
         if self.year is not None and not (1000 <= self.year <= 9999):
             raise CorpusError(f"year must be a positive four-digit integer, got {self.year!r}")
+        if not self.abstract or self.abstract.isspace():
+            self.abstract = None
+        if not self.full_text or self.full_text.isspace():
+            self.full_text = None
 
     @property
     def available(self) -> bool:

@@ -194,14 +194,13 @@ def ingest_dois(
 
 def _fetch_record(client, doi: str) -> PaperRecord | None:
     """Fetch one DOI and decode its document, so a mistyped record
-    fails its fetch. A null field is absent, empty text is no text, and a
-    DOI without text maps to None."""
+    fails its fetch. A null field is absent, and a DOI without text (as
+    PaperRecord holds it) maps to None."""
     present = {key: value for key, value in (client.fetch(doi) or {}).items() if value is not None}
     try:
         record = decode(PaperRecord, {**present, "doi": doi, "source": "harvested"})
     except (TypeError, CorpusError) as exc:
         raise CorpusError(f"harvested record {doi}: {exc}") from exc
-    record.abstract, record.full_text = record.abstract or None, record.full_text or None
     return record if record.available else None
 
 

@@ -40,7 +40,7 @@ def _fill(template: str, mapping: dict[str, str]) -> str:
 def build_paper_user_prompt(paper: PaperRecord) -> str:
     if not paper.title or not paper.title.strip():
         raise PromptError(f"paper {paper.doi} has no title")
-    if not paper.abstract or not paper.abstract.strip():
+    if not paper.abstract:
         raise PromptError(f"paper {paper.doi} has no abstract; extraction reads abstracts only")
     return _fill(load_template("user_paper.txt"), {"title": paper.title, "abstract": paper.abstract})
 

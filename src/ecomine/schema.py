@@ -250,8 +250,8 @@ def _fields_from_block_value(value) -> list[FieldSpec]:
     return deduped
 
 
-def _load_json_document(raw: str, what: str) -> dict:
-    text = strip_fences(raw)
+def _load_json_document(text: str, what: str) -> dict:
+    """The JSON object a reply or file holds, its fences already stripped."""
     if not text:
         raise SchemaParseError(f"empty {what}")
     try:
@@ -271,7 +271,7 @@ def parse_candidate(raw: str, doi: str) -> CandidateSchema:
     The tree is captured losslessly: unknown descriptor keys and loose
     block shapes are folded into field notes rather than dropped.
     """
-    doc = _load_json_document(raw, f"candidate schema document for {doi}")
+    doc = _load_json_document(strip_fences(raw), f"candidate schema document for {doi}")
     if not doc:
         raise SchemaParseError("candidate schema defines no blocks")
     return candidate_from_blocks(doi, doc)
@@ -292,7 +292,7 @@ def parse_schema(raw: str) -> StandardizedSchema:
     Top-level keys are mapped onto the canonical blocks; keys mapping to
     the same block are merged, unknown keys are ignored.
     """
-    doc = _load_json_document(raw, "standardized schema document")
+    doc = _load_json_document(strip_fences(raw), "standardized schema document")
     blocks: dict[str, list[FieldSpec]] = {}
     for key, value in doc.items():
         block = _canon_block(str(key))
@@ -388,28 +388,22 @@ class MergeReport:
     unmapped_blocks: list[tuple[str, str]] = field(default_factory=list)  # (doi, raw block)
 
 
-def merge_candidates(
-    candidates: Sequence[CandidateSchema],
-    threshold: int | None = None,
-) -> tuple[StandardizedSchema, MergeReport]:
+def merge_candidates(candidates: Sequence[CandidateSchema]) -> tuple[StandardizedSchema, MergeReport]:
     """Merge candidate schemas into one standardized schema, deterministically.
 
     Candidate blocks are mapped onto the five canonical blocks by name
-    normalization. A field survives when it occurs in at least
-    ``threshold`` candidates; the default is a third of the candidates
-    (rounded up) with a floor of 2, so a field seen in a single paper
-    never generalizes. Mandatory fields are always present with their
-    canonical kinds and enum values, with observed extra enum values
-    appended most-frequent-first (ties alphabetical). The result is
-    independent of candidate order, and merging n copies of one
-    candidate canonicalizes it.
+    normalization. A field survives when it occurs in at least a third
+    of the candidates (rounded up), and in at least 2, so a field seen
+    in a single paper never generalizes. Mandatory fields are always
+    present with their canonical kinds and enum values, with observed
+    extra enum values appended most-frequent-first (ties alphabetical).
+    The result is independent of candidate order, and merging n copies
+    of one candidate canonicalizes it.
     """
     n = len(candidates)
     if n < 2:
         raise SchemaParseError("merging needs at least 2 candidate schemas")
-    if threshold is None:
-        threshold = max(2, math.ceil(n / 3))
-
+    threshold = max(2, math.ceil(n / 3))
     report = MergeReport(candidate_count=n, threshold=threshold)
 
     # presence[block][field] = candidate indices providing it;
@@ -500,13 +494,18 @@ _RESULT_KEY_ALIASES = {key: attr for attr, block in RESULT_BLOCKS for key in (at
 _RESULT_KEY_ALIASES["relationship"] = "relationships"
 
 
+RESULT_STATUSES = ("extracted", "out_of_scope", "quarantined")
+
+
 @dataclass(slots=True)
 class ExtractionResult:
     """Populated schema instance for one paper, an out-of-scope marker, or
-    a quarantine marker with its reason."""
+    a quarantine marker with its reason. Construction, decode's included,
+    checks the one rule of a result: a status of RESULT_STATUSES, entities
+    only when extracted, and a reason only on a quarantine."""
 
     paper_doi: str = field(metadata={"key": "doi"})
-    status: str = "extracted"  # "extracted" | "out_of_scope" | "quarantined"
+    status: str = "extracted"  # one of RESULT_STATUSES
     species: list[dict] = field(default_factory=list)
     locations: list[dict] = field(default_factory=list)
     ecosystems: list[dict] = field(default_factory=list)
@@ -517,6 +516,10 @@ class ExtractionResult:
     def __post_init__(self) -> None:
         if not self.paper_doi:
             raise ValueError("result DOI must be non-empty")
+        if self.status not in RESULT_STATUSES:
+            raise ValueError(f"unknown status {reprlib.repr(self.status)}")
+        if self.status != "extracted" and any(getattr(self, attr) for attr, _ in RESULT_BLOCKS):
+            raise ValueError(f"status {self.status!r} lists entities; only an extracted result does")
         if self.status == "quarantined" and not self.reason:
             raise ValueError("a quarantined result needs a non-empty reason")
         if self.status != "quarantined" and self.reason is not None:
@@ -534,36 +537,25 @@ def parse_result(raw: str, doi: str) -> ExtractionResult:
     """Parse an extract-stage response.
 
     An "N/A" marker (case-insensitive, after trimming and
-    fence-stripping) means the paper is out of scope. Anything neither
-    a marker nor a JSON object is quarantined with the raw text intact,
-    as is an object whose status is neither "extracted" (the default)
-    nor "out_of_scope", or that is out of scope and lists entities.
+    fence-stripping) means the paper is out of scope. Anything else is
+    read as a JSON object whose entity lists make an ExtractionResult of
+    its status ("extracted" when absent); what is not a JSON object, or
+    breaks the result's rule, is quarantined with the raw text intact.
     """
     text = strip_fences(raw)
     if text.casefold() == "n/a":
         return ExtractionResult(paper_doi=doi, status="out_of_scope")
     try:
-        doc = loads_utf8(text)
-    except json.JSONDecodeError as exc:
-        raise QuarantineError(f"unparseable extraction response for {doi}: {exc.msg}", doi, raw)
-    except UnicodeEncodeError as exc:  # the results file could not hold it
-        raise QuarantineError(f"extraction response for {doi} holds text UTF-8 cannot encode: {exc}", doi, raw)
-    if not isinstance(doc, dict):
-        raise QuarantineError(f"extraction response for {doi} is not a JSON object", doi, raw)
-
-    status = doc.get("status", "extracted")
-    if status not in ("extracted", "out_of_scope"):
-        raise QuarantineError(f"extraction response for {doi} has unknown status {reprlib.repr(status)}", doi, raw)
-    result = ExtractionResult(paper_doi=doi, status=status)
-    for key, value in doc.items():
-        attr = _RESULT_KEY_ALIASES.get(str(key).strip().lower())
-        if attr is None or not isinstance(value, list):
-            continue
-        entries = [entry if isinstance(entry, dict) else {"name": str(entry)} for entry in value]
-        getattr(result, attr).extend(entries)
-    if status == "out_of_scope" and any(getattr(result, attr) for attr, _ in RESULT_BLOCKS):
-        raise QuarantineError(f"extraction response for {doi} is out of scope yet lists entities", doi, raw)
-    return result
+        doc = _load_json_document(text, "reply")
+        entities: dict[str, list[dict]] = {}
+        for key, value in doc.items():
+            attr = _RESULT_KEY_ALIASES.get(key.strip().lower())
+            if attr is not None and isinstance(value, list):
+                entries = (entry if isinstance(entry, dict) else {"name": str(entry)} for entry in value)
+                entities.setdefault(attr, []).extend(entries)
+        return ExtractionResult(doi, doc.get("status", "extracted"), **entities)
+    except (SchemaParseError, ValueError) as exc:
+        raise QuarantineError(f"extraction response for {doi}: {exc}", doi, raw) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -593,23 +585,17 @@ def validate_result(result: ExtractionResult, schema: StandardizedSchema) -> Val
     """Check one extraction result against a standardized schema.
 
     Enumerates every violation (unknown field, closed-enum violation,
-    dangling relationship reference, status inconsistency) without
-    mutating the result. Species roles outside the schema's listed set
-    and habitat references to ecosystems absent from the result are
-    retained and flagged as warnings. Each entry is read once, and the
-    name sets fill as the entries go by: RESULT_BLOCKS lists every
-    entity block before relationships and ecosystem before habitat, so
-    a set is complete before any entry reads it.
+    dangling relationship reference) without mutating the result, whose
+    status and entities already keep ExtractionResult's rule. Species
+    roles outside the schema's listed set and habitat references to
+    ecosystems absent from the result are retained and flagged as
+    warnings. Each entry is read once, and the name sets fill as the
+    entries go by: RESULT_BLOCKS lists every entity block before
+    relationships and ecosystem before habitat, so a set is complete
+    before any entry reads it.
     """
     verdict = ValidationVerdict()
     violations, warnings = verdict.violations, verdict.warnings
-
-    if result.status not in ("extracted", "out_of_scope"):
-        violations.append(Violation("bad_status", "status", f"unknown status {result.status!r}"))
-    if result.status == "out_of_scope":
-        for attr, _ in RESULT_BLOCKS:
-            if getattr(result, attr):
-                violations.append(Violation("status_inconsistency", attr, "nonempty entities on out-of-scope result"))
 
     entity_names: set[str] = set()
     ecosystem_names: set[str] = set()

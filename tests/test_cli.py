@@ -197,6 +197,37 @@ class TestMistypedInput:
             assert corpus.with_suffix(".skipped.log").read_text() == "missing\t10.9/none\n"
 
 
+class TestResultsLineBreakingTheResultRule:
+    """A results line an older version wrote (an unknown status, or an
+    out-of-scope line that lists entities) is refused when it is read:
+    analyze counted its species, and validate reported it as violations."""
+
+    LINES = {
+        "maybe": {"doi": "10.1/b", "status": "maybe", "species": [{"name": "Carpobrotus edulis"}]},
+        "out-of-scope-listing-a-species": {
+            "doi": "10.1/b", "status": "out_of_scope", "species": [{"name": "Carpobrotus edulis", "role": "invasive"}]
+        },
+    }
+
+    @pytest.mark.parametrize("line", LINES)
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_exit_1_names_file_and_line_and_writes_no_report(self, tmp_path, capsys, command, line):
+        results = tmp_path / "results.jsonl"
+        extracted = {"doi": "10.1/a", "status": "extracted", "species": [{"name": "Acacia", "role": "invasive"}]}
+        results.write_text(json.dumps(extracted) + "\n" + json.dumps(self.LINES[line]) + "\n", encoding="utf-8")
+        schema = tmp_path / "schema.json"
+        schema.write_text(schema_to_json(standard_schema()) + "\n", encoding="utf-8")
+        reports = tmp_path / "reports"
+        if command == "analyze":
+            argv = ["analyze", "--results", results, "--out", reports]
+        else:
+            argv = ["validate", "--results", results, "--schema", schema]
+        assert run_cli(*argv) == 1
+        out, err = capsys.readouterr()
+        assert any(line.startswith(f"error: results file {results}, line 2: ") for line in err.splitlines())
+        assert out == "" and not reports.exists()
+
+
 class TestUndecodableInput:
     """A byte UTF-8 cannot decode in any input file ends in exit 1 and one
     error line naming the file and the line, never in a traceback."""

@@ -51,6 +51,11 @@ class TestPaperRecord:
         assert record("10.1/b", full_text="text").available
         assert not record("10.1/c").available
 
+    @pytest.mark.parametrize("blank", ["", "  \n", "\t", "\u3000"])
+    def test_blank_text_is_no_text(self, blank):
+        held = record("10.1/a", abstract=blank, full_text=blank)
+        assert (held.abstract, held.full_text, held.available) == (None, None, False)
+
     def test_serialization_omits_absent_fields(self):
         doc = encode(record("10.1/a", abstract="text"))
         assert "full_text" not in doc and "year" not in doc and "publisher" not in doc
@@ -101,6 +106,13 @@ class TestStats:
         assert stats.abstract_tokens.minimum is None
         assert stats.abstract_tokens.maximum is None
         assert stats.abstract_tokens.average is None
+
+    def test_blank_abstract_is_not_available(self, tmp_path):
+        # it was: total=1 and abstract_token_min=0
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"doi": "10.1/a", "abstract": "  \\n"}\n{"doi": "10.1/b", "abstract": "a b"}\n')
+        stats = compute_stats(CorpusStore.load(path))
+        assert (stats.total, stats.abstract_only, stats.abstract_tokens.minimum) == (1, 1, 2)
 
     def test_partition_identity(self, sample_store):
         stats = compute_stats(sample_store)

@@ -205,13 +205,19 @@ def with_value(base, key, value):
     return {**base, key: value}
 
 
+def is_blank(value):
+    return isinstance(value, str) and (not value or value.isspace())
+
+
 def written_record(doc):
     """What the corpus writer keeps of an accepted record: its fields,
-    optional ones only when not null."""
+    optional ones only when not null, and text only when not blank."""
     return {
         key: value
         for key, value in doc.items()
-        if key in RECORD and not (key in OPTIONAL_RECORD_FIELDS and value is None)
+        if key in RECORD
+        and not (key in OPTIONAL_RECORD_FIELDS and value is None)
+        and not (key in ("abstract", "full_text") and is_blank(value))
     }
 
 
@@ -297,9 +303,9 @@ def test_harvest_fixture_ingests_or_is_named(tmp_path_factory, key, value):
     except PartialIngestError as exc:
         assert "10.9/x" in str(exc) and exc.summary.found == 0
         return
-    # null means absent, empty text is no text, and doi and source are the harvester's
+    # null means absent, blank text is no text, and doi and source are the harvester's
     kept = {k: v for k, v in doc.items() if k in FIXTURE and v is not None}
-    kept = {k: v for k, v in kept.items() if not (k in ("abstract", "full_text") and v == "")}
+    kept = {k: v for k, v in kept.items() if not (k in ("abstract", "full_text") and is_blank(v))}
     if summary.found:
         expected = {"title": "", **kept, "doi": "10.9/x", "source": "harvested"}
         assert dump(encode(store.get("10.9/x"))) == dump(expected)
@@ -324,12 +330,11 @@ RECORDS = st.builds(
     source=st.sampled_from(["harvested", "imported"]),
 )
 ENTRIES = st.lists(st.dictionaries(TEXTS, LEAVES | st.lists(TEXTS, max_size=2), max_size=3), max_size=2)
-RESULTS = st.builds(
-    ExtractionResult,
-    paper_doi=NAMES,
-    status=st.sampled_from(["extracted", "out_of_scope"]),
-    **{attr: ENTRIES for attr, _ in RESULT_BLOCKS},
-) | st.builds(ExtractionResult, paper_doi=NAMES, status=st.just("quarantined"), reason=NAMES)
+RESULTS = (
+    st.builds(ExtractionResult, paper_doi=NAMES, **{attr: ENTRIES for attr, _ in RESULT_BLOCKS})
+    | st.builds(ExtractionResult, paper_doi=NAMES, status=st.just("out_of_scope"))
+    | st.builds(ExtractionResult, paper_doi=NAMES, status=st.just("quarantined"), reason=NAMES)
+)
 CHECKPOINTS = st.builds(
     Checkpoint,
     stage=TEXTS,

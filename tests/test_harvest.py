@@ -88,6 +88,21 @@ class TestFixtureClient:
         assert store.get("10.1/c") == held
         assert store.get("10.1/b").title == "A2"
 
+    def test_a_held_record_with_a_blank_abstract_is_fetched_again(self, fixture_dir):
+        # it was held "with text" and never fetched again
+        store = CorpusStore([PaperRecord("10.1/a", "A", abstract="  \n")])
+        client = RecordingClient(fixture_dir)
+        summary = ingest_dois(store, ["10.1/a"], client, parallelism=1)
+        assert client.fetched == ["10.1/a"] and summary.found == 1
+        assert store.get("10.1/a").abstract == ABSTRACT_ONLY["abstract"]
+
+    def test_a_harvested_blank_abstract_is_a_missing_doi(self, tmp_path):
+        # it was found, and held as an abstract-only record
+        write_fixture(tmp_path, "10.1/blank", {"title": "A", "abstract": "  \n", "full_text": " "})
+        store = CorpusStore()
+        summary = ingest_dois(store, ["10.1/blank"], FixtureHarvestClient(tmp_path), parallelism=1)
+        assert (summary.found, summary.missing, len(store)) == (0, ["10.1/blank"], 0)
+
     def test_doi_normalized_before_lookup(self, fixture_dir):
         store = CorpusStore()
         summary = ingest_dois(store, ["https://doi.org/10.1/A"], FixtureHarvestClient(fixture_dir))

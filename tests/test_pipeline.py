@@ -113,6 +113,14 @@ class TestSpecialize:
             run_specialize(sample_store, make_config(), counting, excluded_dois=["10.5555/ecomine.0001", "not a doi"])
         assert counting.calls == 0
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_blank_abstract_is_never_drawn(self, mock_gateway, seed):
+        # it was eligible, drawn, and then quarantined as having no abstract
+        records = [PaperRecord(doi=f"10.1/p{i}", title="t", abstract="Procambarus clarkii") for i in range(3)]
+        records.append(PaperRecord(doi="10.1/blank", title="t", abstract="  \n"))
+        outcome = run_specialize(CorpusStore(records), make_config(sample_size=3, rng_seed=seed), mock_gateway)
+        assert "10.1/blank" not in outcome.sampled_dois and not outcome.quarantined
+
     def test_all_responses_unusable_fails(self, sample_store):
         outcome_gateway = StubGateway("not a schema at all")
         with pytest.raises(StageFailure):
@@ -751,6 +759,28 @@ class TestCommitLog:
             self.extract(sample_store, counting, tmp_path, "old")
         assert counting.calls == 0
         assert path.read_bytes() == saved
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ({"status": "maybe", "species": [{"name": "Carpobrotus edulis"}]}, "unknown status 'maybe'"),
+            ({"status": "out_of_scope", "species": [{"name": "Carpobrotus edulis"}]}, "status 'out_of_scope' lists"),
+        ],
+        ids=["maybe", "out-of-scope-listing-a-species"],
+    )
+    def test_results_line_breaking_the_result_rule_is_refused_before_any_call(
+        self, sample_store, mock_gateway, tmp_path, line, error
+    ):
+        # as versions before quarantine lines wrote them; a resume counted the line as extracted, with no call
+        doi = "10.5555/ecomine.0001"
+        Checkpoint("extract", schema_fingerprint(standard_schema()), results_lines=0).save(tmp_path / "old.ckpt.json")
+        results = tmp_path / "old.jsonl"
+        results.write_text(json.dumps({"doi": doi, **line}) + "\n", encoding="utf-8")
+        counting = FailAfter(mock_gateway, allow=10_000)
+        named = rf"results file {re.escape(str(results))}, line 1: ValueError: {error}"
+        with pytest.raises(CorpusError, match=named):
+            self.extract(CorpusStore([sample_store.get(doi)]), counting, tmp_path, "old")
+        assert counting.calls == 0
 
     def test_fingerprint_refused_with_commits_past_the_count(self, sample_store, mock_gateway, tmp_path):
         Checkpoint("extract", "not-the-same", results_lines=0).save(tmp_path / "fp.ckpt.json")

@@ -47,12 +47,9 @@ def _ref_compact(path):
 
 
 ENTRIES = st.lists(st.dictionaries(st.sampled_from(["name", "role", "type", "x"]), JSON_VALUES, max_size=3), max_size=2)
-RESULTS = st.builds(
-    ExtractionResult,
-    paper_doi=st.sampled_from(["10.1/a", "10.1/b", "10.1/c", "10.1/d", "10.1/ "]),
-    status=st.sampled_from(["extracted", "out_of_scope"]),
-    species=ENTRIES,
-    habitats=ENTRIES,
+DOIS = st.sampled_from(["10.1/a", "10.1/b", "10.1/c", "10.1/d", "10.1/ "])
+RESULTS = st.builds(ExtractionResult, paper_doi=DOIS, species=ENTRIES, habitats=ENTRIES) | st.builds(
+    ExtractionResult, paper_doi=DOIS, status=st.just("out_of_scope")
 )
 
 
@@ -103,14 +100,6 @@ def _ref_name_key(raw):
 
 def _ref_validate_result(result, schema):
     verdict = ValidationVerdict()
-    if result.status not in ("extracted", "out_of_scope"):
-        verdict.violations.append(Violation("bad_status", "status", f"unknown status {result.status!r}"))
-    if result.status == "out_of_scope":
-        for attr, _ in RESULT_BLOCKS:
-            if getattr(result, attr):
-                verdict.violations.append(
-                    Violation("status_inconsistency", attr, "nonempty entities on out-of-scope result")
-                )
     entity_names = {
         _ref_name_key(entry.get("name"))
         for attr, block in RESULT_BLOCKS if block != "relationships" for entry in getattr(result, attr)
@@ -185,13 +174,12 @@ ENTRY_LISTS = st.lists(st.one_of(st.dictionaries(KEYS, VALUES, max_size=5), JSON
 VALIDATED = st.builds(
     ExtractionResult,
     paper_doi=st.just("10.1/v"),
-    status=st.sampled_from(["extracted", "out_of_scope", "Extracted"]),
     species=ENTRY_LISTS,
     locations=ENTRY_LISTS,
     ecosystems=ENTRY_LISTS,
     habitats=ENTRY_LISTS,
     relationships=ENTRY_LISTS,
-)
+) | st.builds(ExtractionResult, paper_doi=st.just("10.1/v"), status=st.just("out_of_scope"))
 EXTRA_FIELDS = st.lists(
     st.tuples(
         st.sampled_from([block for _, block in RESULT_BLOCKS]),

@@ -2,6 +2,7 @@ import copy
 import json
 import random
 import re
+import reprlib
 
 import pytest
 from hypothesis import given, settings
@@ -250,9 +251,11 @@ class TestParseResult:
 
     @pytest.mark.parametrize("status", ["maybe", "quarantined", "Extracted", "", 5, True, None, ["extracted"], {}])
     def test_unknown_or_non_string_status_quarantined(self, status):
-        # copied as str(status), the reply became a result validate reported as bad_status
+        # copied as str(status), the reply became a result validate reported as bad_status;
+        # a reply may not quarantine itself: it lists entities and carries no reason
         raw = json.dumps({"status": status, "species": [{"name": "A a"}]})
-        with pytest.raises(QuarantineError, match="unknown status") as excinfo:
+        reason = "status 'quarantined' lists entities" if status == "quarantined" else "unknown status"
+        with pytest.raises(QuarantineError, match=reason) as excinfo:
             parse_result(raw, "10.1/r")
         assert excinfo.value.raw_text == raw
 
@@ -260,8 +263,13 @@ class TestParseResult:
     def test_out_of_scope_reply_listing_entities_quarantined(self, block):
         # kept, it became a result validate reported as status_inconsistency
         raw = json.dumps({"status": "out_of_scope", block: [{"name": "X"}]})
-        with pytest.raises(QuarantineError, match="out of scope yet lists entities"):
+        with pytest.raises(QuarantineError, match="status 'out_of_scope' lists entities; only an extracted"):
             parse_result(raw, "10.1/r")
+
+    @pytest.mark.parametrize("status", ["maybe", "Extracted", "", 5, None, ["extracted"], "x" * 100])
+    def test_unknown_status_refused_at_construction(self, status):
+        with pytest.raises(ValueError, match="unknown status " + re.escape(reprlib.repr(status))):
+            ExtractionResult(paper_doi="10.1/r", status=status)
 
     def test_out_of_scope_reply_with_empty_blocks_accepted(self):
         raw = json.dumps({"status": "out_of_scope", "species": [], "habitats": "none"})
@@ -300,10 +308,11 @@ class TestValidateResult:
         verdict = validate_result(result, self.schema())
         assert verdict.ok and not verdict.warnings
 
-    def test_out_of_scope_with_entities(self):
-        result = ExtractionResult(paper_doi="10.1/r", status="out_of_scope", species=[{"name": "X"}])
-        verdict = validate_result(result, self.schema())
-        assert any(v.code == "status_inconsistency" for v in verdict.violations)
+    @pytest.mark.parametrize("status, reason", [("out_of_scope", None), ("quarantined", "prose")])
+    def test_out_of_scope_with_entities(self, status, reason):
+        # validate reported it as status_inconsistency; no such result is built now
+        with pytest.raises(ValueError, match=f"status {status!r} lists entities; only an extracted result does"):
+            ExtractionResult(paper_doi="10.1/r", status=status, species=[{"name": "X"}], reason=reason)
 
     def test_dangling_relationship_reference(self):
         result = extracted(
@@ -411,16 +420,18 @@ class TestValidateResult:
             ("dangling_habitat_link", "habitats[1].subcomponent_of")
         ]
 
-    def test_status_inconsistency_precedes_entry_violations(self):
-        result = ExtractionResult(
-            paper_doi="10.1/r",
-            status="out_of_scope",
-            species=[{"name": "X", "bogus": 1}],
-            relationships=[{"related_entities": ["nobody"]}],
-        )
+    def test_status_inconsistency_is_refused_by_decode(self):
+        # validate reported status_inconsistency before the entry violations; decode now refuses the line
+        doc = {
+            "doi": "10.1/r",
+            "status": "out_of_scope",
+            "species": [{"name": "X", "bogus": 1}],
+            "relationships": [{"related_entities": ["nobody"]}],
+        }
+        with pytest.raises(ValueError, match="status 'out_of_scope' lists entities"):
+            result_from_dict(doc)
+        result = result_from_dict({**doc, "status": "extracted"})
         assert [(v.code, v.path) for v in validate_result(result, self.schema()).violations] == [
-            ("status_inconsistency", "species"),
-            ("status_inconsistency", "relationships"),
             ("unknown_field", "species[0].bogus"),
             ("dangling_reference", "relationships[0].related_entities"),
         ]
