@@ -6,6 +6,14 @@ ecosystems, and habitats shipped as package data). Responses are a pure
 function of the (system, user) pair: identical prompts always yield
 identical text. Papers whose title and abstract contain no species
 keyword are treated as outside the domain and answered with N/A.
+
+A name matches case-insensitively where no ASCII letter or digit sits on
+either side of it. On an ASCII text an ASCII name is tested without a
+regex: its first word must be one of the text's words, and then its
+lowercase form must occur in the lowercase text with both sides clear.
+Only a non-ASCII text or name needs Unicode case folding, so only then
+does the name's boundary regex run (through re's cache): on an ASCII
+corpus the packaged rulebook runs none.
 """
 
 from __future__ import annotations
@@ -53,13 +61,17 @@ class MockProvider:
 
     def __init__(self, rulebook: dict | None = None) -> None:
         self.rulebook = rulebook if rulebook is not None else load_rulebook()
-        # Kind -> (name, lowercase form if ASCII, boundary pattern, attributes)
-        # in name order; each pattern compiles on first use, through re's cache.
-        self._gazetteer: dict[str, list[tuple[str, str | None, str, dict]]] = {kind: [] for kind in _PROPOSALS}
+        # Kind -> (name, lowercase form and its first word if ASCII, boundary
+        # pattern, attributes) in name order.
+        self._gazetteer: dict[str, list[tuple[str, str | None, bytes | None, str, dict]]] = {
+            kind: [] for kind in _PROPOSALS
+        }
         for kind, table in self._gazetteer.items():
             for name, attrs in sorted(self.rulebook.get(kind, {}).items()):
+                lowered = name.lower() if name.isascii() else None
+                words = _words(lowered) if lowered is not None else []
                 pattern = rf"(?<![A-Za-z0-9]){re.escape(name)}(?![A-Za-z0-9])"
-                table.append((name, name.lower() if name.isascii() else None, pattern, attrs))
+                table.append((name, lowered, words[0] if words else None, pattern, attrs))
 
     def send(self, system: str, user: str, deterministic: bool = True) -> str:
         if "semantic modeling" in system:
@@ -135,18 +147,24 @@ class MockProvider:
         """Match gazetteer names against the prompt's title and abstract."""
         match = re.search(r"\nTitle: (.*?)\nAbstract: (.*)", user, re.DOTALL)
         text = f"{match.group(1)} {match.group(2)}" if match else user
-        return {kind: self._match(text, kind) for kind in _PROPOSALS}
+        folded = _fold(text)
+        return {kind: self._match(text, kind, folded) for kind in _PROPOSALS}
 
-    def _match(self, text: str, kind: str) -> list[dict]:
-        # When text and name are both ASCII, lower() keeps every index, so the
-        # first lowercase hit is the earliest place a match can start (the
-        # lookbehind still sees the text before it). Unicode case folding
-        # (ſ, ı, İ, the Kelvin sign) needs the regex over the whole text.
-        folded = text.lower() if text.isascii() else None
+    def _match(self, text: str, kind: str, folded: tuple[str | None, set[bytes]]) -> list[dict]:
+        # `folded` is `_fold(text)`, which `_scan` computes once for the four
+        # kinds. When text and name are both ASCII, a name matches exactly
+        # where its lowercase form sits in the lowercase text with no [a-z0-9]
+        # on either side, and then its first word is one of the text's words.
+        # Unicode case folding (ſ, ı, İ, the Kelvin sign) needs the regex:
+        # over a non-ASCII text for every name, and for a non-ASCII name.
+        lowered_text, words = folded
         entries = []
-        for name, lowered, pattern, attrs in self._gazetteer[kind]:
-            start = folded.find(lowered) if folded is not None and lowered is not None else 0
-            if start >= 0 and re.compile(pattern, re.IGNORECASE).search(text, start):
+        for name, lowered, word, pattern, attrs in self._gazetteer[kind]:
+            if lowered_text is not None and lowered is not None:
+                found = (word is None or word in words) and _bounded(lowered_text, lowered)
+            else:
+                found = re.search(pattern, text, re.IGNORECASE) is not None
+            if found:
                 entries.append({"name": name, **attrs})
         return entries
 
@@ -167,6 +185,36 @@ class MockProvider:
             a, b = species[0]["name"], species[1]["name"]
             rels.append(_rel([a, b], "co-occurs with", "biological", "bidirectional", f"{a} found alongside {b}"))
         return rels
+
+
+_ALNUM = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
+# Bytes table keeping lowercase ASCII letters and digits, any other byte a space.
+_WORD_BYTES = bytes(b if chr(b) in _ALNUM else 0x20 for b in range(256))
+
+
+def _words(lowered: str) -> list[bytes]:
+    """The [a-z0-9] words of a lowercase ASCII string."""
+    return lowered.encode().translate(_WORD_BYTES).split()
+
+
+def _fold(text: str) -> tuple[str | None, set[bytes]]:
+    """An ASCII text's lowercase form and the set of its letter-and-digit
+    words; (None, empty set) for a non-ASCII text."""
+    if not text.isascii():
+        return None, set()
+    lowered = text.lower()
+    return lowered, set(_words(lowered))
+
+
+def _bounded(text: str, name: str) -> bool:
+    """Whether name occurs in text with no [a-z0-9] on either side."""
+    start = text.find(name)
+    while start >= 0:
+        end = start + len(name)
+        if text[start - 1 : start] not in _ALNUM and text[end : end + 1] not in _ALNUM:
+            return True
+        start = text.find(name, start + 1)
+    return False
 
 
 def _rel(entities: list[str], name: str, kind: str, direction: str, context: str) -> dict:

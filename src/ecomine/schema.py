@@ -265,13 +265,24 @@ def _load_json_document(text: str, what: str) -> dict:
     return doc
 
 
+def _is_na(text: str) -> bool:
+    """Whether a fence-stripped reply is the "N/A" marker (any case) with
+    which the specialize and extract prompts ask for an out-of-scope paper."""
+    return text.casefold() == "n/a"
+
+
 def parse_candidate(raw: str, doi: str) -> CandidateSchema:
     """Parse a specialize-stage response into a candidate schema.
 
     The tree is captured losslessly: unknown descriptor keys and loose
-    block shapes are folded into field notes rather than dropped.
+    block shapes are folded into field notes rather than dropped. An
+    "N/A" reply raises a SchemaParseError that calls the paper out of
+    scope, so specialize quarantines it under that reason.
     """
-    doc = _load_json_document(strip_fences(raw), f"candidate schema document for {doi}")
+    text = strip_fences(raw)
+    if _is_na(text):
+        raise SchemaParseError(f"specialize reply for {doi} is N/A: the paper is out of scope")
+    doc = _load_json_document(text, f"candidate schema document for {doi}")
     if not doc:
         raise SchemaParseError("candidate schema defines no blocks")
     return candidate_from_blocks(doi, doc)
@@ -543,7 +554,7 @@ def parse_result(raw: str, doi: str) -> ExtractionResult:
     breaks the result's rule, is quarantined with the raw text intact.
     """
     text = strip_fences(raw)
-    if text.casefold() == "n/a":
+    if _is_na(text):
         return ExtractionResult(paper_doi=doi, status="out_of_scope")
     try:
         doc = _load_json_document(text, "reply")

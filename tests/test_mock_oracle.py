@@ -28,6 +28,7 @@ from ecomine.schema import (
     serialize_result,
     standard_schema,
 )
+from test_mockllm import reference_match
 
 PROVIDER = MockProvider(load_rulebook())
 EXTRACT_SYSTEM = build_extract_system_prompt(standard_schema())
@@ -159,10 +160,10 @@ def ref_scan(provider, user):
     match = re.search(r"\nTitle: (.*?)\nAbstract: (.*)", user, re.DOTALL)
     text = f"{match.group(1)} {match.group(2)}" if match else user
     return {
-        "species": provider._match(text, "species"),
-        "locations": provider._match(text, "locations"),
-        "ecosystems": provider._match(text, "ecosystems"),
-        "habitats": provider._match(text, "habitats"),
+        "species": reference_match(provider.rulebook, text, "species"),
+        "locations": reference_match(provider.rulebook, text, "locations"),
+        "ecosystems": reference_match(provider.rulebook, text, "ecosystems"),
+        "habitats": reference_match(provider.rulebook, text, "habitats"),
     }
 
 

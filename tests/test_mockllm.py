@@ -3,10 +3,11 @@ and its generalize against the deterministic merge."""
 
 import re
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecomine.mockllm import MockProvider, load_rulebook
+from ecomine import mockllm
+from ecomine.mockllm import MockProvider, _fold, load_rulebook
 from ecomine.prompts import build_generalize_prompt
 from ecomine.schema import BLOCK_NAMES, CandidateSchema, FieldSpec, merge_candidates, parse_schema
 
@@ -90,25 +91,93 @@ def texts(rulebook):
 @settings(max_examples=300, deadline=None)
 @given(text=texts(RULEBOOK), kind=st.sampled_from(sorted(RULEBOOK)))
 def test_match_equals_reference_on_packaged_rulebook(text, kind):
-    assert MockProvider(RULEBOOK)._match(text, kind) == reference_match(RULEBOOK, text, kind)
+    assert MockProvider(RULEBOOK)._match(text, kind, _fold(text)) == reference_match(RULEBOOK, text, kind)
 
 
 @settings(max_examples=300, deadline=None)
 @given(text=texts(OVERLAPPING), kind=st.sampled_from(sorted(OVERLAPPING)))
 def test_match_equals_reference_on_overlapping_names(text, kind):
-    assert MockProvider(OVERLAPPING)._match(text, kind) == reference_match(OVERLAPPING, text, kind)
+    assert MockProvider(OVERLAPPING)._match(text, kind, _fold(text)) == reference_match(OVERLAPPING, text, kind)
+
+
+# OVERLAPPING plus names that start or end with punctuation, hold digits
+# or hold no letter or digit at all.
+PUNCTUATED = {kind: dict(names) for kind, names in OVERLAPPING.items()}
+PUNCTUATED["locations"].update(
+    {"(Lake) Garda": {}, "Garda.": {}, "St. Kilda": {}, "Site 7": {}, "7th Lake": {}, "B52": {}, "(+)": {}}
+)
+PUNCTUATED["habitats"].update({"-sea-": {}, "kelp 2 beds": {}})
+
+ASCII_SEPARATORS = ["", " ", "  ", "-", ", ", ".", "a", "Z", "7", "\n", "(", ") "]
+ASCII_FILLER = ["the", "Lake", "sea", "in", "Site", "7", "St", "K", "s", "i", "kelp", "+"]
+
+
+def ascii_spelled(name):
+    """The name in ASCII: each letter replaced by an ASCII one it matches
+    case-insensitively, and the letters with none by a near miss."""
+    near = {"í": ["i"], "ß": ["ss"]}
+    options = ([s for s in spellings(c) if s.isascii()] or near[c] for c in name)
+    return st.tuples(*(st.sampled_from(o) for o in options)).map("".join)
+
+
+def ascii_texts(rulebook):
+    names = sorted({name for kind in rulebook.values() for name in kind})
+    piece = st.one_of(st.sampled_from(names).flatmap(ascii_spelled), st.sampled_from(ASCII_FILLER))
+    return st.lists(st.tuples(piece, st.sampled_from(ASCII_SEPARATORS)), min_size=1, max_size=8).map(
+        lambda parts: "".join(p + s for p, s in parts[:-1]) + parts[-1][0]
+    )
+
+
+def scan_equals_reference(rulebook, text):
+    assert text.isascii()
+    found = MockProvider(rulebook)._scan(text)
+    assert found == {kind: reference_match(rulebook, text, kind) for kind in found}
+
+
+# A name glued to a letter or digit on its left, or on its right, while
+# its first word stands alone elsewhere; and the non-ASCII names that
+# match ASCII text.
+@example(text="aLake Garda, lake")
+@example(text="Lake Garda7")
+@example(text="the salt marsh")
+@example(text="kiel fjord")
+@settings(max_examples=60, deadline=None)
+@given(text=ascii_texts(PUNCTUATED))
+def test_scan_of_ascii_text_equals_reference_on_punctuated_names(text):
+    scan_equals_reference(PUNCTUATED, text)
+
+
+@example(text="xPinus sylvestris, pinus")
+@example(text="Pinus sylvestris2")
+@settings(max_examples=60, deadline=None)
+@given(text=ascii_texts(RULEBOOK))
+def test_scan_of_ascii_text_equals_reference_on_packaged_rulebook(text):
+    scan_equals_reference(RULEBOOK, text)
+
+
+def test_ascii_text_runs_no_regex_for_ascii_names(monkeypatch):
+    provider = MockProvider(RULEBOOK)
+    searched = []
+    search = re.search
+    monkeypatch.setattr(mockllm.re, "search", lambda pattern, *args: searched.append(pattern) or search(pattern, *args))
+    text = "Carcinus maenas (Linnaeus) in Port Phillip Bay kelp beds of a marine ecosystem; ITALY, Hong Kong"
+    assert all(provider._match(text, kind, _fold(text)) for kind in RULEBOOK)
+    assert searched == []
+    text = "Hong \u212aong harbour"
+    assert provider._match(text, "locations", _fold(text))[0]["name"] == "Hong Kong"
+    assert len(searched) == len(RULEBOOK["locations"])
 
 
 def test_overlapping_names_all_match():
-    found = MockProvider(OVERLAPPING)._match("Survey of Lake Garda shores", "locations")
+    found = MockProvider(OVERLAPPING)._scan("Survey of Lake Garda shores")["locations"]
     assert [entry["name"] for entry in found] == ["Garda", "Lake", "Lake Garda"]
 
 
 def test_case_fold_oddities_still_match():
     provider = MockProvider(RULEBOOK)
-    assert provider._match("Hong \u212aong harbour", "locations")[0]["name"] == "Hong Kong"
-    assert provider._match("Pinus ſylvestris stands", "species")[0]["name"] == "Pinus sylvestris"
-    assert provider._match("ITALY", "locations")[0]["name"] == "Italy"
+    assert provider._scan("Hong \u212aong harbour")["locations"][0]["name"] == "Hong Kong"
+    assert provider._scan("Pinus ſylvestris stands")["species"][0]["name"] == "Pinus sylvestris"
+    assert provider._scan("ITALY")["locations"][0]["name"] == "Italy"
 
 
 def test_generalize_maps_alias_blocks_like_merge():

@@ -69,6 +69,12 @@ class TestSpecialize:
         assert len(outcome.candidates) == 9
         assert list(outcome.quarantined) == ["10.5555/ecomine.0018"]
 
+    def test_out_of_domain_paper_is_quarantined_as_out_of_scope(self, sample_store, mock_gateway):
+        outcome = run_specialize(sample_store, make_config(), mock_gateway)
+        assert outcome.quarantined == {
+            "10.5555/ecomine.0018": "specialize reply for 10.5555/ecomine.0018 is N/A: the paper is out of scope"
+        }
+
     def test_same_seed_same_output(self, sample_store, mock_gateway):
         first = run_specialize(sample_store, make_config(), mock_gateway)
         second = run_specialize(sample_store, make_config(), mock_gateway)

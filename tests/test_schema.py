@@ -95,6 +95,16 @@ class TestParseCandidate:
         raw = "```json\n" + json.dumps({"species": [{"field": "name"}]}) + "\n```"
         assert "species" in parse_candidate(raw, "10.1/a").blocks
 
+    @pytest.mark.parametrize("raw", ["N/A", "```\nN/A\n```", "  n/a\n"])
+    def test_na_reply_calls_the_paper_out_of_scope(self, raw):
+        with pytest.raises(SchemaParseError, match=r"^specialize reply for 10\.1/a is N/A: the paper is out of scope$"):
+            parse_candidate(raw, "10.1/a")
+
+    @pytest.mark.parametrize("raw", ["N/A.", "N/A {}", "```\nN/A\n{}\n```"])
+    def test_reply_that_only_starts_with_na_is_malformed(self, raw):
+        with pytest.raises(SchemaParseError, match="^malformed candidate schema document for 10.1/a at offset 0"):
+            parse_candidate(raw, "10.1/a")
+
     def test_duplicate_fields_rejected_at_construction(self):
         with pytest.raises(SchemaParseError):
             CandidateSchema(paper_doi="10.1/a", blocks={"species": [FieldSpec("name"), FieldSpec("name")]})
