@@ -244,7 +244,6 @@ def cmd_generalize(args: argparse.Namespace, config: CliConfig) -> int:
         candidates, config.stage_config(), make_gateway(config), selection=args.select
     )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for index, schema in enumerate(outcome.variants):
         atomic_write_text(out_dir / f"variant_{index}.json", schema_to_json(schema) + "\n")
     atomic_write_text(out_dir / "chosen.json", schema_to_json(outcome.chosen) + "\n")

@@ -230,7 +230,7 @@ def export_corpus(store: CorpusStore, path: str | Path, fmt: str = "jsonl") -> i
     if fmt != "jsonl":
         raise CorpusError(f"unknown corpus format: {fmt!r}")
     records = store.records()
-    atomic_write_text(Path(path), "".join(record_line(r) + "\n" for r in records))
+    atomic_write_text(path, "".join(record_line(r) + "\n" for r in records))
     return len(records)
 
 
@@ -383,9 +383,9 @@ def encode(record: object) -> dict:
     return doc
 
 
-def atomic_write_text(path: Path, payload: str) -> None:
-    """Write-then-rename so readers never observe a partial file; a failed
-    write removes its temporary file."""
+def atomic_write_text(path: str | Path, payload: str) -> None:
+    """Make the parent directory, then write-then-rename so readers never
+    observe a partial file; a failed write removes its temporary file."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:

@@ -40,7 +40,12 @@ class TransportError(EcomineError):
 
 
 class RetryableTransportError(TransportError):
-    """Provider call failed with a transient condition (429, 5xx, network)."""
+    """Provider call failed with a transient condition (429, 5xx, network);
+    retry_after is the seconds a 429 or 503 asked to wait (Retry-After), or None."""
+
+    def __init__(self, message: str, status: int | None = None, *, retry_after: float | None = None) -> None:
+        super().__init__(message, status)
+        self.retry_after = retry_after
 
 
 class SchemaParseError(EcomineError):

@@ -9,6 +9,7 @@ here before any request is dispatched.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import queue
@@ -16,12 +17,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import PromptError, RetryableTransportError, TransportError
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -117,9 +115,10 @@ class Gate:
 
     call(attempt, what) runs attempt() at most 1 + policy.max_retries
     times, retrying only RetryableTransportError and sleeping
-    backoff_base * 2**(k-1) before retry k. A paced gate first takes a
-    grant of the policy's rate cap for every attempt, retries included.
-    Safe for concurrent callers.
+    backoff_base * 2**(k-1) before retry k, or the failure's retry_after
+    if longer, capped at the policy's window so no server stalls a run. A
+    paced gate first takes a grant of the policy's rate cap for every
+    attempt, retries included. Safe for concurrent callers.
     """
 
     def __init__(
@@ -152,20 +151,57 @@ class Gate:
                         f"{what}: retry budget exhausted after {attempts} attempts: {exc}", exc.status
                     ) from exc
                 backoff = self.policy.backoff_base * 2 ** (attempts - 1)
+                backoff = max(backoff, min(exc.retry_after or 0.0, self.policy.window))
                 logger.warning(
                     "%s failed (attempt %d, status %s); retrying in %.2fs", what, attempts, exc.status, backoff
                 )
                 self._sleep(backoff)
 
 
-def raise_for_status(status: int, what: str) -> None:
-    """The one status rule of both HTTP transports: a 200 passes, a 429
-    or any 5xx (a 529 "overloaded" too) raises RetryableTransportError,
-    and any other status raises TransportError. A network error is
-    retryable as well; each transport raises that itself."""
+def raise_for_status(status: int, what: str, retry_after: str | None = None) -> None:
+    """The one status rule of HTTP: a 200 passes, a 429 or any 5xx (a 529
+    "overloaded" too) raises RetryableTransportError, carrying a 429 or
+    503's Retry-After as retry_after when it is delta-seconds (an HTTP
+    date is ignored), and any other status raises TransportError."""
+    if status == 429 or status >= 500:
+        delay = (retry_after or "").strip()
+        seconds = float(delay) if status in (429, 503) and delay.isascii() and delay.isdigit() else None
+        raise RetryableTransportError(f"{what} returned {status}", status, retry_after=seconds)
     if status != 200:
-        error = RetryableTransportError if status == 429 or status >= 500 else TransportError
-        raise error(f"{what} returned {status}", status)
+        raise TransportError(f"{what} returned {status}", status)
+
+
+NOT_FOUND = object()  # request_json's answer to a 404 when its caller passes not_found
+
+
+def request_json(
+    url: str, what: str, failed: str, malformed: str, *, timeout: float, data: bytes | None = None,
+    headers: dict[str, str] | None = None, not_found: bool = False,
+) -> object:
+    """The one HTTP transport: POST data to url (GET when it is None) on a
+    connection of its own and return the body decoded from JSON. A network
+    failure or bad URL raises RetryableTransportError "{failed}: ...", the
+    status goes through raise_for_status as what (a 404 returns NOT_FOUND
+    given not_found), and a body that is not JSON raises TransportError
+    "{malformed}: ...". The HTTP modules load here, never in offline runs."""
+    import http.client
+    import urllib.request
+
+    try:
+        with urllib.request.urlopen(urllib.request.Request(url, data, headers or {}), timeout=timeout) as response:
+            status, body, answer = response.status, response.read(), response.headers
+    except urllib.request.HTTPError as exc:  # an OSError too, so caught first
+        exc.close()  # its unread body holds the connection open
+        status, body, answer = exc.code, b"", exc.headers
+    except (OSError, ValueError, http.client.HTTPException) as exc:  # reset, timed out, cut short, no scheme
+        raise RetryableTransportError(f"{failed}: {exc}") from exc
+    if status == 404 and not_found:
+        return NOT_FOUND
+    raise_for_status(status, what, answer.get("Retry-After"))
+    try:
+        return json.loads(body)
+    except ValueError as exc:
+        raise TransportError(f"{malformed}: {exc}", status) from exc
 
 
 class LlmGateway:
@@ -304,23 +340,17 @@ class HttpChatProvider:
         api_key: str | None = None,
         *,
         timeout: float = 120.0,
-        session: requests.Session | None = None,
     ) -> None:
         require_finite_positive("timeout", timeout)
-        import requests  # here, not at module top: offline runs never load the HTTP stack
-
         self.endpoint = endpoint
         self.model = model
         self.provider_id = f"http:{model}"
         self.timeout = timeout
-        self._session = session or requests.Session()
         self._headers = {"Content-Type": "application/json"}
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
 
     def send(self, system: str, user: str, deterministic: bool = True) -> str:
-        import requests
-
         payload: dict = {
             "model": self.model,
             "messages": [
@@ -330,19 +360,16 @@ class HttpChatProvider:
         }
         if deterministic:
             payload["temperature"] = 0.0
+        doc = request_json(
+            self.endpoint, "provider", "chat request failed", "malformed provider response",
+            timeout=self.timeout, data=json.dumps(payload).encode("utf-8"), headers=self._headers,
+        )
         try:
-            resp = self._session.post(
-                self.endpoint, json=payload, headers=self._headers, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
-            raise RetryableTransportError(f"chat request failed: {exc}") from exc
-        raise_for_status(resp.status_code, "provider")
-        try:
-            content = resp.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"malformed provider response: {exc}", resp.status_code) from exc
+            content = doc["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise TransportError(f"malformed provider response: {exc}", 200) from exc
         if not isinstance(content, str):
             raise TransportError(
-                f"malformed provider response: content is {type(content).__name__}, not a string", resp.status_code
+                f"malformed provider response: content is {type(content).__name__}, not a string", 200
             )
         return content

@@ -15,14 +15,12 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Sequence
+from typing import IO, Callable, Sequence
+from urllib.parse import urlencode
 
 from .corpus import CorpusStore, PaperRecord, commit_line, decode, normalize_doi, record_line
-from .errors import CorpusError, EcomineError, PartialIngestError, RetryableTransportError, TransportError
-from .gateway import Gate, RateLimitPolicy, fan_out, raise_for_status, require_finite_positive
-
-if TYPE_CHECKING:
-    import requests
+from .errors import CorpusError, EcomineError, PartialIngestError, TransportError
+from .gateway import NOT_FOUND, Gate, RateLimitPolicy, fan_out, request_json, require_finite_positive
 
 logger = logging.getLogger(__name__)
 
@@ -62,16 +60,11 @@ class HttpHarvestClient:
         *,
         paced: bool = False,
         timeout: float = 10.0,
-        session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         require_finite_positive("timeout", timeout)
-        import requests  # here, not at module top: offline runs never load the HTTP stack
-
-        self.base_url = base_url.rstrip("/")
-        self.url = f"{self.base_url}/paper"
+        self.url = base_url.rstrip("/") + "/paper"
         self.timeout = timeout
-        self._session = session or requests.Session()
         self._gate = Gate(policy, paced=paced, sleep=sleep)
 
     def fetch(self, doi: str) -> dict | None:
@@ -79,22 +72,14 @@ class HttpHarvestClient:
 
     def _get(self, doi: str) -> dict | None:
         """One attempt: the JSON object, or None for a 404."""
-        import requests
-
-        url = self.url
-        try:
-            resp = self._session.get(url, params={"doi": doi}, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise RetryableTransportError(f"harvest request failed: {exc}") from exc
-        if resp.status_code == 404:
+        doc = request_json(
+            f"{self.url}?{urlencode({'doi': doi})}", f"harvest {self.url}", "harvest request failed",
+            f"non-JSON harvest response from {self.url}", timeout=self.timeout, not_found=True,
+        )
+        if doc is NOT_FOUND:
             return None
-        raise_for_status(resp.status_code, f"harvest {url}")
-        try:
-            doc = resp.json()
-        except ValueError as exc:
-            raise TransportError(f"non-JSON harvest response from {url}: {exc}", 200) from exc
         if not isinstance(doc, dict):
-            raise TransportError(f"harvest response from {url} is not a JSON object", 200)
+            raise TransportError(f"harvest response from {self.url} is not a JSON object", 200)
         return doc
 
 

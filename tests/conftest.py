@@ -1,4 +1,6 @@
 import json
+import socket
+import struct
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -59,17 +61,28 @@ def stage_config() -> StageConfig:
     )
 
 
+#: Seconds a "slow" answer holds its body back; longer than the 0.2 s timeout tests give it.
+SLOW = 0.3
+
+
 class StubState:
-    """Scriptable harvest endpoint: per-DOI documents plus failure hooks."""
+    """Scriptable endpoint: harvest (GET with per-DOI documents), chat
+    (POST, answered with reply as the message content) and failure hooks."""
 
     def __init__(self):
         self.documents = {}
-        self.fail_statuses = []  # consumed before any successful answer
+        self.reply = "hi"  # the content of each successful chat answer
+        # consumed before any successful answer: a status, or "reset" (the
+        # connection reset unanswered), "cut" (a body cut short) or "slow"
+        # (a 200 whose body comes SLOW seconds late)
+        self.fail_statuses = []
+        self.retry_after = None  # when set, the Retry-After header of each failure status
         self.hard_fail_dois = set()
         self.raw_body = None  # when set, every successful answer is this 200 body
         self.delay = 0.0  # seconds before each single-DOI success, so failures answer first
         self.requests = 0
-        self.queries = []  # each request's parsed query string, in arrival order
+        self.queries = []  # each GET's parsed query string, in arrival order
+        self.posts = []  # each POST's (headers, JSON body), in arrival order
         self.stamps = []  # each request's arrival time, time.monotonic()
 
 
@@ -78,33 +91,60 @@ def _make_handler(state: StubState):
         def log_message(self, *args):
             pass
 
-        def do_GET(self):
+        def answer(self, status, body=b""):
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            if status != 200 and state.retry_after is not None:
+                self.send_header("Retry-After", state.retry_after)
+            self.end_headers()
+            self.wfile.write(body)
+
+        def failed(self) -> bool:
+            """Count the request and play the next scripted failure, if any."""
             state.stamps.append(time.monotonic())
             state.requests += 1
+            if not state.fail_statuses:
+                return False
+            failure = state.fail_statuses.pop(0)
+            if failure == "reset":  # a zero linger makes the close send RST
+                self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                self.connection.close()
+            elif failure in ("cut", "slow"):
+                self.send_response(200)
+                self.send_header("Content-Length", "100")
+                self.end_headers()
+                if failure == "slow":
+                    self.wfile.flush()
+                    time.sleep(SLOW)
+                self.wfile.write(b'{"cut": ')
+            else:
+                self.answer(failure)
+            self.close_connection = True
+            return True
+
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            state.posts.append((dict(self.headers), json.loads(body)))
+            if not self.failed():
+                reply = {"choices": [{"message": {"content": state.reply}}]}
+                self.answer(200, json.dumps(reply).encode() if state.raw_body is None else state.raw_body)
+
+        def do_GET(self):
             query = parse_qs(urlparse(self.path).query)
             state.queries.append(query)
-            if state.fail_statuses:
-                self.send_response(state.fail_statuses.pop(0))
-                self.end_headers()
+            if self.failed():
                 return
             if state.raw_body is not None:
-                self.send_response(200)
-                self.end_headers()
-                self.wfile.write(state.raw_body)
+                self.answer(200, state.raw_body)
                 return
             doi = query.get("doi", [""])[0]
             if doi in state.hard_fail_dois:
-                self.send_response(500)
-                self.end_headers()
-                return
-            if doi not in state.documents:
-                self.send_response(404)
-                self.end_headers()
-                return
-            time.sleep(state.delay)
-            self.send_response(200)
-            self.end_headers()
-            self.wfile.write(json.dumps(state.documents[doi]).encode())
+                self.answer(500)
+            elif doi not in state.documents:
+                self.answer(404)
+            else:
+                time.sleep(state.delay)
+                self.answer(200, json.dumps(state.documents[doi]).encode())
 
     return Handler
 

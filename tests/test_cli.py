@@ -672,10 +672,18 @@ def run_python(source, *args, cwd):
     return done.stdout.strip().splitlines()[-1]
 
 
-class TestOfflineImports:
-    """Mock and fixture runs never load the HTTP stack; the HTTP transports do."""
+#: The modules imported since `before` that are neither the standard library's nor ecomine's.
+FOREIGN = (
+    "sorted(n for n in set(sys.modules) - before"
+    " if n.partition('.')[0] not in {*sys.stdlib_module_names, 'ecomine'})"
+)
 
-    def test_offline_workflow_never_imports_requests(self, tmp_path):
+
+class TestImports:
+    """Mock and fixture runs never load the HTTP modules, and the HTTP
+    transports need nothing outside the standard library."""
+
+    def test_offline_workflow_loads_no_http_module(self, tmp_path):
         fixtures = tmp_path / "fixtures"
         fixtures.mkdir()
         dois = []
@@ -696,26 +704,28 @@ class TestOfflineImports:
         ]
         source = (
             "import json, sys\n"
+            "before = set(sys.modules)\n"
             "from ecomine import cli\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert cli.main(argv) == 0, argv\n"
-            "print('requests' in sys.modules)\n"
+            "http = [name for name in ('urllib.request', 'http.client', 'ssl') if name in sys.modules]\n"
+            f"print(json.dumps([http, {FOREIGN}]))\n"
         )
-        assert run_python(source, json.dumps(steps), cwd=tmp_path) == "False"
+        assert run_python(source, json.dumps(steps), cwd=tmp_path) == "[[], []]"
         assert len((tmp_path / "results.jsonl").read_text(encoding="utf-8").splitlines()) == 20
 
-    @pytest.mark.parametrize(
-        "transport, construct",
-        [
-            ("ecomine.gateway import HttpChatProvider", "HttpChatProvider('http://127.0.0.1:9/v1', 'm')"),
-            ("ecomine.harvest import HttpHarvestClient", "HttpHarvestClient('http://127.0.0.1:9')"),
-        ],
-        ids=["chat", "harvest"],
-    )
-    def test_http_transport_imports_requests(self, tmp_path, transport, construct):
+    def test_http_transports_run_on_the_standard_library_alone(self, tmp_path, stub_server):
+        base_url, state = stub_server
+        state.documents["10.1/a"] = {"title": "A", "abstract": "a"}
         source = (
-            f"import sys\nfrom {transport}\n"
-            f"before = 'requests' in sys.modules\n{construct}\n"
-            "print(before, 'requests' in sys.modules)\n"
+            "import json, sys\n"
+            "sys.modules['requests'] = None  # importing it now raises ImportError\n"
+            "before = set(sys.modules)\n"
+            "from ecomine.gateway import HttpChatProvider\n"
+            "from ecomine.harvest import HttpHarvestClient\n"
+            "title = HttpHarvestClient(sys.argv[1]).fetch('10.1/a')['title']\n"
+            "reply = HttpChatProvider(sys.argv[1] + '/v1/chat', 'm', api_key='k').send('s', 'u')\n"
+            f"print(json.dumps([title, reply, {FOREIGN}]))\n"
         )
-        assert run_python(source, cwd=tmp_path) == "False True"
+        assert run_python(source, base_url, cwd=tmp_path) == '["A", "hi", []]'
+        assert state.requests == 2

@@ -1,3 +1,5 @@
+import json
+import os
 import re
 
 import pytest
@@ -8,11 +10,13 @@ from ecomine.corpus import (
     PaperRecord,
     atomic_write_text,
     bibliometrics,
+    commit_line,
     compute_stats,
     count_tokens,
     encode,
     export_corpus,
     normalize_doi,
+    read_json_lines,
 )
 from ecomine.errors import CorpusError
 
@@ -213,6 +217,27 @@ class TestExportImport:
         assert path.read_text(encoding="utf-8") == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
 
+    def test_a_str_path_into_a_missing_directory_is_written(self, tmp_path):
+        path = tmp_path / "new" / "deeper" / "out.txt"
+        atomic_write_text(str(path), "text\n")
+        assert path.read_text(encoding="utf-8") == "text\n"
+        assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
+
+    def test_an_interrupt_propagates_unchanged_and_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.jsonl"
+        path.write_text("kept\n", encoding="utf-8")
+        interrupt = KeyboardInterrupt()
+
+        def interrupted(source, target):
+            raise interrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt) as excinfo:
+            atomic_write_text(path, "new\n")
+        assert excinfo.value is interrupt
+        assert path.read_text(encoding="utf-8") == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
     @pytest.mark.parametrize(
         "suffix, payload, where",
         [
@@ -241,3 +266,13 @@ class TestExportImport:
     def test_unknown_format(self, tmp_path, sample_store):
         with pytest.raises(CorpusError):
             export_corpus(sample_store, tmp_path / "x", fmt="xml")
+
+
+def test_a_repaired_last_line_without_its_newline_stays_apart_from_the_next_append(tmp_path):
+    path = tmp_path / "results.jsonl"
+    first, second, third = (json.dumps({"n": n}) for n in range(3))
+    path.write_text(f"{first}\n{second}", encoding="utf-8")  # a whole last line, written without its newline
+    assert read_json_lines(path, "log", CorpusError, dict, repair=True) == [{"n": 0}, {"n": 1}]
+    with path.open("a", encoding="utf-8") as sink:
+        commit_line(sink, third)
+    assert read_json_lines(path, "log", CorpusError, dict) == [{"n": 0}, {"n": 1}, {"n": 2}]

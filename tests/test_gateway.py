@@ -1,4 +1,6 @@
+import http.client
 import math
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -214,76 +216,160 @@ def max_dispatches_in_window(stamps, window):
     return worst
 
 
-class FakeHttpResponse:
-    def __init__(self, status_code, payload=None):
-        self.status_code = status_code
-        self._payload = payload
+class Transport:
+    """One HTTP client against the stub server, called through its Gate.
 
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no body")
-        return self._payload
+    For chat, an LlmGateway over HttpChatProvider; for harvest, an
+    HttpHarvestClient fetching DOI 10.1/a. ok is what a successful call
+    returns, what names the endpoint in a status error, and failed and
+    malformed begin a network error's and a non-JSON body's message.
+    """
+
+    def __init__(self, kind, stub_server):
+        self.kind = kind
+        self.base_url, self.state = stub_server
+        self.state.documents["10.1/a"] = {"title": "A", "abstract": "a"}
+        self.sleeps = []
+        if kind == "chat":
+            self.ok, self.what, self.failed, self.malformed = "hi", "provider", "chat", "malformed provider response"
+        else:
+            url = f"{self.base_url}/paper"
+            self.ok, self.what, self.failed = self.state.documents["10.1/a"], f"harvest {url}", "harvest"
+            self.malformed = f"non-JSON harvest response from {url}"
+
+    def call(self, max_retries=3, timeout=10.0):
+        policy = RateLimitPolicy(max_retries=max_retries)
+        if self.kind == "chat":
+            provider = HttpChatProvider(f"{self.base_url}/v1/chat", "model-z", api_key="k", timeout=timeout)
+            return LlmGateway(provider, policy, sleep=self.sleeps.append).complete(valid_prompt())
+        return HttpHarvestClient(self.base_url, policy, timeout=timeout, sleep=self.sleeps.append).fetch("10.1/a")
 
 
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.last_payload = None
+@pytest.fixture(params=["chat", "harvest"])
+def transport(request, stub_server):
+    return Transport(request.param, stub_server)
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.last_payload = json
-        item = self.responses.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
+
+class TestHttpTransports:
+    """Both HTTP clients over real sockets, through their one transport."""
+
+    def test_status_sequence_is_retried_to_success(self, transport):
+        transport.state.fail_statuses = [429, 503]
+        assert transport.call() == transport.ok
+        assert transport.state.requests == 3
+        assert transport.sleeps == [0.5, 1.0]
+
+    def test_400_is_not_retried(self, transport):
+        transport.state.fail_statuses = [400]
+        with pytest.raises(TransportError, match=re.escape(f"{transport.what} returned 400")) as excinfo:
+            transport.call()
+        assert not isinstance(excinfo.value, RetryableTransportError)
+        assert (excinfo.value.status, transport.state.requests) == (400, 1)
+
+    def test_non_json_body_is_not_retried(self, transport):
+        transport.state.raw_body = b"not json"
+        with pytest.raises(TransportError, match=re.escape(f"{transport.malformed}: Expecting value")) as excinfo:
+            transport.call()
+        assert not isinstance(excinfo.value, RetryableTransportError)
+        assert (excinfo.value.status, transport.state.requests) == (200, 1)
+
+    def test_body_of_the_wrong_shape_is_not_retried(self, transport):
+        transport.state.raw_body = b"[1, 2]"
+        shape = "malformed provider response" if transport.kind == "chat" else "is not a JSON object"
+        with pytest.raises(TransportError, match=shape) as excinfo:
+            transport.call()
+        assert not isinstance(excinfo.value, RetryableTransportError)
+        assert (excinfo.value.status, transport.state.requests) == (200, 1)
+
+    @pytest.mark.parametrize("failure", ["slow", "reset", "cut"])
+    def test_network_failure_is_retried(self, transport, failure):
+        transport.state.fail_statuses = [failure]
+        assert transport.call(timeout=0.2) == transport.ok
+        assert transport.state.requests == 2
+        assert transport.sleeps == [0.5]
+
+    @pytest.mark.parametrize("failure, cause", [("reset", ConnectionResetError), ("cut", http.client.IncompleteRead)])
+    def test_network_failure_names_the_transport(self, transport, failure, cause):
+        transport.state.fail_statuses = [failure] * 2
+        named = f"after 2 attempts: {transport.failed} request failed: "
+        with pytest.raises(TransportError, match=re.escape(named)) as excinfo:
+            transport.call(max_retries=1)
+        assert excinfo.value.status is None
+        assert isinstance(excinfo.value.__cause__.__cause__, cause)
+
+    def test_url_without_a_scheme_is_a_transport_error(self, transport):
+        # as with a network failure, the retries run out; it never escapes as a bare ValueError
+        transport.base_url = "nowhere"
+        with pytest.raises(TransportError, match=f"{transport.failed} request failed: unknown url type"):
+            transport.call(max_retries=1)
+        assert transport.sleeps == [0.5]
+
+    @pytest.mark.parametrize(
+        "status, header, slept",
+        [
+            (429, "7", 7.0),
+            (429, "99999", 60.0),  # capped at the policy's window
+            (503, " 2 ", 2.0),
+            (429, "0", 0.5),  # never shorter than the backoff
+            (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5),  # an HTTP date is ignored
+            (429, "1.5", 0.5),
+            (429, "-3", 0.5),
+            (500, "7", 0.5),  # only a 429 or 503 asks for a delay
+        ],
+    )
+    def test_retry_after_is_honoured_and_capped(self, transport, status, header, slept):
+        transport.state.fail_statuses = [status]
+        transport.state.retry_after = header
+        assert transport.call() == transport.ok
+        assert transport.sleeps == [slept]
 
 
 class TestHttpChatProvider:
-    def make(self, responses):
-        session = FakeSession(responses)
-        provider = HttpChatProvider("http://x/v1/chat", "model-z", api_key="k", session=session)
-        return provider, session
+    def make(self, stub_server, api_key="k"):
+        base_url, state = stub_server
+        return HttpChatProvider(f"{base_url}/v1/chat", "model-z", api_key=api_key), state
 
-    def test_parses_choice_content_and_temperature(self):
-        payload = {"choices": [{"message": {"content": "hi"}}]}
-        provider, session = self.make([FakeHttpResponse(200, payload)])
+    def test_sends_the_payload_and_reads_the_content(self, stub_server):
+        provider, state = self.make(stub_server)
         assert provider.send("s", "u", deterministic=True) == "hi"
-        assert session.last_payload["temperature"] == 0.0
-        assert session.last_payload["messages"][0] == {"role": "system", "content": "s"}
+        headers, payload = state.posts[0]
+        assert payload == {
+            "model": "model-z",
+            "messages": [{"role": "system", "content": "s"}, {"role": "user", "content": "u"}],
+            "temperature": 0.0,
+        }
+        assert headers["Authorization"] == "Bearer k"
+        assert headers["Content-Type"] == "application/json"
 
-    def test_sampled_mode_omits_temperature(self):
-        payload = {"choices": [{"message": {"content": "hi"}}]}
-        provider, session = self.make([FakeHttpResponse(200, payload)])
+    def test_sampled_mode_omits_temperature(self, stub_server):
+        provider, state = self.make(stub_server)
         provider.send("s", "u", deterministic=False)
-        assert "temperature" not in session.last_payload
+        assert "temperature" not in state.posts[0][1]
 
-    def test_429_is_retryable(self):
-        provider, _ = self.make([FakeHttpResponse(429)])
-        with pytest.raises(RetryableTransportError):
-            provider.send("s", "u")
+    def test_no_key_sends_no_authorization(self, stub_server):
+        provider, state = self.make(stub_server, api_key=None)
+        provider.send("s", "u")
+        assert "Authorization" not in state.posts[0][0]
 
-    def test_400_is_not_retryable(self):
-        provider, _ = self.make([FakeHttpResponse(400)])
-        with pytest.raises(TransportError) as excinfo:
-            provider.send("s", "u")
-        assert not isinstance(excinfo.value, RetryableTransportError)
-
-    def test_network_error_is_retryable(self):
-        import requests
-
-        provider, _ = self.make([requests.ConnectionError("down")])
-        with pytest.raises(RetryableTransportError):
-            provider.send("s", "u")
-
-    def test_malformed_body(self):
-        provider, _ = self.make([FakeHttpResponse(200, {"unexpected": True})])
-        with pytest.raises(TransportError):
-            provider.send("s", "u")
-
-    @pytest.mark.parametrize("content", [None, 7, ["a"], {"text": "hi"}])
-    def test_non_string_content_is_a_malformed_response(self, content):
-        payload = {"choices": [{"message": {"content": content}}]}
-        provider, _ = self.make([FakeHttpResponse(200, payload)])
+    @pytest.mark.parametrize("body", [b'{"unexpected": true}', b'{"choices": []}', b"null"])
+    def test_malformed_body(self, stub_server, body):
+        provider, state = self.make(stub_server)
+        state.raw_body = body
         with pytest.raises(TransportError, match="malformed provider response") as excinfo:
             provider.send("s", "u")
         assert not isinstance(excinfo.value, RetryableTransportError)
+
+    @pytest.mark.parametrize("content", [None, 7, ["a"], {"text": "hi"}])
+    def test_non_string_content_is_a_malformed_response(self, stub_server, content):
+        provider, state = self.make(stub_server)
+        state.reply = content
+        with pytest.raises(TransportError, match="malformed provider response") as excinfo:
+            provider.send("s", "u")
+        assert not isinstance(excinfo.value, RetryableTransportError)
+
+
+def test_retry_after_shorter_than_the_backoff_keeps_the_backoff():
+    provider = ScriptedProvider([RetryableTransportError("429", 429, retry_after=0.1), "N/A"])
+    sleeps = []
+    LlmGateway(provider, RateLimitPolicy(backoff_base=0.5), sleep=sleeps.append).complete(valid_prompt())
+    assert sleeps == [0.5]

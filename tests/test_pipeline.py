@@ -788,6 +788,16 @@ class TestCommitLog:
             self.extract(CorpusStore([sample_store.get(doi)]), counting, tmp_path, "old")
         assert counting.calls == 0
 
+    def test_checkpoint_of_another_stage_is_refused_before_any_call(self, sample_store, mock_gateway, tmp_path):
+        Checkpoint("specialize", schema_fingerprint(standard_schema())).save(tmp_path / "other.ckpt.json")
+        (tmp_path / "other.jsonl").write_text(quarantine_line("10.5555/ecomine.0001", "prose") + "\n", encoding="utf-8")
+        saved = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        counting = FailAfter(mock_gateway, allow=10_000)
+        with pytest.raises(CheckpointError, match="checkpoint belongs to stage 'specialize'"):
+            self.extract(sample_store, counting, tmp_path, "other")
+        assert counting.calls == 0
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == saved
+
     def test_fingerprint_refused_with_commits_past_the_count(self, sample_store, mock_gateway, tmp_path):
         Checkpoint("extract", "not-the-same", results_lines=0).save(tmp_path / "fp.ckpt.json")
         (tmp_path / "fp.jsonl").write_text(quarantine_line("10.5555/ecomine.0001", "prose") + "\n", encoding="utf-8")
