@@ -18,6 +18,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TypeVar
+from urllib.parse import urlsplit
 
 from .errors import PromptError, RetryableTransportError, TransportError
 
@@ -74,6 +75,17 @@ def require_finite_positive(name: str, value: float) -> None:
     config or environment text such as "nan" or "inf"."""
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def require_http_url(name: str, url: str) -> None:
+    """Refuse a URL that no request can open: not http(s), no host, or a port that is 0 or does not parse."""
+    try:
+        parts = urlsplit(url)
+        usable = parts.scheme in ("http", "https") and bool(parts.hostname) and parts.port != 0
+    except ValueError:  # .port of "h:x" or "h:99999"
+        usable = False
+    if not usable:
+        raise ValueError(f"{name} must be an http(s) URL with a host and a valid port, got {url!r}")
 
 
 class SlidingWindowRateLimiter:
@@ -180,7 +192,7 @@ def request_json(
 ) -> object:
     """The one HTTP transport: POST data to url (GET when it is None) on a
     connection of its own and return the body decoded from JSON. A network
-    failure or bad URL raises RetryableTransportError "{failed}: ...", the
+    failure raises RetryableTransportError "{failed}: ...", the
     status goes through raise_for_status as what (a 404 returns NOT_FOUND
     given not_found), and a body that is not JSON raises TransportError
     "{malformed}: ...". The HTTP modules load here, never in offline runs."""
@@ -193,7 +205,7 @@ def request_json(
     except urllib.request.HTTPError as exc:  # an OSError too, so caught first
         exc.close()  # its unread body holds the connection open
         status, body, answer = exc.code, b"", exc.headers
-    except (OSError, ValueError, http.client.HTTPException) as exc:  # reset, timed out, cut short, no scheme
+    except (OSError, http.client.HTTPException) as exc:  # reset, timed out, cut short
         raise RetryableTransportError(f"{failed}: {exc}") from exc
     if status == 404 and not_found:
         return NOT_FOUND
@@ -342,6 +354,7 @@ class HttpChatProvider:
         timeout: float = 120.0,
     ) -> None:
         require_finite_positive("timeout", timeout)
+        require_http_url("endpoint", endpoint)
         self.endpoint = endpoint
         self.model = model
         self.provider_id = f"http:{model}"

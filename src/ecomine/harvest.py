@@ -20,7 +20,7 @@ from urllib.parse import urlencode
 
 from .corpus import CorpusStore, PaperRecord, commit_line, decode, normalize_doi, record_line
 from .errors import CorpusError, EcomineError, PartialIngestError, TransportError
-from .gateway import NOT_FOUND, Gate, RateLimitPolicy, fan_out, request_json, require_finite_positive
+from .gateway import NOT_FOUND, Gate, RateLimitPolicy, fan_out, request_json, require_finite_positive, require_http_url
 
 logger = logging.getLogger(__name__)
 
@@ -63,6 +63,7 @@ class HttpHarvestClient:
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         require_finite_positive("timeout", timeout)
+        require_http_url("base_url", base_url)
         self.url = base_url.rstrip("/") + "/paper"
         self.timeout = timeout
         self._gate = Gate(policy, paced=paced, sleep=sleep)

@@ -18,7 +18,7 @@ from typing import Sequence
 from .corpus import PaperRecord
 from .errors import PromptError
 from .gateway import PromptPair
-from .schema import CandidateSchema, StandardizedSchema, candidate_to_dict, ensure_valid_schema, schema_to_json
+from .schema import CandidateSchema, StandardizedSchema, ensure_valid_schema, schema_to_dict, schema_to_json
 
 
 @lru_cache(maxsize=None)
@@ -62,7 +62,7 @@ def build_generalize_prompt(candidates: Sequence[CandidateSchema]) -> PromptPair
     if len(candidates) < 2:
         raise PromptError(f"merging needs at least 2 candidate schemas, got {len(candidates)}")
     serialized = json.dumps(
-        [candidate_to_dict(candidate) for candidate in candidates],
+        [schema_to_dict(candidate) for candidate in candidates],
         ensure_ascii=False,
         sort_keys=True,
         indent=2,

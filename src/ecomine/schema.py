@@ -182,7 +182,7 @@ def schema_to_dict(schema: StandardizedSchema | CandidateSchema) -> dict:
     return {block: [spec.to_dict() for spec in fields] for block, fields in schema.blocks.items()}
 
 
-candidate_to_dict = schema_to_dict
+candidate_to_dict = schema_to_dict  # the name perfbench imports
 
 
 def schema_to_json(schema: StandardizedSchema) -> str:

@@ -651,6 +651,30 @@ class TestConfigPrecedence:
             f"error: {key} must be finite and positive, got {float(value)}"
         ]
 
+    @pytest.mark.parametrize("command, key", [("ingest", "base_url"), ("extract", "endpoint")])
+    def test_url_that_cannot_open_is_refused_before_any_request(
+        self, corpus_path, tmp_path, monkeypatch, capsys, command, key
+    ):
+        # urllib read 127.0.0.1:9 as scheme "127.0.0.1", and each attempt failed alike after a backoff
+        monkeypatch.setenv(f"ECOMINE_{key.upper()}", "127.0.0.1:9")
+        monkeypatch.setenv("ECOMINE_API_KEY", "k")
+        dois = tmp_path / "dois.txt"
+        dois.write_text("10.9/one\n")
+        schema = tmp_path / "schema.json"
+        schema.write_text(schema_to_json(standard_schema()), encoding="utf-8")
+        argv = {
+            "ingest": ["--corpus", tmp_path / "c.jsonl", "ingest", "--dois", dois],
+            "extract": ["--corpus", corpus_path, "--provider", "endpoint",
+                        "extract", "--schema", schema, "--results", tmp_path / "r.jsonl"],
+        }[command]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert "retrying" not in err and "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {key} must be an http(s) URL with a host and a valid port, got '127.0.0.1:9'"
+        ]
+        assert not (tmp_path / "c.jsonl").exists() and not (tmp_path / "r.jsonl").exists()
+
     def test_endpoint_provider_requires_credential(self, corpus_path, monkeypatch, capsys):
         monkeypatch.delenv("ECOMINE_API_KEY", raising=False)
         code = run_cli(
@@ -680,8 +704,21 @@ FOREIGN = (
 
 
 class TestImports:
-    """Mock and fixture runs never load the HTTP modules, and the HTTP
-    transports need nothing outside the standard library."""
+    """Mock and fixture runs never load the HTTP modules, the HTTP
+    transports need nothing outside the standard library, and the package
+    root imports no module of its own."""
+
+    def test_package_root_reexports_nothing(self, tmp_path):
+        # each public name has one import path, the module that defines it
+        source = (
+            "import json, sys\n"
+            "loaded = lambda: sorted(name for name in sys.modules if name.startswith('ecomine'))\n"
+            "import ecomine\n"
+            "root = loaded()\n"
+            "import ecomine.errors\n"
+            "print(json.dumps([root, loaded()]))\n"
+        )
+        assert run_python(source, cwd=tmp_path) == '[["ecomine"], ["ecomine", "ecomine.errors"]]'
 
     def test_offline_workflow_loads_no_http_module(self, tmp_path):
         fixtures = tmp_path / "fixtures"

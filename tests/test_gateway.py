@@ -297,12 +297,14 @@ class TestHttpTransports:
         assert excinfo.value.status is None
         assert isinstance(excinfo.value.__cause__.__cause__, cause)
 
-    def test_url_without_a_scheme_is_a_transport_error(self, transport):
-        # as with a network failure, the retries run out; it never escapes as a bare ValueError
-        transport.base_url = "nowhere"
-        with pytest.raises(TransportError, match=f"{transport.failed} request failed: unknown url type"):
-            transport.call(max_retries=1)
-        assert transport.sleeps == [0.5]
+    @pytest.mark.parametrize("url", ["nowhere", "127.0.0.1:9", "ftp://h/", "http://h:x/", "http://h:0/"])
+    def test_url_that_cannot_open_is_refused_when_the_client_is_built(self, transport, url):
+        # each failed every attempt alike, yet was retried with backoff before the run failed
+        transport.base_url = url
+        refusal = f"must be an http(s) URL with a host and a valid port, got '{url}"  # chat's goes on: /v1/chat
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            transport.call()
+        assert (transport.state.requests, transport.sleeps) == (0, [])
 
     @pytest.mark.parametrize(
         "status, header, slept",

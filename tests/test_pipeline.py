@@ -827,6 +827,55 @@ class TestCommitLog:
         assert doi not in {json.loads(line)["doi"] for line in results.read_text(encoding="utf-8").splitlines()}
 
     @pytest.mark.parametrize(
+        "statuses",
+        [("out_of_scope", "quarantined"), ("quarantined", "extracted")],
+        ids=["out-of-scope-then-quarantined", "quarantined-then-extracted"],
+    )
+    def test_two_lines_past_the_count_leave_the_doi_in_the_last_ones_set(
+        self, sample_store, mock_gateway, tmp_path, statuses
+    ):
+        # a line past results_lines moves its DOI out of the set an earlier commit put it in (extracted, then
+        # quarantined, is the test above); kept in both, the resume refused a quarantined DOI "with no line",
+        # or saved a checkpoint that does not load
+        doi = "10.5555/ecomine.0001"
+        _, baseline, _ = self.run_full(sample_store, mock_gateway, tmp_path, name="baseline")
+        first, *rest = baseline.read_text(encoding="utf-8").splitlines(keepends=True)
+        past = {
+            "extracted": first,
+            "out_of_scope": serialize_result(ExtractionResult(paper_doi=doi, status="out_of_scope")) + "\n",
+            "quarantined": quarantine_line(doi, "prose") + "\n",
+        }
+        results, checkpoint = tmp_path / "two.jsonl", tmp_path / "two.ckpt.json"
+        results.write_text("".join(past[status] for status in statuses), encoding="utf-8")
+        Checkpoint("extract", schema_fingerprint(standard_schema()), results_lines=0).save(checkpoint)
+
+        counting = FailAfter(mock_gateway, allow=10_000)
+        summary = self.extract(sample_store, counting, tmp_path, "two")
+        assert (counting.calls, summary.processed) == (19, 20)
+        assert summary.extracted + summary.out_of_scope + summary.quarantined == summary.processed
+        exit_document = Checkpoint.load(checkpoint)  # refuses a DOI listed in two sets
+        quarantined = statuses[-1] == "quarantined"
+        assert (doi in exit_document.completed, doi in exit_document.quarantined) == (not quarantined, quarantined)
+        assert results.read_text(encoding="utf-8") == "".join(([] if quarantined else [first]) + rest)
+
+    def test_rerun_without_checkpoint_drops_a_line_the_file_quarantines_later(
+        self, sample_store, mock_gateway, tmp_path
+    ):
+        # a hard failure left the file uncompacted: the DOI's extracted line, then its quarantine line. The rerun,
+        # with no checkpoint, does not send that DOI again, so only the quarantine line keeps it from compaction
+        doi = "10.5555/ecomine.0001"
+        _, baseline, _ = self.run_full(sample_store, mock_gateway, tmp_path, name="baseline")
+        first, *rest = baseline.read_text(encoding="utf-8").splitlines(keepends=True)
+        results = tmp_path / "left.jsonl"
+        results.write_text(first + quarantine_line(doi, "prose") + "\n", encoding="utf-8")
+        others = CorpusStore([record for record in sample_store.records() if record.doi != doi])
+
+        counting = FailAfter(mock_gateway, allow=10_000)
+        summary = run_extract(others, standard_schema(), make_config(), counting, results_path=results)
+        assert (counting.calls, summary.processed, summary.quarantined) == (19, 19, 0)
+        assert results.read_text(encoding="utf-8") == "".join(rest)
+
+    @pytest.mark.parametrize(
         "sets, named",
         [
             ({"completed": ["10.1/a"], "out_of_scope": ["10.1/a"]}, "completed and out_of_scope"),
