@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import analytics
-from .corpus import CorpusStore, atomic_write_text, compute_stats, export_corpus, read_lines
+from .corpus import CorpusStore, atomic_write_text, compute_stats, dumps, export_corpus, read_lines
 from .errors import EcomineError, PartialIngestError
 from .gateway import HttpChatProvider, LlmGateway, RateLimitPolicy
 from .harvest import FixtureHarvestClient, HttpHarvestClient, ingest_dois
@@ -170,7 +169,8 @@ def _open_store(config: CliConfig, must_exist: bool = True) -> CorpusStore:
 
 
 def cmd_ingest(args: argparse.Namespace, config: CliConfig) -> int:
-    dois = _read_dois(args.dois)
+    if not (dois := _read_dois(args.dois)):
+        raise EcomineError(f"DOI file {args.dois} holds no DOI")
     stage = StageConfig(parallelism=config.parallelism, rate_policy=config.rate_policy())  # checked before any write
     if config.fixtures:
         client = FixtureHarvestClient(config.fixtures)
@@ -249,13 +249,7 @@ def cmd_generalize(args: argparse.Namespace, config: CliConfig) -> int:
     atomic_write_text(out_dir / "chosen.json", schema_to_json(outcome.chosen) + "\n")
     atomic_write_text(
         out_dir / "merge_report.json",
-        json.dumps(
-            dataclasses.asdict(outcome.merge_report),
-            ensure_ascii=False,
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
+        dumps(dataclasses.asdict(outcome.merge_report), document=True) + "\n",
     )
     print(f"variants={len(outcome.variants)} chosen={outcome.chosen_index}")
     return 0

@@ -1,5 +1,5 @@
 """Document collection: records, persistence, token statistics, bibliometrics,
-and the JSON codec (decode, encode) of every record class the package writes.
+and the JSON codec (decode, encode, dumps) of every line and document the package writes.
 
 The store is a DOI-keyed collection of paper records, persisted as
 line-delimited JSON, one record per line. Optional record fields are
@@ -234,9 +234,20 @@ def export_corpus(store: CorpusStore, path: str | Path, fmt: str = "jsonl") -> i
     return len(records)
 
 
+#: The one JSON text form of every line and document the package writes: keys
+#: sorted, text as UTF-8, not \u escapes. An encoder keeps no state between calls.
+_LINE = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+_DOCUMENT = json.JSONEncoder(ensure_ascii=False, sort_keys=True, indent=2)
+
+
+def dumps(value: object, document: bool = False) -> str:
+    """value in that form: one line, or given document, indented by 2; no trailing newline."""
+    return (_DOCUMENT if document else _LINE).encode(value)
+
+
 def record_line(record: object) -> str:
     """A record's line (a corpus record or an extraction result), without its newline."""
-    return json.dumps(encode(record), ensure_ascii=False, sort_keys=True)
+    return dumps(encode(record))
 
 
 def commit_line(sink: IO[str], line: str) -> None:
@@ -312,7 +323,7 @@ def loads_utf8(text: str) -> object:
     \\u escape. Only text with such an escape has its value walked."""
     doc = json.loads(text)
     if "\\" in text and "\\u" in text:  # a one-character search is far faster than a two-character one
-        json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        dumps(doc).encode("utf-8")
     elif not text.isascii():
         text.encode("utf-8")
     return doc

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TypeVar
 from urllib.parse import urlsplit
 
+from .corpus import dumps
 from .errors import PromptError, RetryableTransportError, TransportError
 
 logger = logging.getLogger(__name__)
@@ -361,6 +362,9 @@ class HttpChatProvider:
         self.timeout = timeout
         self._headers = {"Content-Type": "application/json"}
         if api_key:
+            # nothing else fits a header, and http.client's refusal of it would print the key
+            if not all("!" <= char <= "~" for char in api_key):
+                raise ValueError("api_key must be printable ASCII without spaces; the key is not shown")
             self._headers["Authorization"] = f"Bearer {api_key}"
 
     def send(self, system: str, user: str, deterministic: bool = True) -> str:
@@ -375,7 +379,7 @@ class HttpChatProvider:
             payload["temperature"] = 0.0
         doc = request_json(
             self.endpoint, "provider", "chat request failed", "malformed provider response",
-            timeout=self.timeout, data=json.dumps(payload).encode("utf-8"), headers=self._headers,
+            timeout=self.timeout, data=dumps(payload).encode("utf-8"), headers=self._headers,
         )
         try:
             content = doc["choices"][0]["message"]["content"]

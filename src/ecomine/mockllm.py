@@ -22,6 +22,7 @@ import json
 import re
 from importlib import resources
 
+from .corpus import dumps
 from .schema import _STANDARD_FIELDS, BLOCK_NAMES, FieldSpec, _canon_block, _fields_from_block_value
 
 # Found kind -> (block name for a single entry, enum fields read off the
@@ -101,15 +102,11 @@ class MockProvider:
             blocks[block if len(entries) == 1 else kind] = [spec.to_dict() for spec in specs]
         if sum(map(len, found.values())) >= 2:
             blocks["relationships"] = [spec.to_dict() for spec in _RELATIONSHIP_FIELDS]
-        return f"```json\n{json.dumps(blocks, ensure_ascii=False, sort_keys=True)}\n```"
+        return f"```json\n{dumps(blocks)}\n```"
 
     def _generalize(self, user: str) -> str:
-        start = user.find("[")
-        end = user.rfind("]")
-        if start < 0 or end <= start:
-            return "N/A"
-        try:
-            instances = json.loads(user[start : end + 1])
+        try:  # with no "[" before the last "]", the slice is "" or "]", which json.loads refuses too
+            instances = json.loads(user[user.find("[") : user.rfind("]") + 1])
         except json.JSONDecodeError:
             return "N/A"
 
@@ -133,13 +130,13 @@ class MockProvider:
                 specs.append(FieldSpec(name, kind, values + tuple(sorted(extra))))
             specs += [FieldSpec(name, kind, tuple(sorted(values))) for name, (kind, values) in sorted(seen.items())]
             out[block] = [spec.to_dict() for spec in specs]
-        return json.dumps(out, ensure_ascii=False, sort_keys=True)
+        return dumps(out)
 
     def _extract(self, user: str) -> str:
         found = self._scan(user)
         if not found["species"]:
             return "N/A"
-        return json.dumps({**found, "relationships": self._relationships(found)}, ensure_ascii=False, sort_keys=True)
+        return dumps({**found, "relationships": self._relationships(found)})
 
     # -- helpers -----------------------------------------------------------
 

@@ -21,7 +21,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Collection, Sequence
 
-from .corpus import CorpusStore, PaperRecord, atomic_write_text, commit_line, decode, encode, normalize_doi
+from .corpus import CorpusStore, PaperRecord, atomic_write_text, commit_line, decode, dumps, encode, normalize_doi
 from .corpus import read_json_lines, read_lines, record_line
 from .errors import (
     CheckpointError,
@@ -103,7 +103,7 @@ class Checkpoint:
         return self.completed | self.out_of_scope | set(self.quarantined)
 
     def save(self, path: str | Path) -> None:
-        atomic_write_text(path, json.dumps(encode(self), ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+        atomic_write_text(path, dumps(encode(self), document=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
@@ -398,7 +398,7 @@ def load_results(path: str | Path) -> list[ExtractionResult]:
 def save_candidates(path: str | Path, candidates: Sequence[CandidateSchema]) -> None:
     """Write the specialize stage's candidates file: one {"doi", "blocks"} line per candidate."""
     docs = ({"doi": c.paper_doi, "blocks": schema_to_dict(c)} for c in candidates)
-    atomic_write_text(path, "".join(json.dumps(doc, ensure_ascii=False, sort_keys=True) + "\n" for doc in docs))
+    atomic_write_text(path, "".join(dumps(doc) + "\n" for doc in docs))
 
 
 def load_candidates(path: str | Path) -> list[CandidateSchema]:

@@ -9,13 +9,12 @@ the same PromptPair.
 
 from __future__ import annotations
 
-import json
 import re
 from functools import lru_cache
 from importlib import resources
 from typing import Sequence
 
-from .corpus import PaperRecord
+from .corpus import PaperRecord, dumps
 from .errors import PromptError
 from .gateway import PromptPair
 from .schema import CandidateSchema, StandardizedSchema, ensure_valid_schema, schema_to_dict, schema_to_json
@@ -61,12 +60,7 @@ def build_generalize_prompt(candidates: Sequence[CandidateSchema]) -> PromptPair
     """
     if len(candidates) < 2:
         raise PromptError(f"merging needs at least 2 candidate schemas, got {len(candidates)}")
-    serialized = json.dumps(
-        [schema_to_dict(candidate) for candidate in candidates],
-        ensure_ascii=False,
-        sort_keys=True,
-        indent=2,
-    )
+    serialized = dumps([schema_to_dict(candidate) for candidate in candidates], document=True)
     user = _fill(
         load_template("user_generalize.txt"),
         {"count": str(len(candidates)), "schemas": serialized},

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .corpus import decode, loads_utf8, record_line
+from .corpus import decode, dumps, loads_utf8, record_line
 from .errors import InvalidSchemaError, QuarantineError, SchemaParseError
 
 
@@ -186,13 +186,12 @@ candidate_to_dict = schema_to_dict  # the name perfbench imports
 
 
 def schema_to_json(schema: StandardizedSchema) -> str:
-    return json.dumps(schema_to_dict(schema), ensure_ascii=False, sort_keys=True, indent=2)
+    return dumps(schema_to_dict(schema), document=True)
 
 
 def schema_fingerprint(schema: StandardizedSchema) -> str:
     """Stable hash binding extraction results to the schema that produced them."""
-    canonical = json.dumps(schema_to_dict(schema), ensure_ascii=False, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(dumps(schema_to_dict(schema)).encode("utf-8")).hexdigest()
 
 
 def _field_from_doc(doc: dict) -> FieldSpec:
@@ -203,9 +202,9 @@ def _field_from_doc(doc: dict) -> FieldSpec:
         kind = "text"
     values = tuple(str(v) for v in doc.get("values", []) or [])
     note = doc.get("note")
-    extras = {k: doc[k] for k in sorted(doc) if k not in known}
+    extras = {k: v for k, v in doc.items() if k not in known}  # dumps sorts them
     if extras:
-        extra_note = json.dumps(extras, ensure_ascii=False, sort_keys=True)
+        extra_note = dumps(extras)
         note = f"{note} {extra_note}".strip() if note else extra_note
     return FieldSpec(name=name, kind=kind, values=values, note=note)
 
@@ -234,9 +233,7 @@ def _fields_from_block_value(value) -> list[FieldSpec]:
             if isinstance(val, list):
                 fields.append(FieldSpec(name, "enum", tuple(str(v) for v in val)))
             elif isinstance(val, dict):
-                fields.append(
-                    FieldSpec(name, "text", note=json.dumps(val, ensure_ascii=False, sort_keys=True))
-                )
+                fields.append(FieldSpec(name, "text", note=dumps(val)))
             else:
                 fields.append(FieldSpec(name, "text", note=str(val)))
     elif isinstance(value, str):
@@ -300,8 +297,8 @@ def candidate_from_blocks(doi: str, blocks: dict) -> CandidateSchema:
 def parse_schema(raw: str) -> StandardizedSchema:
     """Parse a generalize-stage response into a standardized schema.
 
-    Top-level keys are mapped onto the canonical blocks; keys mapping to
-    the same block are merged, unknown keys are ignored.
+    Top-level keys are mapped onto the canonical blocks; keys mapping to one
+    block are merged, the first spec of a field name winning; unknown keys are ignored.
     """
     doc = _load_json_document(strip_fences(raw), "standardized schema document")
     blocks: dict[str, list[FieldSpec]] = {}

@@ -209,6 +209,9 @@ class TestEcosystemFrequencies:
         assert recognized == 199 + 93 + 71  # the unrecognized type joins names but not types
         assert tables.names.count_of("mystery system") == 1
 
+    def test_count_of_an_absent_name_is_zero(self):
+        assert FrequencyTable("ecosystem names").count_of("mystery system") == 0
+
 
 class TestHabitatLinkages:
     def test_counts_pairs(self):

@@ -344,6 +344,32 @@ class TestIngest:
         assert run_cli("--corpus", corpus, "ingest", "--dois", tmp_path / "dois.txt", "--fixtures", fixtures) == 0
         assert last_line(capsys) == "queried=1 found=1 abstract_only=1 with_full_text=0 malformed=0"
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank-lines"])
+    def test_doi_file_without_a_doi_is_refused_before_anything_is_written(self, tmp_path, capsys, text):
+        # ingest_dois refused the empty list only after the corpus directory and an empty corpus were made
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        dois = tmp_path / "empty.txt"
+        dois.write_text(text)
+        corpus = tmp_path / "out" / "corpus.jsonl"
+        assert run_cli("--corpus", corpus, "ingest", "--dois", dois, "--fixtures", fixtures) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: DOI file {dois} holds no DOI"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_fixture_holding_an_array_is_named_and_the_rest_commit(self, tmp_path, capsys):
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "10.9_one.json").write_text(json.dumps({"title": "One", "abstract": "a b"}))
+        (fixtures / "10.9_two.json").write_text('[{"title": "Two", "abstract": "c d"}]')
+        (tmp_path / "dois.txt").write_text("10.9/one\n10.9/two\n")
+        corpus = tmp_path / "c.jsonl"
+        assert run_cli("--corpus", corpus, "ingest", "--dois", tmp_path / "dois.txt", "--fixtures", fixtures) == 1
+        assert f"fixture {fixtures / '10.9_two.json'} is not a JSON object" in capsys.readouterr().err
+        assert [json.loads(line)["doi"] for line in corpus.read_text().splitlines()] == ["10.9/one"]
+
     def test_requires_a_source(self, tmp_path):
         dois = tmp_path / "dois.txt"
         dois.write_text("10.9/one\n")
@@ -468,6 +494,14 @@ class TestWorkflow:
         report = tmp_path / "report.md"
         assert run_cli("analyze", "--results", results, "--out", report, "--format", "markdown") == 0
         assert report.read_text(encoding="utf-8").startswith("## species roles")
+
+    def test_markdown_report_to_a_directory_path_goes_to_report_md_inside_it(self, tmp_path, capsys):
+        results = tmp_path / "results.jsonl"
+        results.write_text('{"doi": "10.1/a", "status": "out_of_scope"}\n', encoding="utf-8")
+        reports = tmp_path / "reports"
+        assert run_cli("analyze", "--results", results, "--out", reports, "--format", "markdown") == 0
+        assert last_line(capsys).endswith(f"out={reports / 'report.md'}")
+        assert (reports / "report.md").read_text(encoding="utf-8").startswith("## species roles")
 
     def test_filter_generic_and_top(self, tmp_path, corpus_path, capsys):
         _, results = self.run_through_extract(tmp_path, corpus_path, capsys)
@@ -674,6 +708,38 @@ class TestConfigPrecedence:
             f"error: {key} must be an http(s) URL with a host and a valid port, got '127.0.0.1:9'"
         ]
         assert not (tmp_path / "c.jsonl").exists() and not (tmp_path / "r.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "env, message",
+        [
+            ({"ECOMINE_PROVIDER": "foo"}, "provider must be mock or endpoint, got 'foo'"),
+            ({"ECOMINE_PROVIDER": "endpoint", "ECOMINE_API_KEY": "k"}, "provider=endpoint requires an endpoint URL"),
+        ],
+        ids=["unknown-provider", "endpoint-without-url"],
+    )
+    def test_provider_setting_is_refused(self, tmp_path, monkeypatch, capsys, env, message):
+        # --provider's choices hold back neither: ECOMINE_PROVIDER bypasses them, and the endpoint has no default
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert run_cli("--corpus", tmp_path / "none.jsonl", "stats") == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
+
+    def test_api_key_a_header_cannot_carry_is_refused_unshown(
+        self, corpus_path, tmp_path, stub_server, monkeypatch, capsys
+    ):
+        # http.client refused the header, and the error line printed the key
+        base_url, state = stub_server
+        monkeypatch.setenv("ECOMINE_API_KEY", "topsecret\nX")
+        out = tmp_path / "c.jsonl"
+        endpoint = ["--provider", "endpoint", "--endpoint", f"{base_url}/v1"]
+        assert run_cli("--corpus", corpus_path, *endpoint, "specialize", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "topsecret" not in err and "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: api_key must be printable ASCII without spaces; the key is not shown"
+        ]
+        assert state.requests == 0 and not out.exists()
 
     def test_endpoint_provider_requires_credential(self, corpus_path, monkeypatch, capsys):
         monkeypatch.delenv("ECOMINE_API_KEY", raising=False)

@@ -1,9 +1,12 @@
+import ast
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
+from ecomine import corpus
 from ecomine.corpus import (
     BibliometricTable,
     CorpusStore,
@@ -276,3 +279,18 @@ def test_a_repaired_last_line_without_its_newline_stays_apart_from_the_next_appe
     with path.open("a", encoding="utf-8") as sink:
         commit_line(sink, third)
     assert read_json_lines(path, "log", CorpusError, dict) == [{"n": 0}, {"n": 1}, {"n": 2}]
+
+
+def test_json_text_is_written_by_corpus_alone():
+    # every golden byte, the corpus round trip and the schema fingerprint rest on one form:
+    # sorted keys and UTF-8 text; a second encoder could drift from it with no test noticing
+    writers = {"dump", "dumps", "JSONEncoder"}
+    found = []
+    for path in sorted(Path(corpus.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in writers and getattr(node.value, "id", None) == "json":
+                found.append(f"{path.name}:{node.lineno} json.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                found += [f"{path.name}:{node.lineno} json.{a.name}" for a in node.names if a.name in writers]
+    assert [place for place in found if not place.startswith("corpus.py:")] == []
+    assert len(found) == 2  # the line and document encoders

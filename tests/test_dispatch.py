@@ -72,6 +72,12 @@ class TestFanOut:
     """The threaded phase: each run's first call waits off the CPU, so
     every later call runs on fan_out's worker threads."""
 
+    def test_parallelism_below_one_is_refused_before_any_call(self):
+        calls = []
+        with pytest.raises(ValueError, match="^parallelism must be at least 1$"):
+            next(fan_out(calls.append, [1, 2], 0, Exception))
+        assert calls == []
+
     @pytest.mark.parametrize("parallelism", [2, 3])
     def test_pulls_an_item_only_when_a_thread_is_free(self, parallelism):
         pulled, threads = [], []

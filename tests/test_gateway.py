@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from ecomine import gateway
 from ecomine.errors import PromptError, RetryableTransportError, TransportError
 from ecomine.gateway import (
     HttpChatProvider,
@@ -352,6 +353,37 @@ class TestHttpChatProvider:
         provider, state = self.make(stub_server, api_key=None)
         provider.send("s", "u")
         assert "Authorization" not in state.posts[0][0]
+
+    @pytest.mark.parametrize(
+        "api_key",
+        ["topsecret\nX", "topsecret\rX", "topsecret€X", "topsecret\x00X", "topsecret\n X",
+         "top secret", "topsecret\x7f"],
+        ids=["newline", "carriage-return", "non-ascii", "nul", "folded-line", "space", "delete"],
+    )
+    def test_key_a_header_cannot_carry_is_refused_unshown(self, stub_server, api_key):
+        # http.client's refusal of a newline or of a non-Latin-1 character printed the key;
+        # a NUL or a folded line was sent as it was
+        with pytest.raises(ValueError, match="^api_key must be printable ASCII without spaces") as excinfo:
+            self.make(stub_server, api_key=api_key)
+        assert "top" not in str(excinfo.value) and "secret" not in str(excinfo.value)
+        assert stub_server[1].requests == 0
+
+    def test_printable_key_is_sent_as_it_is(self, stub_server):
+        provider, state = self.make(stub_server, api_key="sk-A_b.9~+/=")
+        provider.send("s", "u")
+        assert state.posts[0][0]["Authorization"] == "Bearer sk-A_b.9~+/="
+
+    def test_body_is_utf8_json_with_sorted_keys(self, monkeypatch):
+        sent = []
+
+        def request_json(*args, data, **kwargs):
+            sent.append(data)
+            return {"choices": [{"message": {"content": "ok"}}]}
+
+        monkeypatch.setattr(gateway, "request_json", request_json)
+        assert HttpChatProvider("http://127.0.0.1:9/v1", "model-z").send("Rôle", "Río Ebro €") == "ok"
+        body = '{"messages": [{"content": "Rôle", "role": "system"}, {"content": "Río Ebro €", "role": "user"}], '
+        assert sent == [(body + '"model": "model-z", "temperature": 0.0}').encode("utf-8")]
 
     @pytest.mark.parametrize("body", [b'{"unexpected": true}', b'{"choices": []}', b"null"])
     def test_malformed_body(self, stub_server, body):

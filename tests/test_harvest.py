@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -112,6 +113,18 @@ class TestFixtureClient:
     def test_empty_doi_list_rejected(self, fixture_dir):
         with pytest.raises(CorpusError):
             ingest_dois(CorpusStore(), [], FixtureHarvestClient(fixture_dir))
+
+    def test_exception_of_another_kind_is_reraised_after_the_other_fetches_commit(self, fixture_dir):
+        class Failing(FixtureHarvestClient):
+            def fetch(self, doi):
+                if doi == "10.1/boom":
+                    raise RuntimeError("fixture disk gone")
+                return super().fetch(doi)
+
+        log = io.StringIO()
+        with pytest.raises(RuntimeError, match="^fixture disk gone$"):
+            ingest_dois(CorpusStore(), ["10.1/a", "10.1/b", "10.1/boom"], Failing(fixture_dir), parallelism=1, log=log)
+        assert [json.loads(line)["doi"] for line in log.getvalue().splitlines()] == ["10.1/a", "10.1/b"]
 
     def test_missing_fixture_directory(self, tmp_path):
         with pytest.raises(CorpusError):

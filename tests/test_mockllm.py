@@ -3,6 +3,7 @@ and its generalize against the deterministic merge."""
 
 import re
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -197,3 +198,13 @@ def test_generalize_maps_alias_blocks_like_merge():
     assert {b: mocked.field_names(b) for b in BLOCK_NAMES} == {b: merged.field_names(b) for b in BLOCK_NAMES}
     assert mocked.field_names("location")[-2:] == ["basin", "elevation"]
     assert [block for _, block in report.unmapped_blocks] == ["weather", "weather"]
+
+
+@pytest.mark.parametrize(
+    "user",
+    ["Schemas: none", "Schemas: ] none [", "Schemas: none]", "Schemas: [not JSON]"],
+    ids=["no-brackets", "reversed", "no-open-bracket", "not-json"],
+)
+def test_generalize_prompt_without_a_json_list_is_answered_na(user):
+    candidates = [CandidateSchema(f"10.1/{i}", {"species": [FieldSpec("name")]}) for i in range(2)]
+    assert MockProvider(RULEBOOK).send(build_generalize_prompt(candidates).system, user) == "N/A"

@@ -570,6 +570,14 @@ class TestFileLoaders:
         with pytest.raises(error, match=re.escape(f"schema file {path}")):
             load_schema_file(path)
 
+    @pytest.mark.parametrize("blocks", ['["species"]', '"species"', "null"], ids=["list", "string", "null"])
+    def test_candidates_line_whose_blocks_is_not_an_object_names_file_and_line(self, tmp_path, blocks):
+        path = tmp_path / "candidates.jsonl"
+        path.write_text(f'{{"doi": "10.1/a", "blocks": {{}}}}\n{{"doi": "10.1/b", "blocks": {blocks}}}\n')
+        where = f"candidates file {path}, line 2: SchemaParseError: candidate blocks must be a JSON object"
+        with pytest.raises(CorpusError, match=re.escape(where)):
+            load_candidates(path)
+
     @pytest.mark.parametrize("loader", [load_results, load_candidates, CorpusStore.load])
     def test_undecodable_byte_names_file_and_line(self, tmp_path, loader):
         # the byte sits deep in the file; each line is decoded on its own in the one read, so its line is named
@@ -1128,5 +1136,24 @@ class TestTornWrites:
             run_extract(
                 sample_store, standard_schema(), make_config(), counting,
                 results_path=tmp_path / "typed.jsonl", checkpoint_path=path,
+            )
+        assert counting.calls == 0
+
+    @pytest.mark.parametrize("kind", ["not-json", "directory"])
+    def test_unreadable_checkpoint_is_refused_before_any_call(self, sample_store, mock_gateway, tmp_path, kind):
+        path = tmp_path / "unreadable.ckpt.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_text("stage = extract\n", encoding="utf-8")
+        where = f"unreadable checkpoint {re.escape(str(path))}: "
+        with pytest.raises(CheckpointError, match=where):
+            Checkpoint.load(path)
+
+        counting = FailAfter(mock_gateway, allow=10_000)
+        with pytest.raises(CheckpointError, match=where):
+            run_extract(
+                sample_store, standard_schema(), make_config(), counting,
+                results_path=tmp_path / "unreadable.jsonl", checkpoint_path=path,
             )
         assert counting.calls == 0

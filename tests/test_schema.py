@@ -109,6 +109,22 @@ class TestParseCandidate:
         with pytest.raises(SchemaParseError):
             CandidateSchema(paper_doi="10.1/a", blocks={"species": [FieldSpec("name"), FieldSpec("name")]})
 
+    def test_blank_block_name_is_refused(self):
+        with pytest.raises(SchemaParseError, match="^candidate block names must be non-empty$"):
+            parse_candidate('{"species": [{"field": "name"}], " ": [{"field": "name"}]}', "10.1/a")
+
+    def test_unknown_field_kind_is_read_as_text(self):
+        raw = json.dumps({"species": [{"field": "mass", "kind": "blob"}, {"name": "age", "type": "Integer"}]})
+        assert parse_candidate(raw, "10.1/a").blocks["species"] == [FieldSpec("mass"), FieldSpec("age")]
+
+    def test_blank_key_of_a_map_block_is_skipped(self):
+        raw = json.dumps({"species": {" ": "no name", "name": "the species name"}})
+        assert parse_candidate(raw, "10.1/a").blocks["species"] == [FieldSpec("name", note="the species name")]
+
+    def test_bare_string_block_is_kept_as_a_value_note(self):
+        candidate = parse_candidate('{"habitat": "wetland margins"}', "10.1/a")
+        assert candidate.blocks == {"habitat": [FieldSpec("value", note="wetland margins")]}
+
 
 def candidate_with(blocks, doi="10.1/c"):
     return CandidateSchema(
@@ -198,6 +214,13 @@ class TestMerge:
         two.blocks["species"].append(FieldSpec("extra"))
         assert schema_fingerprint(one) != schema_fingerprint(two)
 
+    def test_field_with_a_blank_name_is_skipped(self):
+        blank = {"species": [("name", "text", []), ("  ", "text", [])]}
+        candidates = [candidate_with(blank, doi="10.1/a"), candidate_with(blank, doi="10.1/b")]
+        merged, report = merge_candidates(candidates)
+        assert merged.field_names("species") == standard_schema().field_names("species")
+        assert report.dropped == []
+
 
 class TestStandardSchema:
     def test_canonical_schema_is_valid(self):
@@ -219,6 +242,27 @@ class TestStandardSchema:
         schema = standard_schema()
         reparsed = parse_schema(json.dumps(schema_to_dict(schema)))
         assert schema_to_dict(reparsed) == schema_to_dict(schema)
+
+    def test_keys_of_one_block_merge_and_the_first_spec_of_a_name_wins(self):
+        raw = json.dumps(
+            {
+                "species": [{"field": "name"}, {"field": "role", "kind": "enum", "values": ["native"]}],
+                "organisms": [{"field": "role"}, {"field": "impact"}],
+            }
+        )
+        assert parse_schema(raw).blocks == {
+            "species": [FieldSpec("name"), FieldSpec("role", "enum", ("native",)), FieldSpec("impact")]
+        }
+
+    def test_unknown_top_level_key_is_ignored(self):
+        raw = json.dumps({"weather": [{"field": "rainfall"}], "species": [{"field": "name"}]})
+        assert parse_schema(raw).blocks == {"species": [FieldSpec("name")]}
+
+    def test_problems_name_an_unknown_block_and_an_unknown_kind(self):
+        schema = standard_schema()
+        schema.blocks["weather"] = [FieldSpec("rainfall")]
+        schema.blocks["species"].append(FieldSpec("mass", "blob"))
+        assert schema.problems() == ["unknown block 'weather'", "field species.mass has unknown kind 'blob'"]
 
 
 def extracted(doi="10.1/r", **lists):
