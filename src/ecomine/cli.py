@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import analytics
-from .corpus import CorpusStore, atomic_write_text, compute_stats, dumps, export_corpus, read_lines
+from .corpus import CorpusStore, atomic_write_text, compute_stats, dumps, export_corpus, read_lines, writer_lock
 from .errors import EcomineError, PartialIngestError
 from .gateway import HttpChatProvider, LlmGateway, RateLimitPolicy
 from .harvest import FixtureHarvestClient, HttpHarvestClient, ingest_dois
@@ -181,15 +181,16 @@ def cmd_ingest(args: argparse.Namespace, config: CliConfig) -> int:
         raise EcomineError("ingest needs --fixtures DIR or --base-url URL")
 
     corpus = Path(config.corpus)
-    store = CorpusStore.load_log(corpus) if corpus.exists() else CorpusStore()
     corpus.parent.mkdir(parents=True, exist_ok=True)
     failure = None
-    try:
-        with corpus.open("a", encoding="utf-8") as log:  # each fetched record is appended as it commits
-            summary = ingest_dois(store, dois, client, parallelism=stage.parallelism, log=log)
-    except PartialIngestError as exc:
-        failure, summary = exc, exc.summary  # keep what committed before the failure
-    export_corpus(store, corpus)  # compacts the log to one DOI-sorted line per record
+    with writer_lock(corpus, f"corpus {corpus}"):
+        store = CorpusStore.load_log(corpus) if corpus.exists() else CorpusStore()
+        try:
+            with corpus.open("a", encoding="utf-8") as log:  # each fetched record is appended as it commits
+                summary = ingest_dois(store, dois, client, parallelism=stage.parallelism, log=log)
+        except PartialIngestError as exc:
+            failure, summary = exc, exc.summary  # keep what committed before the failure
+        export_corpus(store, corpus)  # compacts the log to one DOI-sorted line per record
 
     skip_log = corpus.with_suffix(".skipped.log")
     atomic_write_text(
@@ -225,9 +226,10 @@ def cmd_stats(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def cmd_specialize(args: argparse.Namespace, config: CliConfig) -> int:
+    gateway = make_gateway(config)  # refuses the provider's settings before any input is read
     store = _open_store(config)
     excluded = _read_dois(args.exclude) if args.exclude else []
-    outcome = run_specialize(store, config.stage_config(), make_gateway(config), excluded_dois=excluded)
+    outcome = run_specialize(store, config.stage_config(), gateway, excluded_dois=excluded)
     save_candidates(args.out, outcome.candidates)
     for doi, reason in sorted(outcome.quarantined.items()):
         logger.warning("quarantined %s: %s", doi, reason)
@@ -239,9 +241,10 @@ def cmd_specialize(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def cmd_generalize(args: argparse.Namespace, config: CliConfig) -> int:
+    gateway = make_gateway(config)
     candidates = load_candidates(args.candidates)
     outcome = run_generalize(
-        candidates, config.stage_config(), make_gateway(config), selection=args.select
+        candidates, config.stage_config(), gateway, selection=args.select
     )
     out_dir = Path(args.out_dir)
     for index, schema in enumerate(outcome.variants):
@@ -256,13 +259,14 @@ def cmd_generalize(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def cmd_extract(args: argparse.Namespace, config: CliConfig) -> int:
+    gateway = make_gateway(config)
     store = _open_store(config)
     schema = load_schema_file(args.schema)
     summary = run_extract(
         store,
         schema,
         config.stage_config(),
-        make_gateway(config),
+        gateway,
         results_path=args.results,
         checkpoint_path=args.checkpoint,
     )

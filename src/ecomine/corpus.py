@@ -9,11 +9,12 @@ cleanly and round-trip byte-identically.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import os
 import reprlib
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache, partial
 from pathlib import Path
@@ -256,6 +257,24 @@ def commit_line(sink: IO[str], line: str) -> None:
     sink.flush()
 
 
+@contextmanager
+def writer_lock(path: Path, source: str) -> Iterator[None]:
+    """Hold the one-writer lock of the log at path: an exclusive flock on
+    path + ".lock", a file never replaced, as os.replace replaces the log.
+    Another process holding it is refused at once, naming source. The lock
+    file stays, empty; fcntl makes this POSIX only."""
+    lock = path.with_name(path.name + ".lock")
+    fd = os.open(lock, os.O_RDWR | os.O_CREAT, 0o666)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise CorpusError(f"{source} has another writer: {lock} is locked by another process") from None
+        yield
+    finally:
+        os.close(fd)
+
+
 def read_lines(
     path: str | Path, source: str, error: type[EcomineError], torn: Callable[[int], object] | None = None
 ) -> Iterator[str]:
@@ -343,22 +362,21 @@ def _is_text(value: object) -> bool:
     return True
 
 
-#: field annotation -> (check of a JSON value, conversion of a checked value or None)
-_CHECKS: dict[str, tuple[Callable, Callable | None]] = {
-    "str": (_is_text, None),
-    "str | None": (lambda v: v is None or _is_text(v), None),
-    "int | None": (lambda v: v is None or type(v) is int, None),  # a bool is not an int
-    "list[dict]": (lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v), None),
-    "set[str]": (lambda v: isinstance(v, list) and all(map(_is_text, v)), set),
-    "dict[str, str]": (lambda v: isinstance(v, dict) and all(map(_is_text, (*v, *v.values()))), None),
+#: field annotation -> check of a JSON value
+_CHECKS: dict[str, Callable[[object], bool]] = {
+    "str": _is_text,
+    "str | None": lambda v: v is None or _is_text(v),
+    "int": lambda v: type(v) is int,  # a bool is not an int
+    "int | None": lambda v: v is None or type(v) is int,
+    "list[dict]": lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
 }
 
 
 @cache
 def _decoded_fields(cls: type) -> list[tuple]:
-    """(name, JSON key, annotation, check, conversion, required) per field of cls."""
+    """(name, JSON key, annotation, check, required) per field of cls."""
     return [
-        (f.name, f.metadata.get("key", f.name), f.type, *_CHECKS[f.type],
+        (f.name, f.metadata.get("key", f.name), f.type, _CHECKS[f.type],
          f.default is f.default_factory is MISSING)
         for f in fields(cls)
     ]
@@ -372,25 +390,24 @@ def decode(cls: type[T], doc: object) -> T:
     if not isinstance(doc, dict):
         raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
     values = {}
-    for name, key, annotation, check, convert, required in _decoded_fields(cls):
+    for name, key, annotation, check, required in _decoded_fields(cls):
         if key in doc:
             value = doc[key]
             if not check(value):
                 raise TypeError(f"{key!r} must be {annotation}, got {reprlib.repr(value)}")
-            values[name] = value if convert is None else convert(value)
+            values[name] = value
         elif required:
             raise KeyError(key)
     return cls(**values)
 
 
 def encode(record: object) -> dict:
-    """decode's inverse: each field of a dataclass under its JSON key, a set
-    as a sorted list; a None is left out."""
+    """decode's inverse: each field of a dataclass under its JSON key; a None is left out."""
     doc = {}
-    for name, key, _, _, convert, _ in _decoded_fields(type(record)):
+    for name, key, *_ in _decoded_fields(type(record)):
         value = getattr(record, name)
         if value is not None:
-            doc[key] = sorted(value) if convert is set else value
+            doc[key] = value
     return doc
 
 

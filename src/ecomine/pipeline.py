@@ -6,7 +6,7 @@ fingerprint of the schema in force binds checkpoint and results together
 so a resumed run can never mix schemas. Provider calls run on the calling
 thread until they wait, then on up to parallelism threads (gateway.fan_out),
 and only call the gateway; parsing and persistence happen on the calling
-thread (single writer).
+thread, and one process at a time holds the results file (single writer).
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ import dataclasses
 import json
 import logging
 import random
+from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
 from typing import Collection, Sequence
 
 from .corpus import CorpusStore, PaperRecord, atomic_write_text, commit_line, decode, dumps, encode, normalize_doi
-from .corpus import read_json_lines, read_lines, record_line
+from .corpus import read_json_lines, read_lines, record_line, writer_lock
 from .errors import (
     CheckpointError,
     CorpusError,
@@ -80,27 +80,17 @@ class StageConfig:
 
 @dataclass
 class Checkpoint:
-    """Resumable extract-stage state: one JSON document, written whole.
+    """Where an extract run series starts: the fingerprint of its schema,
+    and results_lines, the number of results lines that predate it. The
+    results file is the one record of progress: each later line is a
+    commit. One JSON document, written whole."""
 
-    results_lines, set only in the document an extract run opens with,
-    counts the lines its results file held: each later one is a commit.
-    """
-
-    stage: str
     schema_fingerprint: str
-    completed: set[str] = field(default_factory=set)
-    out_of_scope: set[str] = field(default_factory=set)
-    quarantined: dict[str, str] = field(default_factory=dict)
-    results_lines: int | None = None
+    results_lines: int
 
     def __post_init__(self) -> None:
-        if "" in self.completed or "" in self.out_of_scope or "" in self.quarantined:
-            raise CheckpointError("checkpoint DOIs must be non-empty")
-        if self.results_lines is not None and self.results_lines < 0:
+        if self.results_lines < 0:
             raise CheckpointError(f"'results_lines' must be a non-negative integer, got {self.results_lines}")
-
-    def processed(self) -> set[str]:
-        return self.completed | self.out_of_scope | set(self.quarantined)
 
     def save(self, path: str | Path) -> None:
         atomic_write_text(path, dumps(encode(self), document=True) + "\n")
@@ -110,21 +100,16 @@ class Checkpoint:
         try:
             doc = json.loads("".join(read_lines(path, f"checkpoint {path}", CheckpointError)))
         except (OSError, ValueError) as exc:
-            if getattr(exc, "msg", None) == "Extra data":  # an older version journalled quarantines there
-                raise CheckpointError(
-                    f"checkpoint {path}, line {exc.lineno}: a line after the checkpoint document, as an older "
-                    "version left a run it did not finish; remove the checkpoint to resume"
-                ) from exc
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
         try:
-            checkpoint = decode(cls, doc)
-        except (KeyError, TypeError, CheckpointError) as exc:
+            return decode(cls, doc)
+        except KeyError as exc:
+            raise CheckpointError(
+                f"checkpoint {path} has no {exc}: remove it to start a new run series "
+                "(an earlier version wrote no 'results_lines' when a run ended)"
+            ) from exc
+        except (TypeError, CheckpointError) as exc:
             raise CheckpointError(f"checkpoint {path}: {type(exc).__name__}: {exc}") from exc
-        sets = [("completed", checkpoint.completed), ("out_of_scope", checkpoint.out_of_scope)]
-        for (one, a), (other, b) in combinations([*sets, ("quarantined", checkpoint.quarantined.keys())], 2):
-            if both := a & b:
-                raise CheckpointError(f"checkpoint {path} has DOI {min(both)} both {one} and {other}")
-        return checkpoint
 
 
 @dataclass
@@ -272,79 +257,53 @@ def run_extract(
 
     Every eligible paper ends up in exactly one of extracted,
     out_of_scope, or quarantined. A paper commits once its line, a result
-    or a quarantine, is appended to results_path, so a rerun with the
-    same checkpoint resumes where even a killed run left off. After a
-    hard gateway failure no further call starts; responses already
-    returned are committed, then the checkpoint is saved and the failure
-    re-raised. The lines earlier runs left are read, and checked against
-    the checkpoint, before the first call; a DOI's last line wins, and a
-    quarantine line leaves it none. On completion they and this run's
-    lines are written back as one DOI-sorted line per paper not
-    quarantined.
+    or a quarantine, is appended to results_path, and a DOI's last line
+    past the checkpoint's offset says what became of it, so a rerun with
+    the same checkpoint resumes where even a killed run left off. Without
+    a checkpoint, every earlier line predates the run. After a hard
+    gateway failure no further call starts; responses already returned
+    are committed, then the failure is re-raised. On completion the
+    checkpoint's offset becomes 0, and the file is compacted to one
+    DOI-sorted line per paper, its last. One process at a time holds the
+    results file, from its first read through compaction.
     """
     system = build_extract_system_prompt(schema)  # validates the schema
     fingerprint = schema_fingerprint(schema)
-
-    checkpoint = Checkpoint(stage="extract", schema_fingerprint=fingerprint)
-    if checkpoint_path is not None and Path(checkpoint_path).exists():
-        checkpoint = Checkpoint.load(checkpoint_path)
-        if checkpoint.stage != "extract":
-            raise CheckpointError(f"checkpoint belongs to stage {checkpoint.stage!r}")
-        if checkpoint.schema_fingerprint != fingerprint:
-            raise CheckpointError(
-                "checkpoint was written under a different schema; refusing to mix schemas"
-            )
-
-    lines: dict[str, str] = {}  # DOI -> results line of each paper not quarantined; the last line wins
-
-    def keep(result: ExtractionResult, line: str) -> None:
-        if result.status == "quarantined":
-            lines.pop(result.paper_doi, None)
-        else:
-            lines[result.paper_doi] = line
-
-    def commit(result: ExtractionResult) -> None:  # once its results line is written
-        doi = result.paper_doi
-        checkpoint.completed.discard(doi)
-        checkpoint.out_of_scope.discard(doi)
-        checkpoint.quarantined.pop(doi, None)
-        if result.status == "quarantined":
-            checkpoint.quarantined[doi] = result.reason
-        else:
-            (checkpoint.out_of_scope if result.status == "out_of_scope" else checkpoint.completed).add(doi)
-
     results_path = Path(results_path)
     results_path.parent.mkdir(parents=True, exist_ok=True)
-    results = []  # extract, the results file's one writer, repairs its last line
-    if results_path.exists():
-        results = read_json_lines(
-            results_path, f"results file {results_path}", CorpusError, result_from_dict, repair=True
-        )
-    for result in results:
-        keep(result, record_line(result))
-    start = len(results) if checkpoint.results_lines is None else checkpoint.results_lines
-    for result in results[start:]:  # the commits of a run killed after its opening document
-        commit(result)
-    if unlisted := (checkpoint.completed | checkpoint.out_of_scope) - lines.keys():
-        raise CheckpointError(
-            f"checkpoint {checkpoint_path} lists {len(unlisted)} DOI(s) with no line in results file "
-            f"{results_path}, the lowest {min(unlisted)}; restore that results file or remove the checkpoint"
-        )
+    with writer_lock(results_path, f"results file {results_path}"):
+        checkpoint = None
+        if checkpoint_path is not None and Path(checkpoint_path).exists():
+            checkpoint = Checkpoint.load(checkpoint_path)
+            if checkpoint.schema_fingerprint != fingerprint:
+                raise CheckpointError("checkpoint was written under a different schema; refusing to mix schemas")
 
-    eligible = [record for record in store.available_records() if record.abstract]
-    done = checkpoint.processed()
-    todo = [record for record in eligible if record.doi not in done]
-    logger.info("extract: %d eligible, %d already processed", len(eligible), len(eligible) - len(todo))
+        results = []  # extract, the results file's one writer, repairs its last line
+        if results_path.exists():
+            results = read_json_lines(
+                results_path, f"results file {results_path}", CorpusError, result_from_dict, repair=True
+            )
+        if checkpoint is None:  # a new run series: the lines before it are never progress
+            checkpoint = Checkpoint(fingerprint, len(results))
+            if checkpoint_path is not None:
+                checkpoint.save(checkpoint_path)
+        elif checkpoint.results_lines > len(results):
+            raise CheckpointError(
+                f"checkpoint {checkpoint_path} counts {checkpoint.results_lines} results lines before its run "
+                f"series, but results file {results_path} holds {len(results)}: the results file was replaced; "
+                "restore it or remove the checkpoint"
+            )
+        lines = {result.paper_doi: record_line(result) for result in results}  # a DOI's last line wins
+        status = {result.paper_doi: result.status for result in results[checkpoint.results_lines:]}
 
-    if checkpoint_path is not None:
-        checkpoint.results_lines = len(results)  # each line appended past these is a commit of this run
-        checkpoint.save(checkpoint_path)
+        eligible = [record for record in store.available_records() if record.abstract]
+        todo = [record for record in eligible if record.doi not in status]
+        logger.info("extract: %d eligible, %d already processed", len(eligible), len(eligible) - len(todo))
 
-    def call(record: PaperRecord) -> str:
-        return gateway.complete(PromptPair(system, build_paper_user_prompt(record)))
+        def call(record: PaperRecord) -> str:
+            return gateway.complete(PromptPair(system, build_paper_user_prompt(record)))
 
-    failure: TransportError | None = None
-    try:
+        failure: TransportError | None = None
         with results_path.open("a", encoding="utf-8") as sink, closing(
             fan_out(call, todo, config.parallelism, stop_on=TransportError)
         ) as outcomes:
@@ -363,33 +322,30 @@ def run_extract(
                     result = ExtractionResult(paper_doi=doi, status="quarantined", reason=str(error))
                 line = record_line(result)
                 commit_line(sink, line)
-                keep(result, line)
-                commit(result)
-    finally:
+                lines[doi], status[doi] = line, result.status
+        if failure is not None:
+            raise failure
+
         if checkpoint_path is not None:
-            checkpoint.results_lines = None  # the exit document lists every commit
-            checkpoint.save(checkpoint_path)
-
-    if failure is not None:
-        raise failure
-
-    _compact_results(results_path, {doi: line for doi, line in lines.items() if doi not in checkpoint.quarantined})
+            Checkpoint(fingerprint, 0).save(checkpoint_path)  # the compacted file's every line is progress
+        _compact_results(results_path, lines)
+    counts = Counter(status[record.doi] for record in eligible)
     return ExtractionRunSummary(
-        processed=len(checkpoint.processed()),
-        extracted=len(checkpoint.completed),
-        out_of_scope=len(checkpoint.out_of_scope),
-        quarantined=len(checkpoint.quarantined),
+        processed=len(eligible),
+        extracted=counts["extracted"],
+        out_of_scope=counts["out_of_scope"],
+        quarantined=counts["quarantined"],
     )
 
 
 def _compact_results(path: Path, lines: dict[str, str]) -> None:
-    """Rewrite the append-only results file as one sorted line per DOI."""
+    """Rewrite the append-only results file as one sorted line per DOI, a quarantine line included."""
     atomic_write_text(path, "".join(lines[doi] + "\n" for doi in sorted(lines)))
 
 
 def load_results(path: str | Path) -> list[ExtractionResult]:
     """Read a results file; on duplicate DOIs the last line wins, and a
-    quarantine line leaves its DOI out, as compaction would."""
+    quarantine line leaves its DOI out."""
     results = read_json_lines(path, f"results file {path}", CorpusError, result_from_dict)
     latest = {result.paper_doi: result for result in results}
     return [result for result in latest.values() if result.status != "quarantined"]

@@ -201,12 +201,10 @@ def run_crashed(crash: CrashPoint | None, run, results: Path) -> bool:
 
 def committed(log: Path, checkpoint: Path | None = None) -> set[str]:
     """The DOIs whose record was complete on disk: each line of the log (a
-    results file or a corpus) that ends in a newline, and each DOI the
-    checkpoint document lists."""
-    dois = set()
-    if log.exists():
-        dois |= {json.loads(line)["doi"] for line in log.read_bytes().split(b"\n")[:-1] if line.strip()}
-    if checkpoint is not None and checkpoint.exists():
-        doc = json.loads(checkpoint.read_bytes())
-        dois |= {*doc["completed"], *doc["out_of_scope"], *doc["quarantined"]}
-    return dois
+    results file or a corpus) that ends in a newline. Given a checkpoint,
+    only the lines past its offset, and none while it does not exist, as
+    extract then starts a run series to which no earlier line belongs."""
+    lines = [line for line in log.read_bytes().split(b"\n")[:-1] if line.strip()] if log.exists() else []
+    if checkpoint is not None:
+        lines = lines[json.loads(checkpoint.read_bytes())["results_lines"]:] if checkpoint.exists() else []
+    return {json.loads(line)["doi"] for line in lines}

@@ -6,8 +6,11 @@ surface as ordinary pytest assertion errors.
 """
 
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -404,3 +407,55 @@ def test_corpus_stats_hand_counts():
     assert empty.abstract_tokens.average is None
     assert empty.full_text_tokens.minimum is None
     passed("corpus stats (hand-counted fixture exact; empty extrema absent)")
+
+
+#: the README quickstart, each command after the global options
+QUICKSTART = [
+    ["stats"],
+    ["--seed", "6", "specialize", "--out", "candidates.jsonl"],
+    ["generalize", "--candidates", "candidates.jsonl", "--out-dir", "schemas"],
+    ["extract", "--schema", "schemas/chosen.json", "--results", "results.jsonl", "--checkpoint", "ckpt.json"],
+    ["analyze", "--results", "results.jsonl", "--out", "reports"],
+    ["validate", "--results", "results.jsonl", "--schema", "schemas/chosen.json"],
+]
+#: (environment, umask, working directory name, parallelism): two environments that differ in each
+ENVIRONMENTS = [
+    ({"PYTHONHASHSEED": "0", "LC_ALL": "C", "TZ": "UTC"}, 0o022, "plain", 1),
+    ({"PYTHONHASHSEED": "12345", "LC_ALL": "C.UTF-8", "TZ": "Pacific/Kiritimati"}, 0o077, "quick start é", 4),
+]
+
+
+def test_quickstart_is_byte_identical_across_environments(tmp_path):
+    """The quickstart as `python -m ecomine` launches, in two environments
+    at once, writes the golden artifacts byte for byte and prints the same
+    summary lines. About 1 s: 12 launches, two at a time, 2 vCPUs."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    for variables, umask, name, parallelism in ENVIRONMENTS:
+        directory = tmp_path / name
+        directory.mkdir()
+        shutil.copy(SAMPLE_CORPUS, directory / "corpus.jsonl")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, **variables)
+        runs.append((directory, env, umask, ["--corpus", "corpus.jsonl", "--parallelism", str(parallelism)]))
+
+    outputs = {directory: [] for directory, *_ in runs}
+    for command in QUICKSTART:
+        launched = [
+            (directory, subprocess.Popen(
+                [sys.executable, "-m", "ecomine", *options, *command],
+                cwd=directory, env=env, umask=umask, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            ))
+            for directory, env, umask, options in runs
+        ]
+        for directory, process in launched:
+            out, err = process.communicate(timeout=60)
+            assert process.returncode == 0, err.decode(errors="replace")
+            outputs[directory].append(out)
+
+    first, second = outputs.values()
+    assert first == second
+    golden = sorted(p.relative_to(GOLDEN).as_posix() for p in GOLDEN.rglob("*") if p.is_file())
+    for directory in outputs:
+        for name in golden:
+            assert (directory / name).read_bytes() == (GOLDEN / name).read_bytes(), f"{directory.name}: {name}"

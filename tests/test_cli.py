@@ -163,7 +163,7 @@ def mistyped_input(command, tmp_path, corpus_path):
         return ["generalize", "--candidates", candidates, "--out-dir", tmp_path / "s"], f"{candidates}, line 1"
     if command == "extract":
         checkpoint = tmp_path / "ckpt.json"
-        doc = {"stage": "extract", "schema_fingerprint": schema_fingerprint(standard_schema()), "completed": [5]}
+        doc = {"schema_fingerprint": schema_fingerprint(standard_schema()), "results_lines": "0"}
         checkpoint.write_text(json.dumps(doc) + "\n", encoding="utf-8")
         argv = ["--corpus", corpus_path, "extract", "--schema", schema, "--results", results]
         return [*argv, "--checkpoint", checkpoint], checkpoint
@@ -740,6 +740,22 @@ class TestConfigPrecedence:
             "error: api_key must be printable ASCII without spaces; the key is not shown"
         ]
         assert state.requests == 0 and not out.exists()
+
+    @pytest.mark.parametrize("command", ["specialize", "generalize", "extract"])
+    def test_api_key_is_refused_before_a_missing_input_is_read(self, tmp_path, monkeypatch, capsys, command):
+        # the input was read before the provider was built, so its absence hid the key's refusal
+        monkeypatch.setenv("ECOMINE_API_KEY", "k\nX")
+        missing = tmp_path / "missing.jsonl"
+        argv = {
+            "specialize": ["--corpus", missing, "specialize", "--out", tmp_path / "c.jsonl"],
+            "generalize": ["generalize", "--candidates", missing, "--out-dir", tmp_path / "s"],
+            "extract": ["--corpus", missing, "extract", "--schema", missing, "--results", tmp_path / "r.jsonl"],
+        }[command]
+        assert run_cli("--provider", "endpoint", "--endpoint", "http://127.0.0.1:9/v1", *argv) == 1
+        err = capsys.readouterr().err
+        assert "error: api_key must be printable ASCII without spaces; the key is not shown" in err
+        assert "not found" not in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == []
 
     def test_endpoint_provider_requires_credential(self, corpus_path, monkeypatch, capsys):
         monkeypatch.delenv("ECOMINE_API_KEY", raising=False)

@@ -2,8 +2,11 @@
 flushed corpus line: a forked run ends at one crash point, and a rerun in
 this process must finish as an uninterrupted run does."""
 
+import fcntl
 import json
-from contextlib import redirect_stdout
+import os
+import re
+from contextlib import contextmanager, redirect_stdout
 from functools import cache
 from io import StringIO
 from pathlib import Path
@@ -18,10 +21,11 @@ from conftest import SAMPLE_CORPUS, fast_policy
 from faults import FAULTS, HARVEST_FAULTS, CrashPoint, FaultyHarvestClient, FaultyProvider, committed, run_crashed
 from ecomine import cli
 from ecomine.corpus import CorpusStore, encode
+from ecomine.errors import CheckpointError
 from ecomine.gateway import LlmGateway
 from ecomine.harvest import fixture_filename
-from ecomine.pipeline import StageConfig, run_extract
-from ecomine.schema import ExtractionResult, serialize_result, standard_schema
+from ecomine.pipeline import Checkpoint, StageConfig, run_extract
+from ecomine.schema import ExtractionResult, schema_fingerprint, schema_to_json, serialize_result, standard_schema
 
 STORE = CorpusStore.load(SAMPLE_CORPUS)
 DOIS = [record.doi for record in STORE.available_records()]
@@ -87,20 +91,31 @@ def test_no_committed_doi_is_sent_again(schedule, crashes):
     assert len(sent) == len(set(sent))
 
 
-def test_checkpoint_holds_the_opening_document_and_results_every_commit(tmp_path):
+def test_checkpoint_holds_the_series_offset_and_results_every_commit(tmp_path):
     schedule = {DOIS[1]: "prose", DOIS[7]: "truncated"}
     checkpoint = tmp_path / "r.ckpt.json"
     run = lambda: extract(FaultyProvider(STORE, schedule), tmp_path)  # noqa: E731
-    assert run_crashed(CrashPoint("replace", 2), run, tmp_path / "r.jsonl")  # before the exit document
+    assert run_crashed(CrashPoint("replace", 2), run, tmp_path / "r.jsonl")  # before the completion document
 
     document = json.loads(checkpoint.read_text(encoding="utf-8"))
-    assert (document["completed"], document["out_of_scope"], document["quarantined"]) == ([], [], {})
-    assert document["results_lines"] == 0
+    assert document == {"results_lines": 0, "schema_fingerprint": schema_fingerprint(standard_schema())}
     lines = [json.loads(line) for line in (tmp_path / "r.jsonl").read_text(encoding="utf-8").splitlines()]
     assert [line["doi"] for line in lines] == DOIS
     quarantined = [(line["doi"], line["reason"]) for line in lines if line["status"] == "quarantined"]
     assert [doi for doi, _ in quarantined] == [DOIS[1], DOIS[7]]
     assert all(doi in reason for doi, reason in quarantined)
+
+
+def test_resume_after_a_finished_run_sends_no_quarantined_doi_again(tmp_path):
+    schedule = {DOIS[1]: "prose", DOIS[7]: "truncated"}
+    summary = extract(FaultyProvider(STORE, schedule), tmp_path)
+    lines = [json.loads(line) for line in (tmp_path / "r.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [line["doi"] for line in lines] == DOIS  # compacted, the two quarantine lines kept
+    assert [line["doi"] for line in lines if line["status"] == "quarantined"] == [DOIS[1], DOIS[7]]
+
+    provider = FaultyProvider(STORE, {})
+    assert extract(provider, tmp_path) == summary
+    assert provider.sent == []
 
 
 def old_lines(path):
@@ -116,6 +131,39 @@ def test_fresh_checkpoint_sends_every_paper_again_and_overlays_old_lines(tmp_pat
     assert sorted(provider.sent) == DOIS
     assert (summary.extracted, summary.out_of_scope, summary.quarantined) == (17, 3, 0)
     assert (tmp_path / "r.jsonl").read_bytes() == baseline
+
+
+def test_finished_run_over_old_lines_leaves_offset_0_and_resumes_without_a_call(tmp_path):
+    # the series opened at offset 20; kept there, the compacted file's 20 lines would all predate it
+    old_lines(tmp_path / "r.jsonl")
+    summary = extract(FaultyProvider(STORE, {}), tmp_path)
+    assert json.loads((tmp_path / "r.ckpt.json").read_bytes())["results_lines"] == 0
+    provider = FaultyProvider(STORE, {})
+    assert extract(provider, tmp_path) == summary
+    assert provider.sent == []
+
+
+@pytest.mark.parametrize("held", [0, 19, 20])
+def test_offset_past_the_results_file_is_refused_before_any_call(tmp_path, held):
+    # a series opened over the 20 old lines; then the results file was replaced by one of held lines
+    results, checkpoint = tmp_path / "r.jsonl", tmp_path / "r.ckpt.json"
+    old_lines(results)
+    Checkpoint(schema_fingerprint(standard_schema()), 20).save(checkpoint)
+    results.write_text("".join(results.read_text(encoding="utf-8").splitlines(keepends=True)[:held]))
+    saved = results.read_bytes(), checkpoint.read_bytes()
+    provider = FaultyProvider(STORE, {})
+    if held == 20:  # every line predates the series: nothing to refuse, every paper to send
+        extract(provider, tmp_path)
+        assert sorted(provider.sent) == DOIS
+        return
+    named = (
+        f"checkpoint {checkpoint} counts 20 results lines before its run series, but results file {results} "
+        f"holds {held}: the results file was replaced; restore it or remove the checkpoint"
+    )
+    with pytest.raises(CheckpointError, match=re.escape(named)):
+        extract(provider, tmp_path)
+    assert provider.sent == []
+    assert (results.read_bytes(), checkpoint.read_bytes()) == saved
 
 
 @pytest.mark.parametrize("kill_after", [1, 5, 13])
@@ -165,7 +213,7 @@ def test_last_quarantine_line_without_its_newline_is_kept_on_resume(tmp_path, ca
 
 @pytest.mark.parametrize("checkpoint", [None, "r.ckpt.json"])
 def test_paper_a_rerun_quarantines_keeps_no_earlier_results_line(tmp_path, checkpoint):
-    # the compacted file kept the first run's line for the quarantined paper: 20 lines, not 19
+    # the compacted file kept the first run's line for the quarantined paper, not its quarantine line
     results = tmp_path / "r.jsonl"
     for schedule, path in (({}, None), ({DOIS[1]: "prose"}, checkpoint and tmp_path / checkpoint)):
         gateway = LlmGateway(FaultyProvider(STORE, schedule), fast_policy(), sleep=lambda s: None)
@@ -263,3 +311,64 @@ def test_rerun_after_n_flushed_corpus_lines_fetches_only_the_rest(harvest_dir, s
         killed, before, fetched, _ = kill_then_rerun(schedule, None, harvest_dir, Path(name) / "c.jsonl", crash)
     assert killed and len(before) == flushed
     assert sorted(fetched) == sorted(set(LISTED) - before)
+
+
+# one writer per log: a second process is refused before any call or fetch
+
+
+@contextmanager
+def held(log):
+    """Hold the log's writer lock on a descriptor of this process, as another
+    writer would: flock locks on two descriptors conflict, even in one process."""
+    fd = os.open(log.with_name(log.name + ".lock"), os.O_RDWR | os.O_CREAT)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+    finally:
+        os.close(fd)
+
+
+def test_second_extract_on_a_results_file_is_refused_before_any_call(tmp_path, monkeypatch, capsys):
+    results = tmp_path / "r.jsonl"
+    old_lines(results)
+    provider = FaultyProvider(STORE, {})
+    monkeypatch.setattr(cli, "MockProvider", lambda: provider)
+    schema = tmp_path / "schema.json"
+    schema.write_text(schema_to_json(standard_schema()) + "\n", encoding="utf-8")
+    argv = ["--corpus", str(SAMPLE_CORPUS), "extract", "--schema", str(schema), "--results", str(results)]
+    saved = results.read_bytes()
+    with held(results):
+        assert cli.main([*argv, "--checkpoint", str(tmp_path / "r.ckpt.json")]) == 1
+    lock = tmp_path / "r.jsonl.lock"
+    assert f"error: results file {results} has another writer: {lock} is locked by another process" in capsys.readouterr().err
+    assert provider.sent == [] and results.read_bytes() == saved
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["r.jsonl", "r.jsonl.lock", "schema.json"]
+
+
+def test_second_ingest_on_a_corpus_is_refused_before_any_fetch(harvest_dir, tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    client = FaultyHarvestClient(harvest_dir / "fixtures", {}, fast_policy())
+    with held(corpus):
+        code, out = ingest(client, harvest_dir, corpus)
+    assert (code, out, client.fetched) == (1, "", [])
+    assert f"error: corpus {corpus} has another writer: {corpus}.lock is locked" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["c.jsonl.lock"]
+
+
+@pytest.mark.parametrize("command", ["extract", "ingest"])
+def test_a_crashed_writer_leaves_its_lock_free(harvest_dir, tmp_path, command):
+    _, baseline, _ = uninterrupted(())
+    log = tmp_path / ("r.jsonl" if command == "extract" else "c.jsonl")
+    if command == "extract":
+        run = lambda: extract(FaultyProvider(STORE, {}), tmp_path)  # noqa: E731
+    else:
+        client = FaultyHarvestClient(harvest_dir / "fixtures", {}, fast_policy())
+        run = lambda: ingest(client, harvest_dir, log)  # noqa: E731
+    assert run_crashed(CrashPoint("flushed", 5), run, log)
+    with held(log):  # the crashed process held it; the kernel released it with its descriptor
+        pass
+    if command == "extract":
+        extract(FaultyProvider(STORE, {}), tmp_path)
+        assert log.read_bytes() == baseline
+    else:
+        assert ingest(FaultyHarvestClient(harvest_dir / "fixtures", {}, fast_policy()), harvest_dir, log)[0] == 0

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SAMPLE_SEED, fast_policy, inline_then_threaded, waits_off_cpu
+from faults import committed
 from ecomine.corpus import CorpusStore, PaperRecord, encode
 from ecomine.errors import (
     CheckpointError,
@@ -343,8 +344,7 @@ class TestExtract:
                 checkpoint_path=checkpoint,
             )
         assert checkpoint.exists()
-        partial = Checkpoint.load(checkpoint)
-        assert len(partial.processed()) == kill_after
+        assert len(committed(results, checkpoint)) == kill_after
 
         resumed = FailAfter(mock_gateway, allow=10_000)
         summary = run_extract(
@@ -367,7 +367,7 @@ class TestExtract:
                 sample_store, standard_schema(), make_config(), flaky,
                 results_path=results, checkpoint_path=checkpoint,
             )
-        done_before = Checkpoint.load(checkpoint).processed()
+        done_before = committed(results, checkpoint)
 
         counting = FailAfter(mock_gateway, allow=10_000)
         run_extract(
@@ -375,28 +375,6 @@ class TestExtract:
             results_path=results, checkpoint_path=checkpoint,
         )
         assert counting.calls == 20 - len(done_before)
-
-    def test_resume_scan_builds_processed_set_once(self, sample_store, mock_gateway, tmp_path, monkeypatch):
-        results = tmp_path / "scan.jsonl"
-        checkpoint = tmp_path / "scan.ckpt.json"
-        with pytest.raises(TransportError):
-            run_extract(
-                sample_store, standard_schema(), make_config(), FailAfter(mock_gateway, allow=5),
-                results_path=results, checkpoint_path=checkpoint,
-            )
-        calls = []
-        processed = Checkpoint.processed
-
-        def counting(checkpoint):
-            calls.append(1)
-            return processed(checkpoint)
-
-        monkeypatch.setattr(Checkpoint, "processed", counting)
-        run_extract(
-            sample_store, standard_schema(), make_config(), mock_gateway,
-            results_path=results, checkpoint_path=checkpoint,
-        )
-        assert len(calls) <= 2  # the resume scan and the summary, not once per paper
 
     def test_titleless_paper_quarantined_not_fatal(self, mock_gateway, tmp_path):
         records = [
@@ -416,8 +394,8 @@ class TestExtract:
         store = CorpusStore([PaperRecord(doi="10.1/s", title="t", abstract="Procambarus clarkii")])
         summary, results, checkpoint = self.run_full(store, StubGateway('{"species": [{"name": "\\ud800"}]}'), tmp_path)
         assert (summary.processed, summary.extracted, summary.quarantined) == (1, 0, 1)
-        assert results.read_bytes() == b""
-        assert "10.1/s" in Checkpoint.load(checkpoint).quarantined["10.1/s"]
+        assert load_results(results) == []
+        assert "10.1/s" in quarantine_reasons(results)["10.1/s"]
 
         class Unreachable:
             def complete(self, prompt):
@@ -431,8 +409,8 @@ class TestExtract:
         store = CorpusStore([PaperRecord(doi="10.1/s", title="t", abstract="Procambarus clarkii")])
         summary, results, checkpoint = self.run_full(store, StubGateway('{"species": [{"name": "A\ud800"}]}'), tmp_path)
         assert (summary.processed, summary.quarantined) == (1, 1)
-        assert results.read_bytes() == b""
-        assert "10.1/s" in Checkpoint.load(checkpoint).quarantined["10.1/s"]
+        assert load_results(results) == []
+        assert "10.1/s" in quarantine_reasons(results)["10.1/s"]
 
     @pytest.mark.parametrize(
         "reply",
@@ -448,14 +426,14 @@ class TestExtract:
         # copied into the results file, such a reply counted as extracted and failed validate
         summary, results, checkpoint = self.run_full(sample_store, StubGateway(reply), tmp_path)
         assert (summary.processed, summary.extracted, summary.out_of_scope, summary.quarantined) == (20, 0, 0, 20)
-        assert results.read_bytes() == b""
-        reasons = Checkpoint.load(checkpoint).quarantined
-        assert all(doi in reason for doi, reason in reasons.items())
+        assert load_results(results) == []
+        reasons = quarantine_reasons(results)
+        assert len(reasons) == 20 and all(doi in reason for doi, reason in reasons.items())
 
     def test_fingerprint_mismatch_refused(self, sample_store, mock_gateway, tmp_path):
         results = tmp_path / "fp.jsonl"
         checkpoint = tmp_path / "fp.ckpt.json"
-        Checkpoint(stage="extract", schema_fingerprint="not-the-same").save(checkpoint)
+        Checkpoint(schema_fingerprint="not-the-same", results_lines=0).save(checkpoint)
         with pytest.raises(CheckpointError):
             run_extract(
                 sample_store, standard_schema(), make_config(), mock_gateway,
@@ -467,7 +445,7 @@ class TestExtract:
         with pytest.raises(TransportError):
             self.run_full(sample_store, flaky, tmp_path, name="stop")
         assert flaky.calls == 8  # seven answered, one failed, none of the twelve queued
-        assert len(Checkpoint.load(tmp_path / "stop.ckpt.json").processed()) == 7
+        assert len(committed(tmp_path / "stop.jsonl", tmp_path / "stop.ckpt.json")) == 7
 
     def test_success_in_flight_at_failure_is_committed(self, mock_gateway, tmp_path):
         store = CorpusStore(
@@ -513,34 +491,12 @@ class TestExtract:
         assert inline_then_threaded(gateway.threads)
         lines = (tmp_path / "inflight.jsonl").read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["doi"] for line in lines] == ["10.1/p0", "10.1/p1"]
-        assert Checkpoint.load(tmp_path / "inflight.ckpt.json").processed() == {"10.1/p0", "10.1/p1"}
 
     def test_checkpoint_round_trip(self, tmp_path):
-        checkpoint = Checkpoint(
-            stage="extract",
-            schema_fingerprint=schema_fingerprint(standard_schema()),
-            completed={"10.1/a"},
-            out_of_scope={"10.1/b"},
-            quarantined={"10.1/c": "bad json"},
-        )
+        checkpoint = Checkpoint(schema_fingerprint=schema_fingerprint(standard_schema()), results_lines=3)
         path = tmp_path / "ckpt.json"
         checkpoint.save(path)
         assert Checkpoint.load(path) == checkpoint
-
-    def test_overlapping_sets_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "stage": "extract",
-                    "schema_fingerprint": "f",
-                    "completed": ["10.1/a"],
-                    "quarantined": {"10.1/a": "also here"},
-                }
-            )
-        )
-        with pytest.raises(CheckpointError):
-            Checkpoint.load(path)
 
 
 class TestFileLoaders:
@@ -682,8 +638,9 @@ class TestFileLoaders:
         ]
 
 
-def seed_format(path, **sets):
-    """Write a checkpoint document exactly as a flush-every-25 writer did."""
+def earlier_format(path, results_lines=None, **sets):
+    """Write a checkpoint document as the version that kept DOI sets did:
+    with results_lines when a run opened, without it when a run ended."""
     doc = {
         "stage": "extract",
         "schema_fingerprint": schema_fingerprint(standard_schema()),
@@ -691,6 +648,8 @@ def seed_format(path, **sets):
         "out_of_scope": sorted(sets.get("out_of_scope", [])),
         "quarantined": sets.get("quarantined", {}),
     }
+    if results_lines is not None:
+        doc["results_lines"] = results_lines
     path.write_text(json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
@@ -705,6 +664,12 @@ def quarantine_line(doi, reason):
     return serialize_result(ExtractionResult(paper_doi=doi, status="quarantined", reason=reason))
 
 
+def quarantine_reasons(results):
+    """DOI -> reason of each quarantine line of a results file."""
+    lines = [json.loads(line) for line in results.read_text(encoding="utf-8").splitlines()]
+    return {line["doi"]: line["reason"] for line in lines if line["status"] == "quarantined"}
+
+
 class TestCommitLog:
     run_full = TestExtract.run_full
 
@@ -714,41 +679,45 @@ class TestCommitLog:
             results_path=tmp_path / f"{name}.jsonl", checkpoint_path=tmp_path / f"{name}.ckpt.json",
         )
 
-    def test_seed_format_resumes_and_rewrites_byte_identically(self, sample_store, mock_gateway, tmp_path):
+    @pytest.mark.parametrize("results_lines, sent", [(0, 14), (3, 17)])
+    def test_opening_checkpoint_of_the_previous_version_is_read_for_fingerprint_and_offset(
+        self, sample_store, mock_gateway, tmp_path, results_lines, sent
+    ):
+        # that version left a killed run's checkpoint as it opened; the DOI sets it listed are ignored, so the
+        # lines before its offset are sent again
         _, baseline_results, baseline_ckpt = self.run_full(sample_store, mock_gateway, tmp_path, name="baseline")
         lines = baseline_results.read_text(encoding="utf-8").splitlines(keepends=True)[:6]
-        done = [json.loads(line) for line in lines]
         (tmp_path / "seed.jsonl").write_text("".join(lines), encoding="utf-8")
-        seed_format(
-            tmp_path / "seed.ckpt.json",
-            completed=[d["doi"] for d in done if d["status"] != "out_of_scope"],
-            out_of_scope=[d["doi"] for d in done if d["status"] == "out_of_scope"],
-        )
+        earlier = [json.loads(line)["doi"] for line in lines[:results_lines]]
+        earlier_format(tmp_path / "seed.ckpt.json", results_lines, completed=earlier)
 
         counting = FailAfter(mock_gateway, allow=10_000)
         self.extract(sample_store, counting, tmp_path, "seed")
-        assert counting.calls == 20 - 6
+        assert counting.calls == sent
         assert (tmp_path / "seed.jsonl").read_bytes() == baseline_results.read_bytes()
         assert (tmp_path / "seed.ckpt.json").read_bytes() == baseline_ckpt.read_bytes()
 
-    def test_finished_checkpoint_with_a_quarantine_resumes_without_a_call(self, sample_store, mock_gateway, tmp_path):
-        # a finished checkpoint is one document, as the version that journalled quarantines also wrote it
+    @pytest.mark.parametrize("quarantined", [{}, {"10.5555/ecomine.0001": "unparseable"}])
+    def test_closing_checkpoint_of_the_previous_version_is_refused_before_any_call(
+        self, sample_store, mock_gateway, tmp_path, quarantined
+    ):
+        # that version wrote its DOI sets without results_lines when a run ended, finished or failed
         _, baseline_results, _ = self.run_full(sample_store, mock_gateway, tmp_path, name="baseline")
-        lines = baseline_results.read_text(encoding="utf-8").splitlines(keepends=True)
-        done = [json.loads(line) for line in lines[1:]]
-        (tmp_path / "seed.jsonl").write_text("".join(lines[1:]), encoding="utf-8")
-        seed_format(
-            tmp_path / "seed.ckpt.json",
-            completed=[d["doi"] for d in done if d["status"] != "out_of_scope"],
-            out_of_scope=[d["doi"] for d in done if d["status"] == "out_of_scope"],
-            quarantined={json.loads(lines[0])["doi"]: "unparseable"},
-        )
-        saved = (tmp_path / "seed.jsonl").read_bytes(), (tmp_path / "seed.ckpt.json").read_bytes()
+        lines = baseline_results.read_text(encoding="utf-8").splitlines(keepends=True)[len(quarantined):]
+        (tmp_path / "seed.jsonl").write_text("".join(lines), encoding="utf-8")
+        path = tmp_path / "seed.ckpt.json"
+        earlier_format(path, completed=[json.loads(line)["doi"] for line in lines], quarantined=quarantined)
+        saved = (tmp_path / "seed.jsonl").read_bytes(), path.read_bytes()
 
         counting = FailAfter(mock_gateway, allow=10_000)
-        summary = self.extract(sample_store, counting, tmp_path, "seed")
-        assert (counting.calls, summary.processed, summary.quarantined) == (0, 20, 1)
-        assert ((tmp_path / "seed.jsonl").read_bytes(), (tmp_path / "seed.ckpt.json").read_bytes()) == saved
+        named = (
+            f"checkpoint {path} has no 'results_lines': remove it to start a new run series "
+            "(an earlier version wrote no 'results_lines' when a run ended)"
+        )
+        with pytest.raises(CheckpointError, match=re.escape(named)):
+            self.extract(sample_store, counting, tmp_path, "seed")
+        assert counting.calls == 0
+        assert ((tmp_path / "seed.jsonl").read_bytes(), path.read_bytes()) == saved
 
     @pytest.mark.parametrize(
         "deltas",
@@ -763,13 +732,13 @@ class TestCommitLog:
     ):
         # that version left an unfinished run as its opening document followed by one delta per quarantine
         path = tmp_path / "old.ckpt.json"
-        Checkpoint("extract", schema_fingerprint(standard_schema()), results_lines=0).save(path)
+        Checkpoint(schema_fingerprint(standard_schema()), results_lines=0).save(path)
         document_lines = len(path.read_text(encoding="utf-8").splitlines())
         append_deltas(path, *deltas)
         saved = path.read_bytes()
-        named = f"checkpoint {path}, line {document_lines + 1}: "
+        named = f"unreadable checkpoint {path}: Extra data: line {document_lines + 1} column 1"
         counting = FailAfter(mock_gateway, allow=10_000)
-        with pytest.raises(CheckpointError, match=re.escape(named) + ".*remove the checkpoint"):
+        with pytest.raises(CheckpointError, match=re.escape(named)):
             self.extract(sample_store, counting, tmp_path, "old")
         assert counting.calls == 0
         assert path.read_bytes() == saved
@@ -787,7 +756,7 @@ class TestCommitLog:
     ):
         # as versions before quarantine lines wrote them; a resume counted the line as extracted, with no call
         doi = "10.5555/ecomine.0001"
-        Checkpoint("extract", schema_fingerprint(standard_schema()), results_lines=0).save(tmp_path / "old.ckpt.json")
+        Checkpoint(schema_fingerprint(standard_schema()), results_lines=0).save(tmp_path / "old.ckpt.json")
         results = tmp_path / "old.jsonl"
         results.write_text(json.dumps({"doi": doi, **line}) + "\n", encoding="utf-8")
         counting = FailAfter(mock_gateway, allow=10_000)
@@ -796,55 +765,39 @@ class TestCommitLog:
             self.extract(CorpusStore([sample_store.get(doi)]), counting, tmp_path, "old")
         assert counting.calls == 0
 
-    def test_checkpoint_of_another_stage_is_refused_before_any_call(self, sample_store, mock_gateway, tmp_path):
-        Checkpoint("specialize", schema_fingerprint(standard_schema())).save(tmp_path / "other.ckpt.json")
-        (tmp_path / "other.jsonl").write_text(quarantine_line("10.5555/ecomine.0001", "prose") + "\n", encoding="utf-8")
-        saved = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-        counting = FailAfter(mock_gateway, allow=10_000)
-        with pytest.raises(CheckpointError, match="checkpoint belongs to stage 'specialize'"):
-            self.extract(sample_store, counting, tmp_path, "other")
-        assert counting.calls == 0
-        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == saved
-
     def test_fingerprint_refused_with_commits_past_the_count(self, sample_store, mock_gateway, tmp_path):
-        Checkpoint("extract", "not-the-same", results_lines=0).save(tmp_path / "fp.ckpt.json")
+        Checkpoint("not-the-same", results_lines=0).save(tmp_path / "fp.ckpt.json")
         (tmp_path / "fp.jsonl").write_text(quarantine_line("10.5555/ecomine.0001", "prose") + "\n", encoding="utf-8")
         counting = FailAfter(mock_gateway, allow=10_000)
         with pytest.raises(CheckpointError, match="different schema"):
             self.extract(sample_store, counting, tmp_path, "fp")
         assert counting.calls == 0
 
-    @pytest.mark.parametrize("in_document", [True, False])
-    def test_quarantine_line_past_the_count_moves_its_doi(self, sample_store, mock_gateway, tmp_path, in_document):
-        # the DOI's last line wins, so the exit document lists it quarantined only and compaction drops its line
+    @pytest.mark.parametrize("results_lines", [0, 1])
+    def test_quarantine_line_past_the_offset_is_its_dois_last_line(
+        self, sample_store, mock_gateway, tmp_path, results_lines
+    ):
+        # the DOI's extracted line, then its quarantine line; the extracted one is before the offset or past it
         doi = "10.5555/ecomine.0001"
         _, baseline, _ = self.run_full(sample_store, mock_gateway, tmp_path, name="baseline")
-        first = baseline.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        first, *rest = baseline.read_text(encoding="utf-8").splitlines(keepends=True)
         results, checkpoint = tmp_path / "move.jsonl", tmp_path / "move.ckpt.json"
         results.write_text(first + quarantine_line(doi, "prose") + "\n", encoding="utf-8")
-        opening = Checkpoint("extract", schema_fingerprint(standard_schema()), results_lines=int(in_document))
-        if in_document:
-            opening.completed.add(doi)
-        opening.save(checkpoint)
+        Checkpoint(schema_fingerprint(standard_schema()), results_lines).save(checkpoint)
 
         counting = FailAfter(mock_gateway, allow=10_000)
         summary = self.extract(sample_store, counting, tmp_path, "move")
         assert (counting.calls, summary.processed, summary.quarantined) == (19, 20, 1)
         assert summary.extracted + summary.out_of_scope + summary.quarantined == summary.processed
-        assert Checkpoint.load(checkpoint).quarantined == {doi: "prose"}
-        assert doi not in {json.loads(line)["doi"] for line in results.read_text(encoding="utf-8").splitlines()}
+        assert results.read_text(encoding="utf-8") == "".join([quarantine_line(doi, "prose") + "\n", *rest])
+        assert doi not in {result.paper_doi for result in load_results(results)}
 
     @pytest.mark.parametrize(
         "statuses",
-        [("out_of_scope", "quarantined"), ("quarantined", "extracted")],
-        ids=["out-of-scope-then-quarantined", "quarantined-then-extracted"],
+        [("out_of_scope", "quarantined"), ("quarantined", "extracted"), ("extracted", "out_of_scope")],
+        ids=["out-of-scope-then-quarantined", "quarantined-then-extracted", "extracted-then-out-of-scope"],
     )
-    def test_two_lines_past_the_count_leave_the_doi_in_the_last_ones_set(
-        self, sample_store, mock_gateway, tmp_path, statuses
-    ):
-        # a line past results_lines moves its DOI out of the set an earlier commit put it in (extracted, then
-        # quarantined, is the test above); kept in both, the resume refused a quarantined DOI "with no line",
-        # or saved a checkpoint that does not load
+    def test_of_two_lines_past_the_offset_the_last_one_counts(self, sample_store, mock_gateway, tmp_path, statuses):
         doi = "10.5555/ecomine.0001"
         _, baseline, _ = self.run_full(sample_store, mock_gateway, tmp_path, name="baseline")
         first, *rest = baseline.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -855,22 +808,22 @@ class TestCommitLog:
         }
         results, checkpoint = tmp_path / "two.jsonl", tmp_path / "two.ckpt.json"
         results.write_text("".join(past[status] for status in statuses), encoding="utf-8")
-        Checkpoint("extract", schema_fingerprint(standard_schema()), results_lines=0).save(checkpoint)
+        Checkpoint(schema_fingerprint(standard_schema()), results_lines=0).save(checkpoint)
 
         counting = FailAfter(mock_gateway, allow=10_000)
         summary = self.extract(sample_store, counting, tmp_path, "two")
         assert (counting.calls, summary.processed) == (19, 20)
-        assert summary.extracted + summary.out_of_scope + summary.quarantined == summary.processed
-        exit_document = Checkpoint.load(checkpoint)  # refuses a DOI listed in two sets
-        quarantined = statuses[-1] == "quarantined"
-        assert (doi in exit_document.completed, doi in exit_document.quarantined) == (not quarantined, quarantined)
-        assert results.read_text(encoding="utf-8") == "".join(([] if quarantined else [first]) + rest)
+        expected = {"extracted": 17, "out_of_scope": 3, "quarantined": 0}
+        expected["extracted"] -= 1  # 0001 is extracted in the baseline
+        expected[statuses[-1]] += 1
+        assert (summary.extracted, summary.out_of_scope, summary.quarantined) == tuple(expected.values())
+        assert results.read_text(encoding="utf-8") == "".join([past[statuses[-1]], *rest])
 
     def test_rerun_without_checkpoint_drops_a_line_the_file_quarantines_later(
         self, sample_store, mock_gateway, tmp_path
     ):
         # a hard failure left the file uncompacted: the DOI's extracted line, then its quarantine line. The rerun,
-        # with no checkpoint, does not send that DOI again, so only the quarantine line keeps it from compaction
+        # with no checkpoint, does not send that DOI again, so compaction keeps its last line, the quarantine
         doi = "10.5555/ecomine.0001"
         _, baseline, _ = self.run_full(sample_store, mock_gateway, tmp_path, name="baseline")
         first, *rest = baseline.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -881,26 +834,14 @@ class TestCommitLog:
         counting = FailAfter(mock_gateway, allow=10_000)
         summary = run_extract(others, standard_schema(), make_config(), counting, results_path=results)
         assert (counting.calls, summary.processed, summary.quarantined) == (19, 19, 0)
-        assert results.read_text(encoding="utf-8") == "".join(rest)
-
-    @pytest.mark.parametrize(
-        "sets, named",
-        [
-            ({"completed": ["10.1/a"], "out_of_scope": ["10.1/a"]}, "completed and out_of_scope"),
-            ({"out_of_scope": ["10.1/a"], "quarantined": {"10.1/a": "bad"}}, "out_of_scope and quarantined"),
-        ],
-    )
-    def test_doi_in_two_sets_names_the_doi_and_both_sets(self, tmp_path, sets, named):
-        path = tmp_path / "overlap.ckpt.json"
-        seed_format(path, **sets)
-        with pytest.raises(CheckpointError, match=f"DOI 10.1/a both {named}"):
-            Checkpoint.load(path)
+        assert results.read_text(encoding="utf-8") == "".join([quarantine_line(doi, "prose") + "\n", *rest])
+        assert load_results(results) == load_results(baseline)[1:]
 
     @pytest.mark.parametrize("newline", ["\n", ""])
     def test_load_opens_the_file_once(self, tmp_path, monkeypatch, newline):
         # a document without its final newline was opened three times: read, tested as a whole last line, read again
         path = tmp_path / "once.ckpt.json"
-        checkpoint = Checkpoint("extract", "f", {"10.1/a"}, {"10.1/b"}, {"10.1/c": "prose"})
+        checkpoint = Checkpoint("f", 3)
         checkpoint.save(path)
         path.write_text(path.read_text(encoding="utf-8").rstrip("\n") + newline, encoding="utf-8")
         opened = []
@@ -914,15 +855,6 @@ class TestCommitLog:
         monkeypatch.undo()
         assert [Path(file) for file in opened] == [path]
 
-    def test_doi_in_two_sets_refused_before_extract(self, sample_store, mock_gateway, tmp_path):
-        # loaded, it made extract report processed=20 with 21 outcomes
-        checkpoint = tmp_path / "overlap.ckpt.json"
-        doi = sample_store.records()[0].doi
-        seed_format(checkpoint, completed=[doi], out_of_scope=[doi])
-        with pytest.raises(CheckpointError, match=re.escape(doi)):
-            run_extract(sample_store, standard_schema(), make_config(), mock_gateway, tmp_path / "r.jsonl", checkpoint)
-        assert not (tmp_path / "r.jsonl").exists()
-
     def test_results_file_holds_every_commit_without_midrun_save(
         self, sample_store, mock_gateway, tmp_path, monkeypatch
     ):
@@ -932,26 +864,19 @@ class TestCommitLog:
         real_save = Checkpoint.save
 
         def spy_save(checkpoint, path):
-            saves.append(len(checkpoint.processed()))
-            if len(saves) == 1:  # the opening document; later saves are lost, as in a kill
-                real_save(checkpoint, path)
+            saves.append(checkpoint.results_lines)
+            real_save(checkpoint, path)
 
         monkeypatch.setattr(Checkpoint, "save", spy_save)
         with pytest.raises(TransportError):
             self.extract(sample_store, flaky, tmp_path, "journal")
-        monkeypatch.undo()
-
-        assert saves == [0, 7]  # the opening document and the final compaction only
+        assert saves == [0]  # the document a series opens with; a hard failure rewrites nothing
         lines = (tmp_path / "journal.jsonl").read_text(encoding="utf-8").splitlines()
-        committed = {json.loads(line)["doi"] for line in lines}
-        assert len(committed) == 7
-        opening = Checkpoint.load(tmp_path / "journal.ckpt.json")
-        # the opening document plus the results lines past its count hold every commit
-        past = {json.loads(line)["doi"] for line in lines[opening.results_lines:]}
-        assert (opening.processed(), opening.results_lines, past) == (set(), 0, committed)
+        assert len({json.loads(line)["doi"] for line in lines}) == len(lines) == 7
 
         counting = FailAfter(mock_gateway, allow=10_000)
         self.extract(sample_store, counting, tmp_path, "journal")
+        assert saves == [0, 0]  # and the completion document, before compaction
         assert counting.calls == 20 - 7
         assert (tmp_path / "journal.jsonl").read_bytes() == baseline_results.read_bytes()
 
@@ -1051,44 +976,20 @@ class TestTornWrites:
             run_extract(sample_store, standard_schema(), make_config(), counting, results_path=results)
         assert counting.calls == 0
 
-    @pytest.mark.parametrize("kept", [0, 18])
-    def test_checkpoint_dois_without_results_lines_refused(self, sample_store, mock_gateway, tmp_path, kept):
-        # with its results file gone, the rerun made no call, reported 17 extracted and left an empty file
-        _, results, checkpoint = self.run_full(sample_store, mock_gateway, tmp_path)
-        lines = results.read_text(encoding="utf-8").splitlines(keepends=True)
-        results.write_text("".join(lines[-kept:] if kept else []), encoding="utf-8")
-        saved = checkpoint.read_bytes()
-        counting = FailAfter(mock_gateway, allow=10_000)
-        named = (
-            f"checkpoint {checkpoint} lists {20 - kept} DOI(s) with no line in results file {results}, "
-            "the lowest 10.5555/ecomine.0001; restore that results file or remove the checkpoint"
-        )
-        with pytest.raises(CheckpointError, match=re.escape(named)):
-            self.resume(sample_store, counting, results, checkpoint)
-        assert counting.calls == 0
-        assert checkpoint.read_bytes() == saved
-
-    def test_quarantined_dois_need_no_results_line(self, sample_store, mock_gateway, tmp_path):
-        results, checkpoint = tmp_path / "q.jsonl", tmp_path / "q.ckpt.json"
-        seed_format(checkpoint, quarantined={"10.5555/ecomine.0001": "unpromptable"})
-        counting = FailAfter(mock_gateway, allow=10_000)
-        summary = self.resume(sample_store, counting, results, checkpoint)
-        assert (counting.calls, summary.processed, summary.quarantined) == (19, 20, 1)
-
     def test_undecodable_byte_in_the_document_names_its_line(self, tmp_path):
         path = tmp_path / "bad.ckpt.json"
-        seed_format(path, completed=["10.1/a"])
+        Checkpoint("abc", 0).save(path)
         text = path.read_text(encoding="utf-8")
-        path.write_bytes(text.encode().replace(b'"10.1/a"', b'"10.1/a\xff"'))
-        line = text[: text.index("10.1/a")].count("\n") + 1
-        where = rf"checkpoint {re.escape(str(path))}, line {line}: UnicodeDecodeError: .* in position 11\b"
+        path.write_bytes(text.encode().replace(b'"abc"', b'"abc\xff"'))
+        line = text[: text.index("abc")].count("\n") + 1
+        where = rf"checkpoint {re.escape(str(path))}, line {line}: UnicodeDecodeError: .* in position 28\b"
         with pytest.raises(CheckpointError, match=where):
             Checkpoint.load(path)
 
     @pytest.mark.parametrize("indent", [None, 2])
     def test_document_without_final_newline_loads(self, tmp_path, caplog, indent):
         path = tmp_path / "bare.ckpt.json"
-        checkpoint = Checkpoint("extract", "f", {"10.1/a"}, {"10.1/ä"}, {"10.1/c": "Ä"})
+        checkpoint = Checkpoint("fä", 3)
         checkpoint.save(path)
         document = json.loads(path.read_text(encoding="utf-8"))
         path.write_text(json.dumps(document, ensure_ascii=False, indent=indent), encoding="utf-8")
@@ -1116,16 +1017,16 @@ class TestTornWrites:
     @pytest.mark.parametrize(
         "fields",
         [
-            {"completed": "10.5555/ecomine.0001"},
-            {"completed": [5]},
-            {"out_of_scope": [""]},
-            {"quarantined": ["x"]},
-            {"quarantined": {"10.1/q": 5}},
+            {"schema_fingerprint": 5},
+            {"schema_fingerprint": "\ud800"},
+            {"schema_fingerprint": None},
+            {"results_lines": None},
+            {"results_lines": "0"},
         ],
     )
     def test_mistyped_checkpoint_names_the_file(self, sample_store, mock_gateway, tmp_path, fields):
         path = tmp_path / "typed.ckpt.json"
-        doc = {"stage": "extract", "schema_fingerprint": schema_fingerprint(standard_schema()), **fields}
+        doc = {"schema_fingerprint": schema_fingerprint(standard_schema()), "results_lines": 0, **fields}
         path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         where = re.escape(str(path))
         with pytest.raises(CheckpointError, match=where):
