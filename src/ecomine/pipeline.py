@@ -276,7 +276,9 @@ def run_extract(
         if checkpoint_path is not None and Path(checkpoint_path).exists():
             checkpoint = Checkpoint.load(checkpoint_path)
             if checkpoint.schema_fingerprint != fingerprint:
-                raise CheckpointError("checkpoint was written under a different schema; refusing to mix schemas")
+                raise CheckpointError(
+                    "checkpoint was written under a different schema; refusing to mix schemas"
+                )
 
         results = []  # extract, the results file's one writer, repairs its last line
         if results_path.exists():
