@@ -145,6 +145,12 @@ def role_inventory(
     return _table("species roles", roles, total=sum(count for _, _, count, _ in species))
 
 
+def require_top(k: int) -> None:
+    """The rule of top_species' k, the rows a table keeps."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+
+
 def top_species(
     results: Iterable[ExtractionResult],
     role: str,
@@ -155,8 +161,7 @@ def top_species(
 
     A role absent from the data yields an empty table, not an error.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    require_top(k)
     wanted = name_key(role)
     names = ((name, count, entry["name"]) for name, r, count, entry in _species(results, stoplist) if r == wanted)
     return _table(f"top species ({display_name(role)})", names).top(k)

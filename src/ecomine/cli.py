@@ -21,7 +21,7 @@ from pathlib import Path
 from . import analytics
 from .corpus import CorpusStore, atomic_write_text, compute_stats, dumps, export_corpus, read_lines, writer_lock
 from .errors import EcomineError, PartialIngestError
-from .gateway import HttpChatProvider, LlmGateway, RateLimitPolicy
+from .gateway import HttpChatProvider, LlmGateway, RateLimitPolicy, require_finite_positive
 from .harvest import FixtureHarvestClient, HttpHarvestClient, ingest_dois
 from .mockllm import MockProvider
 from .pipeline import (
@@ -85,6 +85,13 @@ class CliConfig:
             rng_seed=self.seed,
         )
 
+    def check(self) -> None:
+        """Apply the rules each value's owner keeps: StageConfig's, with
+        RateLimitPolicy's, the HTTP clients' timeout rule and top_species'."""
+        self.stage_config()
+        require_finite_positive("timeout", self.timeout)
+        analytics.require_top(self.top)
+
 
 def _read_config_file(path: str | Path) -> dict[str, tuple[str, str]]:
     """Parse a flat `key = value` config file; # starts a comment.
@@ -112,7 +119,8 @@ def _read_dois(path: str | Path) -> list[str]:
 
 def resolve_config(args: argparse.Namespace) -> CliConfig:
     """Merge flags, ECOMINE_* variables and the config file over the
-    defaults; each value takes the type of its CliConfig default."""
+    defaults; each value takes the type of its CliConfig default and must
+    pass its rule (CliConfig.check), or the error names it and its source."""
     defaults = {f.name: f.default for f in dataclasses.fields(CliConfig)}
     sourced = _read_config_file(args.config) if getattr(args, "config", None) else {}
     for name in defaults:
@@ -132,6 +140,10 @@ def resolve_config(args: argparse.Namespace) -> CliConfig:
             resolved[name] = kind(value) if kind in (int, float) else value
         except ValueError:
             raise EcomineError(f"{name} from {source}: expected {kind.__name__}, got {value!r}") from None
+        try:
+            CliConfig(**{name: resolved[name]}).check()  # the defaults pass, so a refusal is this value's
+        except ValueError as exc:
+            raise EcomineError(f"{name} from {source}: {exc}") from None
 
     config = CliConfig(**resolved)
     if config.provider not in ("mock", "endpoint"):
@@ -171,12 +183,11 @@ def _open_store(config: CliConfig, must_exist: bool = True) -> CorpusStore:
 def cmd_ingest(args: argparse.Namespace, config: CliConfig) -> int:
     if not (dois := _read_dois(args.dois)):
         raise EcomineError(f"DOI file {args.dois} holds no DOI")
-    stage = StageConfig(parallelism=config.parallelism, rate_policy=config.rate_policy())  # checked before any write
     if config.fixtures:
         client = FixtureHarvestClient(config.fixtures)
     elif config.base_url:
         # unpaced (see HttpHarvestClient); the policy sets retries and backoff
-        client = HttpHarvestClient(config.base_url, stage.rate_policy, timeout=config.timeout)
+        client = HttpHarvestClient(config.base_url, config.rate_policy(), timeout=config.timeout)
     else:
         raise EcomineError("ingest needs --fixtures DIR or --base-url URL")
 
@@ -187,7 +198,7 @@ def cmd_ingest(args: argparse.Namespace, config: CliConfig) -> int:
         store = CorpusStore.load_log(corpus) if corpus.exists() else CorpusStore()
         try:
             with corpus.open("a", encoding="utf-8") as log:  # each fetched record is appended as it commits
-                summary = ingest_dois(store, dois, client, parallelism=stage.parallelism, log=log)
+                summary = ingest_dois(store, dois, client, parallelism=config.parallelism, log=log)
         except PartialIngestError as exc:
             failure, summary = exc, exc.summary  # keep what committed before the failure
         export_corpus(store, corpus)  # compacts the log to one DOI-sorted line per record

@@ -3,10 +3,12 @@
 The extract stage is built for multi-day batches: a paper commits when its
 line, a result or a quarantine, is appended to a results file, and a
 fingerprint of the schema in force binds checkpoint and results together
-so a resumed run can never mix schemas. Provider calls run on the calling
-thread until they wait, then on up to parallelism threads (gateway.fan_out),
-and only call the gateway; parsing and persistence happen on the calling
-thread, and one process at a time holds the results file (single writer).
+so a resumed run can never mix schemas. In all three stages provider calls
+run on the calling thread until they wait, then on up to parallelism threads
+(gateway.fan_out), and only call the gateway; parsing and persistence happen
+on the calling thread. Extract commits each reply as it completes, and one
+process at a time holds the results file (single writer); specialize and
+generalize put their replies back in sample and variant order first.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Sequence
+from typing import Callable, Collection, Sequence
 
 from .corpus import CorpusStore, PaperRecord, atomic_write_text, commit_line, decode, dumps, encode, normalize_doi
 from .corpus import read_json_lines, read_lines, record_line, writer_lock
@@ -156,6 +158,10 @@ def run_specialize(
     with the reason; human-flagged papers can be kept out of the draw
     via excluded_dois: each matches a stored DOI as written or as
     normalize_doi keys it, and a malformed one is refused before any call.
+    The sampled papers are sent through fan_out and their replies parsed
+    in sample order. After a hard gateway failure no further call starts,
+    the calls in flight finish, and the first failure in sample order is
+    raised; no candidate is kept.
     """
     excluded = {*excluded_dois, *map(normalize_doi, excluded_dois)}
     eligible = [
@@ -172,14 +178,19 @@ def run_specialize(
     rng.shuffle(shuffled)
     sample = shuffled[: config.sample_size]
 
+    def call(record: PaperRecord) -> str:
+        return gateway.complete(build_specialize_prompt(record))
+
     candidates: list[CandidateSchema] = []
     quarantined: dict[str, str] = {}
-    for record in sample:
+    for record, (raw, exc) in zip(sample, _in_order(call, sample, config.parallelism)):
         try:
-            candidates.append(parse_candidate(gateway.complete(build_specialize_prompt(record)), record.doi))
-        except (PromptError, SchemaParseError) as exc:
-            logger.warning("quarantining specialize paper %s: %s", record.doi, exc)
-            quarantined[record.doi] = str(exc)
+            if exc is not None:
+                raise exc
+            candidates.append(parse_candidate(raw, record.doi))
+        except (PromptError, SchemaParseError) as error:
+            logger.warning("quarantining specialize paper %s: %s", record.doi, error)
+            quarantined[record.doi] = str(error)
 
     if len(candidates) < 2:
         raise StageFailure(
@@ -203,8 +214,10 @@ def run_generalize(
     Variant 0 is always the deterministic merge (the oracle baseline);
     each additional variant is requested from the provider explicitly,
     tagged with its variant number rather than relying on sampling
-    accidents. chosen_index follows the human selection input when
-    given, else 0.
+    accidents. The requests are sent through fan_out and their replies
+    parsed in variant order, so numbering does not depend on completion
+    order; a failed call raises as specialize's does. chosen_index follows
+    the human selection input when given, else 0.
     """
     if selection is not None and not 0 <= selection <= config.generalize_variants:
         raise StageFailure(
@@ -215,12 +228,14 @@ def run_generalize(
     raw_responses: list[str] = []
 
     base_prompt = build_generalize_prompt(candidates)
-    for index in range(1, config.generalize_variants + 1):
-        prompt = dataclasses.replace(
-            base_prompt,
-            user=base_prompt.user + f"\nGenerate variant {index} of {config.generalize_variants}.\n",
-        )
-        raw = gateway.complete(prompt)
+    total = config.generalize_variants
+    prompts = [
+        dataclasses.replace(base_prompt, user=base_prompt.user + f"\nGenerate variant {index} of {total}.\n")
+        for index in range(1, total + 1)
+    ]
+    for index, (raw, exc) in enumerate(_in_order(gateway.complete, prompts, config.parallelism), 1):
+        if exc is not None:
+            raise exc
         raw_responses.append(raw)
         try:
             variants.append(ensure_valid_schema(parse_schema(raw)))
@@ -243,6 +258,14 @@ def run_generalize(
         merge_report=merge_report,
         raw_responses=raw_responses,
     )
+
+
+def _in_order(call: Callable, items: Sequence, parallelism: int) -> list[tuple[str | None, BaseException | None]]:
+    """Each (reply, exception) of call over items through fan_out, put back
+    in item order. After a TransportError no call starts and the calls in
+    flight finish, so the outcomes are those of a prefix of items."""
+    outcomes = fan_out(lambda index: call(items[index]), range(len(items)), parallelism, stop_on=TransportError)
+    return [(raw, exc) for _, raw, exc in sorted(outcomes, key=lambda outcome: outcome[0])]
 
 
 def run_extract(
@@ -369,11 +392,9 @@ def load_candidates(path: str | Path) -> list[CandidateSchema]:
 def load_schema_file(path: str | Path) -> StandardizedSchema:
     """Read and validate a standardized schema JSON file; an error names
     the file and keeps its type."""
+    source = f"schema file {path}"
+    text = "".join(read_lines(path, source, SchemaParseError))
     try:
-        return ensure_valid_schema(parse_schema(Path(path).read_text(encoding="utf-8")))
+        return ensure_valid_schema(parse_schema(text))
     except (SchemaParseError, InvalidSchemaError) as exc:
-        raise type(exc)(f"schema file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        where = f"{exc.reason} (schema file {path}, line {line})"
-        raise UnicodeDecodeError(exc.encoding, exc.object, exc.start, exc.end, where) from exc
+        raise type(exc)(f"{source}: {exc}") from exc

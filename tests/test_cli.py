@@ -233,7 +233,7 @@ class TestUndecodableInput:
     error line naming the file and the line, never in a traceback."""
 
     @pytest.mark.parametrize(
-        "command", ["stats", "analyze", "validate", "generalize", "extract", "config", "ingest", "specialize"]
+        "command", ["stats", "analyze", "validate", "generalize", "extract", "config", "ingest", "specialize", "schema"]
     )
     def test_exit_1_names_file_and_line(self, tmp_path, corpus_path, capsys, command):
         bad = tmp_path / "bad.jsonl"
@@ -251,6 +251,7 @@ class TestUndecodableInput:
             "config": ["--config", bad, "stats"],
             "ingest": ["--corpus", tmp_path / "harvested.jsonl", "ingest", "--dois", bad, "--fixtures", tmp_path],
             "specialize": ["--corpus", corpus_path, "specialize", "--exclude", bad, "--out", tmp_path / "c.jsonl"],
+            "schema": ["validate", "--results", corpus_path, "--schema", bad],
         }[command]
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
@@ -265,7 +266,7 @@ class TestMissingInput:
     analyze write empty reports and validate pass."""
 
     @pytest.mark.parametrize(
-        "command", ["analyze", "validate", "generalize", "specialize", "extract", "ingest", "config"]
+        "command", ["analyze", "validate", "generalize", "specialize", "extract", "ingest", "config", "schema"]
     )
     def test_exit_1_names_the_file(self, tmp_path, corpus_path, capsys, command):
         missing = tmp_path / "typo.jsonl"
@@ -280,6 +281,7 @@ class TestMissingInput:
             "extract": ["--corpus", missing, "extract", "--schema", schema, "--results", out],
             "ingest": ["--corpus", out, "ingest", "--dois", missing, "--fixtures", tmp_path],
             "config": ["--config", missing, "stats"],
+            "schema": ["validate", "--results", corpus_path, "--schema", missing],
         }[command]
         assert run_cli(*argv) == 1
         captured = capsys.readouterr()
@@ -331,18 +333,6 @@ class TestIngest:
         assert run_cli("--corpus", corpus, "ingest", "--dois", tmp_path / "dois.txt", "--fixtures", fixtures) == 0
         assert [json.loads(line)["doi"] for line in corpus.read_text().splitlines()] == ["10.9/kept"]
         assert f"{corpus}: dropping torn last line at byte offset {len(kept)}" in caplog.text
-
-    def test_ignores_counts_only_other_stages_use(self, tmp_path, monkeypatch, capsys):
-        # building every stage's config, ingest refused a sample size of 1 and no variants
-        fixtures = tmp_path / "fixtures"
-        fixtures.mkdir()
-        (fixtures / "10.9_one.json").write_text(json.dumps({"title": "One", "abstract": "a b"}))
-        (tmp_path / "dois.txt").write_text("10.9/one\n")
-        monkeypatch.setenv("ECOMINE_SAMPLE_SIZE", "1")
-        monkeypatch.setenv("ECOMINE_VARIANTS", "0")
-        corpus = tmp_path / "c.jsonl"
-        assert run_cli("--corpus", corpus, "ingest", "--dois", tmp_path / "dois.txt", "--fixtures", fixtures) == 0
-        assert last_line(capsys) == "queried=1 found=1 abstract_only=1 with_full_text=0 malformed=0"
 
     @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank-lines"])
     def test_doi_file_without_a_doi_is_refused_before_anything_is_written(self, tmp_path, capsys, text):
@@ -401,12 +391,29 @@ class TestIngest:
     @pytest.mark.parametrize(
         "flags, env, message",
         [
-            (["--parallelism", "0"], {}, "parallelism must be at least 1"),
-            (["--parallelism", "-3"], {}, "parallelism must be at least 1"),
-            ([], {"ECOMINE_MAX_RETRIES": "0"}, "max_retries must be positive"),
-            ([], {"ECOMINE_MAX_RETRIES": "-2"}, "max_retries must be positive"),
-            ([], {"ECOMINE_BACKOFF_BASE": "nan"}, "backoff_base must be finite and positive, got nan"),
-            ([], {"ECOMINE_RATE_WINDOW": "inf"}, "window must be finite and positive, got inf"),
+            (["--parallelism", "0"], {}, "parallelism from flag --parallelism: parallelism must be at least 1"),
+            (["--parallelism", "-3"], {}, "parallelism from flag --parallelism: parallelism must be at least 1"),
+            (
+                [],
+                {"ECOMINE_MAX_RETRIES": "0"},
+                "max_retries from environment variable ECOMINE_MAX_RETRIES: max_retries must be positive",
+            ),
+            (
+                [],
+                {"ECOMINE_MAX_RETRIES": "-2"},
+                "max_retries from environment variable ECOMINE_MAX_RETRIES: max_retries must be positive",
+            ),
+            (
+                [],
+                {"ECOMINE_BACKOFF_BASE": "nan"},
+                "backoff_base from environment variable ECOMINE_BACKOFF_BASE: "
+                "backoff_base must be finite and positive, got nan",
+            ),
+            (
+                [],
+                {"ECOMINE_RATE_WINDOW": "inf"},
+                "rate_window from environment variable ECOMINE_RATE_WINDOW: window must be finite and positive, got inf",
+            ),
         ],
         ids=[
             "parallelism-0",
@@ -636,6 +643,53 @@ class TestConfigPrecedence:
         assert named.format(conf=path) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "key, value, command, rule, sources",
+        [
+            ("variants", "0", "generalize", "generalize_variants must be at least 1", ("flag", "env", "file")),
+            ("sample_size", "1", "ingest", "sample_size must be at least 2", ("env", "file")),
+            ("parallelism", "0", "stats", "parallelism must be at least 1", ("env", "file")),
+            ("rate_window", "nan", "specialize", "window must be finite and positive, got nan", ("env", "file")),
+            ("max_retries", "0", "extract", "max_retries must be positive", ("env", "file")),
+            ("timeout", "-1", "ingest", "timeout must be finite and positive, got -1.0", ("env", "file")),
+            ("top", "0", "analyze", "k must be at least 1", ("flag", "env", "file")),
+        ],
+        ids=["StageConfig", "StageConfig-unused", "StageConfig-stats", "RateLimitPolicy", "RateLimitPolicy-int",
+             "timeout", "top_species"],
+    )
+    def test_out_of_range_value_names_its_key_and_source_before_any_input_is_read(
+        self, tmp_path, monkeypatch, capsys, key, value, command, rule, sources
+    ):
+        # only a value that did not convert was named; one out of range failed where its stage built its
+        # rule's owner, after the inputs were read, or never, in a command that does not use it
+        missing = tmp_path / "missing.jsonl"
+        argv = {
+            "generalize": ["generalize", "--candidates", missing, "--out-dir", tmp_path / "s"],
+            "ingest": ["--corpus", missing, "ingest", "--dois", missing, "--base-url", "http://127.0.0.1:9"],
+            "stats": ["--corpus", missing, "stats"],
+            "specialize": ["--corpus", missing, "specialize", "--out", tmp_path / "c.jsonl"],
+            "extract": ["--corpus", missing, "extract", "--schema", missing, "--results", tmp_path / "r.jsonl"],
+            "analyze": ["analyze", "--results", missing, "--out", tmp_path / "reports"],
+        }[command]
+        conf = tmp_path / "settings.conf"
+        conf.write_text(f"# one setting\n{key} = {value}\n")
+        for source, extra, named in (
+            ("flag", [f"--{key.replace('_', '-')}", value], f"flag --{key.replace('_', '-')}"),
+            ("env", [], f"environment variable ECOMINE_{key.upper()}"),
+            ("file", [], f"config file {conf}, line 2"),
+        ):
+            if source not in sources:
+                continue
+            with monkeypatch.context() as patch:
+                if source == "env":
+                    patch.setenv(f"ECOMINE_{key.upper()}", value)
+                head = ["--config", conf] if source == "file" else []
+                assert run_cli(*head, *argv, *extra) == 1, source
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [f"error: {key} from {named}: {rule}"], source
+            assert captured.out == ""
+        assert [path.name for path in tmp_path.iterdir()] == [conf.name]
+
+    @pytest.mark.parametrize(
         "var, value", [("ECOMINE_RATE_WINDOW", "nan"), ("ECOMINE_RATE_WINDOW", "inf"), ("ECOMINE_BACKOFF_BASE", "nan")]
     )
     def test_non_finite_rate_setting_refused_before_any_call(
@@ -682,7 +736,8 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
-            f"error: {key} must be finite and positive, got {float(value)}"
+            f"error: {key} from environment variable ECOMINE_{key.upper()}: "
+            f"{key} must be finite and positive, got {float(value)}"
         ]
 
     @pytest.mark.parametrize("command, key", [("ingest", "base_url"), ("extract", "endpoint")])

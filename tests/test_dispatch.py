@@ -1,11 +1,13 @@
-"""One dispatcher for extract and ingest: gateway.fan_out. Calls run on
-the calling thread until they wait, then on worker threads; at most
-parallelism calls are in flight, no call starts after a stopping failure,
-and ingest commits each record as its fetch finishes. The inline phase is
+"""One dispatcher for every provider call and fetch: gateway.fan_out.
+Calls run on the calling thread until they wait, then on worker threads;
+at most parallelism calls are in flight, no call starts after a stopping
+failure, ingest commits each record as its fetch finishes, and specialize
+and generalize parse their replies in sample and variant order. The inline phase is
 driven by a fake clock. A threaded test's first call waits 50 ms off the
 CPU to move fan_out to its threads; the threads are then ordered with
 events and barriers, never with sleeps."""
 
+import dataclasses
 import io
 import json
 import logging
@@ -18,15 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecomine import gateway, harvest
+from ecomine import gateway, harvest, pipeline
 from ecomine.corpus import CorpusStore, PaperRecord
 from ecomine.errors import CorpusError, PartialIngestError, TransportError
 from ecomine.gateway import fan_out
 from ecomine.harvest import ingest_dois
-from ecomine.pipeline import StageConfig, run_extract
-from ecomine.schema import standard_schema
+from ecomine.pipeline import StageConfig, run_extract, run_generalize, run_specialize, save_candidates
+from ecomine.prompts import build_specialize_prompt
+from ecomine.schema import schema_to_json, standard_schema
 
-from conftest import fast_policy, inline_then_threaded, waits_off_cpu
+from conftest import SAMPLE_SEED, fast_policy, inline_then_threaded, waits_off_cpu
 
 WAIT = 10  # seconds; only reached when the code under test is broken
 
@@ -399,6 +402,171 @@ class TestExtractDispatch:
         assert inline_then_threaded(gateway.threads)
         lines = (tmp_path / "results.jsonl").read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["doi"] for line in lines] == ["10.1/p00", "10.1/p01"]
+
+
+class Rounds:
+    """A gateway over the mock whose call 0 (by place, the call's position
+    in its stage's order) waits off the CPU, so fan_out runs every later
+    call on its threads. Those run in rounds of parallelism calls that all
+    wait at a barrier, and each call of a round returns only after the
+    next one has (the last of the total calls ends its round): a round
+    completes in reverse order. Given failure_yielded, the calls wait for
+    it instead, and fails maps each place that raises TransportError to
+    None (at once) or "after" (once a failure has been yielded)."""
+
+    def __init__(self, gateway, parallelism, place, total=None, fails=None, failure_yielded=None):
+        self.gateway, self.parallelism, self.place, self.total = gateway, parallelism, place, total
+        self.fails, self.failure_yielded = fails or {}, failure_yielded
+        self.barrier = threading.Barrier(parallelism, timeout=WAIT)
+        self.lock = threading.Lock()
+        self.returned = {}
+        self.started, self.completed, self.threads = [], [], []
+        self.now = self.peak = 0
+
+    def event(self, place):
+        with self.lock:
+            return self.returned.setdefault(place, threading.Event())
+
+    def complete(self, prompt):
+        place = self.place(prompt)
+        with self.lock:
+            self.started.append(place)
+            self.threads.append(threading.current_thread())
+            self.now += 1
+            self.peak = max(self.peak, self.now)
+        try:
+            reply = self.gateway.complete(prompt)
+            if place == 0:
+                return waits_off_cpu(reply)
+            self.barrier.wait()
+            if place in self.fails:
+                if self.fails[place] == "after":
+                    assert self.failure_yielded.wait(WAIT), "no failure was yielded"
+                raise TransportError(f"injected at place {place}", 503)
+            if self.failure_yielded is not None:
+                assert self.failure_yielded.wait(WAIT), "no failure was yielded"
+            elif place % self.parallelism and place + 1 < self.total:  # not the last of its round
+                assert self.event(place + 1).wait(WAIT), f"call {place + 1} never returned"
+            return reply
+        finally:
+            with self.lock:
+                self.now -= 1
+                self.completed.append(place)
+            self.event(place).set()
+
+
+def specialize_places(store, config, mock_gateway):
+    """The place of each specialize prompt: its paper's position in the
+    draw, as an in-order run reports it."""
+    sampled = run_specialize(store, dataclasses.replace(config, parallelism=1), mock_gateway).sampled_dois
+    users = [build_specialize_prompt(store.get(doi)).user for doi in sampled]
+    return lambda prompt: users.index(prompt.user)
+
+
+def variant_place(prompt):
+    return int(re.search(r"Generate variant (\d+) of", prompt.user).group(1)) - 1
+
+
+@pytest.fixture
+def failure_yielded(monkeypatch):
+    """Set once pipeline's fan_out has yielded a TransportError, and so
+    after fan_out has stopped starting calls."""
+    event, real = threading.Event(), pipeline.fan_out
+
+    def spying(*args, **kwargs):
+        for outcome in real(*args, **kwargs):
+            if isinstance(outcome[2], TransportError):
+                event.set()
+            yield outcome
+
+    monkeypatch.setattr(pipeline, "fan_out", spying)
+    return event
+
+
+class TestSpecializeGeneralizeDispatch:
+    """Ten specialize papers and four generalize variants: call 0 runs on
+    the calling thread, the other nine (three) in rounds of three."""
+
+    def config(self, parallelism):
+        return StageConfig(generalize_variants=4, parallelism=parallelism, rate_policy=fast_policy(), rng_seed=SAMPLE_SEED)
+
+    def write(self, directory, candidates, outcome):
+        directory.mkdir()
+        save_candidates(directory / "candidates.jsonl", candidates)
+        for index, schema in enumerate(outcome.variants):
+            (directory / f"variant_{index}.json").write_text(schema_to_json(schema) + "\n", encoding="utf-8")
+        return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+    def test_mock_calls_stay_on_the_calling_thread(self, sample_store, mock_gateway):
+        threads = []
+
+        class Recording:
+            def complete(self, prompt):
+                threads.append(threading.current_thread())
+                return mock_gateway.complete(prompt)
+
+        config = self.config(4)
+        run_generalize(run_specialize(sample_store, config, Recording()).candidates, config, Recording())
+        assert threads == [threading.main_thread()] * 14
+
+    def test_at_parallelism_1_the_provider_sees_sample_then_variant_order(self, sample_store, mock_gateway):
+        sent = []
+
+        class Waiting:
+            def complete(self, prompt):
+                sent.append(prompt.user)
+                return waits_off_cpu(mock_gateway.complete(prompt))
+
+        config = self.config(1)
+        outcome = run_specialize(sample_store, config, Waiting())
+        assert sent == [build_specialize_prompt(sample_store.get(doi)).user for doi in outcome.sampled_dois]
+        del sent[:]
+        run_generalize(outcome.candidates, config, Waiting())
+        assert [re.search(r"Generate variant (\d+) of 4", user).group(1) for user in sent] == ["1", "2", "3", "4"]
+
+    def test_reversed_completion_writes_what_an_in_order_run_writes(
+        self, sample_store, mock_gateway, tmp_path, caplog
+    ):
+        caplog.set_level(logging.WARNING, logger="ecomine.pipeline")
+        in_order = self.config(1)
+        first = run_specialize(sample_store, in_order, mock_gateway)
+        expected = self.write(tmp_path / "in_order", first.candidates, run_generalize(first.candidates, in_order, mock_gateway))
+        expected_warnings = [record.getMessage() for record in caplog.records]
+        caplog.clear()
+
+        config = self.config(3)
+        specializing = Rounds(mock_gateway, 3, specialize_places(sample_store, config, mock_gateway), total=10)
+        caplog.clear()
+        outcome = run_specialize(sample_store, config, specializing)
+        generalizing = Rounds(mock_gateway, 3, variant_place, total=4)
+        written = self.write(tmp_path / "reversed", outcome.candidates, run_generalize(outcome.candidates, config, generalizing))
+
+        assert specializing.completed == [0, 3, 2, 1, 6, 5, 4, 9, 8, 7]
+        assert generalizing.completed == [0, 3, 2, 1]
+        assert specializing.peak == generalizing.peak == 3
+        assert inline_then_threaded(specializing.threads) and inline_then_threaded(generalizing.threads)
+        assert written == expected and len(written) == 6
+        assert [record.getMessage() for record in caplog.records] == expected_warnings != []
+
+    @pytest.mark.parametrize("fails", [{2: None}, {3: None, 2: "after"}], ids=["one", "later-one-first"])
+    @pytest.mark.parametrize("stage", ["specialize", "generalize"])
+    def test_after_a_hard_failure_no_call_starts_and_the_first_in_order_is_raised(
+        self, sample_store, mock_gateway, failure_yielded, stage, fails
+    ):
+        config = self.config(3)
+        if stage == "specialize":
+            place = specialize_places(sample_store, config, mock_gateway)
+        else:
+            config = dataclasses.replace(config, generalize_variants=7)
+            place = variant_place
+        gateway = Rounds(mock_gateway, 3, place, fails=fails, failure_yielded=failure_yielded)
+        with pytest.raises(TransportError, match="^injected at place 2$"):
+            if stage == "specialize":
+                run_specialize(sample_store, config, gateway)
+            else:
+                run_generalize(run_specialize(sample_store, config, mock_gateway).candidates, config, gateway)
+        assert sorted(gateway.started) == [0, 1, 2, 3]
+        assert inline_then_threaded(gateway.threads)
 
 
 class RecordingStore(CorpusStore):

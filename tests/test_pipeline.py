@@ -140,6 +140,12 @@ class TestSpecialize:
         assert "10.1/untitled" in outcome.quarantined
         assert len(outcome.candidates) == 3
 
+    @pytest.mark.parametrize("reply", ["", " \n", "```json\n```"], ids=["empty", "blank", "empty-fence"])
+    def test_empty_reply_is_quarantined_as_empty(self, sample_store, mock_gateway, reply):
+        outcome = run_specialize(sample_store, make_config(), FirstReply(reply, mock_gateway))
+        doi = outcome.sampled_dois[0]
+        assert outcome.quarantined[doi] == f"empty candidate schema document for {doi}"
+
     def test_lone_surrogate_in_reply_is_quarantined_by_doi(self, sample_store, mock_gateway):
         # the JSON escape decodes to a lone surrogate, which the candidates file cannot hold
         first = FirstReply('{"species": [{"field": "name\\ud800"}]}', mock_gateway)
@@ -404,6 +410,13 @@ class TestExtract:
         again, _, _ = self.run_full(store, Unreachable(), tmp_path)
         assert again == summary
 
+    @pytest.mark.parametrize("reply", ["", " \n", "```json\n```"], ids=["empty", "blank", "empty-fence"])
+    def test_empty_reply_is_quarantined_as_empty(self, tmp_path, reply):
+        store = CorpusStore([PaperRecord(doi="10.1/e", title="t", abstract="Procambarus clarkii")])
+        summary, results, checkpoint = self.run_full(store, StubGateway(reply), tmp_path)
+        assert (summary.processed, summary.quarantined) == (1, 1)
+        assert quarantine_reasons(results) == {"10.1/e": "extraction response for 10.1/e: empty reply"}
+
     def test_unescaped_lone_surrogate_in_response_is_quarantined(self, tmp_path):
         # a provider's JSON envelope can decode to reply text holding the surrogate itself
         store = CorpusStore([PaperRecord(doi="10.1/s", title="t", abstract="Procambarus clarkii")])
@@ -517,7 +530,7 @@ class TestFileLoaders:
 
     @pytest.mark.parametrize(
         "text, error",
-        [(b'{"species": [', SchemaParseError), (b'{"species": {}}', InvalidSchemaError), (b'{"species": [\xff]}', UnicodeDecodeError)],
+        [(b'{"species": [', SchemaParseError), (b'{"species": {}}', InvalidSchemaError), (b'{"species": [\xff]}', SchemaParseError)],
         ids=["truncated", "invalid", "undecodable"],
     )
     def test_schema_file_error_names_the_file_and_keeps_its_type(self, tmp_path, text, error):

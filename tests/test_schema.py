@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecomine.errors import InvalidSchemaError, QuarantineError, SchemaParseError
+from ecomine.pipeline import load_candidates, save_candidates
 from ecomine.schema import (
     CandidateSchema,
     ExtractionResult,
@@ -23,6 +24,7 @@ from ecomine.schema import (
     result_from_dict,
     schema_fingerprint,
     schema_to_dict,
+    schema_to_json,
     serialize_result,
     standard_schema,
     strip_fences,
@@ -90,6 +92,21 @@ class TestParseCandidate:
         raw = json.dumps({"species": [{"field": "name", "rationale": "why not"}]})
         spec = parse_candidate(raw, "10.1/a").blocks["species"][0]
         assert "rationale" in (spec.note or "")
+
+    def test_note_of_an_unknown_key_survives_the_candidates_file_and_schema_json(self, tmp_path):
+        candidate = parse_candidate(json.dumps({"species": [{"field": "name", "unit": "count"}]}), "10.1/a")
+        spec = FieldSpec("name", note='{"unit": "count"}')
+        assert candidate.blocks == {"species": [spec]}
+        path = tmp_path / "candidates.jsonl"
+        save_candidates(path, [candidate])
+        assert load_candidates(path) == [candidate]
+        text = schema_to_json(StandardizedSchema(blocks=candidate.blocks))
+        assert json.loads(text) == {"species": [{"field": "name", "kind": "text", "note": '{"unit": "count"}'}]}
+        assert parse_schema(text).blocks == {"species": [spec]}
+
+    def test_block_listing_bare_names_keeps_them_as_text_fields(self):
+        candidate = parse_candidate('{"species": ["name", " ", " role "]}', "10.1/a")
+        assert candidate.blocks == {"species": [FieldSpec("name"), FieldSpec("role")]}
 
     def test_fenced_candidate(self):
         raw = "```json\n" + json.dumps({"species": [{"field": "name"}]}) + "\n```"
@@ -231,6 +248,11 @@ class TestStandardSchema:
         del schema.blocks["habitat"]
         with pytest.raises(InvalidSchemaError):
             ensure_valid_schema(schema)
+
+    def test_missing_block_is_named_as_one_problem_not_as_its_fields(self):
+        schema = standard_schema()
+        del schema.blocks["habitat"]
+        assert schema.problems() == ["missing block 'habitat'"]
 
     def test_missing_mandatory_field_detected(self):
         schema = standard_schema()
