@@ -25,6 +25,7 @@ from typing import Collection, Hashable, Iterable, Sequence
 
 from .corpus import atomic_write_text
 from .errors import ReportError
+from .gateway import require_at_least
 from .schema import ExtractionResult, display_name, name_key
 
 #: Generic species-name noise suitable for the optional stoplist filter.
@@ -52,13 +53,6 @@ class FrequencyTable:
 
     def top(self, k: int) -> "FrequencyTable":
         return FrequencyTable(label=self.label, rows=self.rows[:k], total=self.total)
-
-    def count_of(self, name: str) -> int:
-        wanted = name_key(name)
-        for row in self.rows:
-            if row.key == wanted:
-                return row.count
-        return 0
 
 
 @dataclass(frozen=True)
@@ -147,8 +141,7 @@ def role_inventory(
 
 def require_top(k: int) -> None:
     """The rule of top_species' k, the rows a table keeps."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    require_at_least("k", k, 1)
 
 
 def top_species(

@@ -20,8 +20,8 @@ from pathlib import Path
 
 from . import analytics
 from .corpus import CorpusStore, atomic_write_text, compute_stats, dumps, export_corpus, read_lines, writer_lock
-from .errors import EcomineError, PartialIngestError
-from .gateway import HttpChatProvider, LlmGateway, RateLimitPolicy, require_finite_positive
+from .errors import EcomineError, PartialIngestError, RangeError
+from .gateway import TIMEOUT, HttpChatProvider, LlmGateway, RateLimitPolicy, require_finite_positive
 from .harvest import FixtureHarvestClient, HttpHarvestClient, ingest_dois
 from .mockllm import MockProvider
 from .pipeline import (
@@ -46,7 +46,8 @@ WARNING_EXAMPLES = 3
 
 @dataclass
 class CliConfig:
-    """Resolved configuration shared across subcommands."""
+    """Resolved configuration shared across subcommands. A setting that a
+    library class owns takes that class's default, so each is stated once."""
 
     corpus: str = "corpus.jsonl"
     base_url: str | None = None
@@ -56,15 +57,15 @@ class CliConfig:
     model: str = "gpt-4o"
     api_key_var: str = "ECOMINE_API_KEY"
     report_dir: str = "reports"
-    sample_size: int = 10
-    variants: int = 3
-    parallelism: int = 4
-    seed: int = 0
-    rate_requests: int = 60
-    rate_window: float = 60.0
-    max_retries: int = 3
-    backoff_base: float = 0.5
-    timeout: float = 60.0
+    sample_size: int = StageConfig.sample_size
+    variants: int = StageConfig.generalize_variants
+    parallelism: int = StageConfig.parallelism
+    seed: int = StageConfig.rng_seed
+    rate_requests: int = RateLimitPolicy.max_requests_per_window
+    rate_window: float = RateLimitPolicy.window
+    max_retries: int = RateLimitPolicy.max_retries
+    backoff_base: float = RateLimitPolicy.backoff_base
+    timeout: float = TIMEOUT
     top: int = 10
 
     def rate_policy(self) -> RateLimitPolicy:
@@ -77,18 +78,19 @@ class CliConfig:
         )
 
     def stage_config(self) -> StageConfig:
+        """The stages' settings; no stage reads StageConfig.rate_policy."""
         return StageConfig(
             sample_size=self.sample_size,
             generalize_variants=self.variants,
             parallelism=self.parallelism,
-            rate_policy=self.rate_policy(),
             rng_seed=self.seed,
         )
 
     def check(self) -> None:
-        """Apply the rules each value's owner keeps: StageConfig's, with
-        RateLimitPolicy's, the HTTP clients' timeout rule and top_species'."""
+        """Apply the rules each value's owner keeps, each raising RangeError:
+        StageConfig's, RateLimitPolicy's, the HTTP clients' timeout rule and top_species'."""
         self.stage_config()
+        self.rate_policy()
         require_finite_positive("timeout", self.timeout)
         analytics.require_top(self.top)
 
@@ -119,8 +121,9 @@ def _read_dois(path: str | Path) -> list[str]:
 
 def resolve_config(args: argparse.Namespace) -> CliConfig:
     """Merge flags, ECOMINE_* variables and the config file over the
-    defaults; each value takes the type of its CliConfig default and must
-    pass its rule (CliConfig.check), or the error names it and its source."""
+    defaults. Each value takes its CliConfig default's type and must pass
+    its rule (CliConfig.check); a refusal names key, source and rule once
+    each, as "variants from flag --variants: must be at least 1"."""
     defaults = {f.name: f.default for f in dataclasses.fields(CliConfig)}
     sourced = _read_config_file(args.config) if getattr(args, "config", None) else {}
     for name in defaults:
@@ -142,8 +145,8 @@ def resolve_config(args: argparse.Namespace) -> CliConfig:
             raise EcomineError(f"{name} from {source}: expected {kind.__name__}, got {value!r}") from None
         try:
             CliConfig(**{name: resolved[name]}).check()  # the defaults pass, so a refusal is this value's
-        except ValueError as exc:
-            raise EcomineError(f"{name} from {source}: {exc}") from None
+        except RangeError as exc:
+            raise EcomineError(f"{name} from {source}: {exc.rule}") from None
 
     config = CliConfig(**resolved)
     if config.provider not in ("mock", "endpoint"):
@@ -339,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ecomine",
         description="Mine species, location, habitat, and ecosystem entities from an invasion-biology corpus.",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging to stderr")
+    parser.add_argument("-v", "--verbose", action="store_true", help="validate logs every warning, not 3 per code")
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--corpus", help="corpus file (line-delimited records)")
     parser.add_argument("--provider", choices=["mock", "endpoint"], help="completion provider")
@@ -404,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
@@ -413,7 +416,3 @@ def main(argv: list[str] | None = None) -> int:
     except (EcomineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -82,3 +82,12 @@ class StageFailure(EcomineError):
 
 class CheckpointError(EcomineError):
     """Checkpoint is unusable (corrupt file or schema fingerprint mismatch)."""
+
+
+class RangeError(ValueError):
+    """A setting out of range: str() is "<name> <rule>" under the owner's
+    parameter name, and the CLI prints the rule after its own key."""
+
+    def __init__(self, name: str, rule: str) -> None:
+        super().__init__(f"{name} {rule}")
+        self.rule = rule

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 from urllib.parse import urlsplit
 
 from .corpus import dumps
-from .errors import PromptError, RetryableTransportError, TransportError
+from .errors import PromptError, RangeError, RetryableTransportError, TransportError
 
 logger = logging.getLogger(__name__)
 
@@ -33,6 +33,9 @@ SYSTEM_SECTIONS = ("Role:", "Task instruction:", "Output format:")
 
 #: Seconds the rate limiter adds to its window; see SlidingWindowRateLimiter.
 _GUARD = 0.02
+
+#: Seconds an HTTP request may take, for chat and harvest alike.
+TIMEOUT = 60.0
 
 
 @dataclass
@@ -63,19 +66,23 @@ class RateLimitPolicy:
     backoff_base: float = 0.5  # seconds
 
     def __post_init__(self) -> None:
-        if self.max_requests_per_window <= 0:
-            raise ValueError("max_requests_per_window must be positive")
+        require_at_least("max_requests_per_window", self.max_requests_per_window, 1)
         require_finite_positive("window", self.window)
-        if self.max_retries <= 0:
-            raise ValueError("max_retries must be positive")
+        require_at_least("max_retries", self.max_retries, 1)
         require_finite_positive("backoff_base", self.backoff_base)
 
 
 def require_finite_positive(name: str, value: float) -> None:
     """Refuse NaN, infinity, zero and negatives, which float() makes of
-    config or environment text such as "nan" or "inf"."""
+    config or environment text such as "nan" or "inf", with a RangeError."""
     if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+        raise RangeError(name, f"must be finite and positive, got {value}")
+
+
+def require_at_least(name: str, value: int, least: int) -> None:
+    """Refuse a count below least with a RangeError."""
+    if value < least:
+        raise RangeError(name, f"must be at least {least}")
 
 
 def require_http_url(name: str, url: str) -> None:
@@ -218,8 +225,8 @@ def request_json(
 
 
 class LlmGateway:
-    """Validated prompts to one provider, through a Gate.
-
+    """Validated prompts to one provider, through a Gate that is paced unless
+    the provider's `remote` is false: the in-process mock has no rate cap.
     Configure once, then share the instance between concurrent callers.
     """
 
@@ -232,7 +239,7 @@ class LlmGateway:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.provider = provider
-        self._gate = Gate(policy, sleep=sleep, clock=clock)
+        self._gate = Gate(policy, paced=getattr(provider, "remote", True), sleep=sleep, clock=clock)
         self._what = f"provider {getattr(provider, 'provider_id', 'unknown')}"
 
     def complete(self, prompt: PromptPair) -> str:
@@ -274,8 +281,7 @@ def fan_out(
     (or, on close, awaited). Items therefore start in iteration order,
     and the items that started are a prefix of items.
     """
-    if parallelism < 1:
-        raise ValueError("parallelism must be at least 1")  # no thread would start, and no item be processed
+    require_at_least("parallelism", parallelism, 1)  # below it no thread would start, and no item be processed
     source = iter(items)
     waited = 0.0  # time the inline calls spent off the CPU, less the time they spent on it
     for item in source:
@@ -352,7 +358,7 @@ class HttpChatProvider:
         model: str,
         api_key: str | None = None,
         *,
-        timeout: float = 120.0,
+        timeout: float = TIMEOUT,
     ) -> None:
         require_finite_positive("timeout", timeout)
         require_http_url("endpoint", endpoint)

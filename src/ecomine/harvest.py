@@ -20,7 +20,8 @@ from urllib.parse import urlencode
 
 from .corpus import CorpusStore, PaperRecord, commit_line, decode, normalize_doi, record_line
 from .errors import CorpusError, EcomineError, PartialIngestError, TransportError
-from .gateway import NOT_FOUND, Gate, RateLimitPolicy, fan_out, request_json, require_finite_positive, require_http_url
+from .gateway import NOT_FOUND, TIMEOUT, Gate, RateLimitPolicy, fan_out, request_json, require_finite_positive
+from .gateway import require_http_url
 
 logger = logging.getLogger(__name__)
 
@@ -59,7 +60,7 @@ class HttpHarvestClient:
         policy: RateLimitPolicy | None = None,
         *,
         paced: bool = False,
-        timeout: float = 10.0,
+        timeout: float = TIMEOUT,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         require_finite_positive("timeout", timeout)

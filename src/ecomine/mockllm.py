@@ -59,6 +59,7 @@ class MockProvider:
     """Rulebook-driven provider; see module docstring."""
 
     provider_id = "mock"
+    remote = False  # in process, so LlmGateway does not pace it
 
     def __init__(self, rulebook: dict | None = None) -> None:
         self.rulebook = rulebook if rulebook is not None else load_rulebook()

@@ -35,7 +35,7 @@ from .errors import (
     StageFailure,
     TransportError,
 )
-from .gateway import LlmGateway, PromptPair, RateLimitPolicy, fan_out
+from .gateway import LlmGateway, PromptPair, RateLimitPolicy, fan_out, require_at_least
 from .prompts import (
     build_extract_system_prompt,
     build_generalize_prompt,
@@ -72,12 +72,9 @@ class StageConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sample_size < 2:
-            raise ValueError("sample_size must be at least 2")
-        if self.generalize_variants < 1:
-            raise ValueError("generalize_variants must be at least 1")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
+        require_at_least("sample_size", self.sample_size, 2)
+        require_at_least("generalize_variants", self.generalize_variants, 1)
+        require_at_least("parallelism", self.parallelism, 1)
 
 
 @dataclass

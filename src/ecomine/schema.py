@@ -120,12 +120,6 @@ class StandardizedSchema:
     def field_names(self, block: str) -> list[str]:
         return [spec.name for spec in self.blocks.get(block, [])]
 
-    def get_field(self, block: str, name: str) -> FieldSpec | None:
-        for spec in self.blocks.get(block, []):
-            if spec.name == name:
-                return spec
-        return None
-
     def problems(self) -> list[str]:
         """Structural defects; empty list means the schema is usable."""
         problems = []
@@ -461,10 +455,8 @@ def merge_candidates(candidates: Sequence[CandidateSchema]) -> tuple[Standardize
             else:
                 report.dropped.append((block, fname, counts[fname]))
 
-        blocks[block] = merged
+        blocks[block] = merged  # dropped fields are appended in block order, then name order
 
-    block_order = {b: i for i, b in enumerate(BLOCK_NAMES)}
-    report.dropped.sort(key=lambda item: (block_order[item[0]], item[1]))
     return StandardizedSchema(blocks=blocks), report
 
 
@@ -678,7 +670,7 @@ _EMPTY_VALUES = (None, "", [])
 
 def _field_table(schema: StandardizedSchema) -> dict[str, dict[str, tuple[FieldSpec, frozenset[str]]]]:
     """Block -> field name -> (spec, casefolded enum values), the first
-    spec of a name winning as in get_field. Kept on the schema with a
+    spec of a name winning. Kept on the schema with a
     snapshot that copies each block's list, so a schema edited in place
     compares unequal to its snapshot and is compiled afresh."""
     snapshot = tuple((block, tuple(specs)) for block, specs in schema.blocks.items())

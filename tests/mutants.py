@@ -8,7 +8,16 @@ each change that the named tests do not notice.
 Operators, each applied alone through the standard library's ast:
 - an if-body, or an if's else-body, replaced by ``pass``;
 - an except-body replaced by ``raise``;
-- the condition of an ``if``, ``while`` or conditional expression negated.
+- the condition of an ``if``, ``while`` or conditional expression negated;
+- any other statement of a function body (not an ``if``, a nested
+  definition or a docstring) replaced by ``pass``;
+- a comparison operator swapped: ``<`` and ``<=``, ``>`` and ``>=``,
+  ``==`` and ``!=``, ``in`` and ``not in``, ``is`` and ``is not``;
+- an integer constant moved by one, up and down.
+
+--function keeps the sites inside the named functions or classes,
+nested definitions included. Two sites whose mutants read the same are
+run once.
 
 Every mutant runs in one copy of the tree, made once per run (never the
 tree itself): the module is rewritten there, the named tests run with
@@ -49,16 +58,41 @@ class Site:
     path: tuple
     line: int
     function: str
-    operator: str  # "if-body -> pass" | "else-body -> pass" | "except-body -> raise" | "negate condition"
+    operator: str  # "if-body -> pass", "statement -> pass", "swap < -> <=", "constant 3 -> 4", ...
+
+
+SWAPS = {
+    ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
+    ast.In: ast.NotIn, ast.NotIn: ast.In, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
+}
+SYMBOLS = {
+    ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
+    ast.In: "in", ast.NotIn: "not in", ast.Is: "is", ast.IsNot: "is not",
+}
+KEPT_STATEMENTS = (ast.If, ast.Pass, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Global, ast.Nonlocal)
+
+
+def _is_docstring(node: ast.AST) -> bool:
+    return isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
 
 
 def sites(tree: ast.Module) -> list[Site]:
     """Every mutant of the module, in source order."""
     found: list[Site] = []
 
-    def visit(node: ast.AST, path: tuple, function: str) -> None:
+    def visit(node: ast.AST, path: tuple, function: str, in_def: bool = False) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             function = f"{function}.{node.name}" if function else node.name
+            in_def = not isinstance(node, ast.ClassDef)
+        elif in_def and isinstance(node, ast.stmt) and not isinstance(node, KEPT_STATEMENTS) and not _is_docstring(node):
+            found.append(Site(path, node.lineno, function, "statement -> pass"))
+        if isinstance(node, ast.Compare):
+            for index, op in enumerate(node.ops):
+                operator = f"swap {SYMBOLS[type(op)]} -> {SYMBOLS[SWAPS[type(op)]]}"
+                found.append(Site((*path, "ops", index), node.lineno, function, operator))
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            for moved in (node.value + 1, node.value - 1):
+                found.append(Site(path, node.lineno, function, f"constant {node.value} -> {moved}"))
         if isinstance(node, ast.If):
             found.append(Site(path, node.lineno, function, "if-body -> pass"))
             if node.orelse:
@@ -71,9 +105,9 @@ def sites(tree: ast.Module) -> list[Site]:
             if isinstance(value, list):
                 for index, item in enumerate(value):
                     if isinstance(item, ast.AST):
-                        visit(item, (*path, name, index), function)
+                        visit(item, (*path, name, index), function, in_def)
             elif isinstance(value, ast.AST):
-                visit(value, (*path, name), function)
+                visit(value, (*path, name), function, in_def)
 
     visit(tree, (), "")
     return found
@@ -82,17 +116,29 @@ def sites(tree: ast.Module) -> list[Site]:
 def mutate(tree: ast.Module, site: Site) -> str:
     """The module's source with site's one change applied."""
     tree = copy.deepcopy(tree)
-    node = tree
+    parent = node = tree
     for step in site.path:
-        node = node[step] if isinstance(step, int) else getattr(node, step)
+        parent, node = node, node[step] if isinstance(step, int) else getattr(node, step)
     if site.operator == "if-body -> pass":
         node.body = [ast.Pass()]
     elif site.operator == "else-body -> pass":
         node.orelse = [ast.Pass()]
     elif site.operator == "except-body -> raise":
         node.body = [ast.Raise()]
-    else:
+    elif site.operator == "negate condition":
         node.test = ast.UnaryOp(ast.Not(), node.test)
+    else:  # the node itself is replaced, in its parent's field or list
+        if site.operator == "statement -> pass":
+            node = ast.Pass()
+        elif site.operator.startswith("swap"):
+            node = SWAPS[type(node)]()
+        else:
+            node = ast.Constant(int(site.operator.rsplit(" ", 1)[1]))
+        step = site.path[-1]
+        if isinstance(step, int):
+            parent[step] = node
+        else:
+            setattr(parent, step, node)
     return ast.unparse(ast.fix_missing_locations(tree)) + "\n"
 
 
@@ -125,10 +171,13 @@ def main(argv: list[str] | None = None) -> int:
     module = Path(args.module)
     original = (ROOT / module).read_text(encoding="utf-8")
     tree = ast.parse(original)
-    chosen = [
-        site for site in sites(tree)
-        if not args.function or any(site.function.split(".")[-1] == name for name in args.function)
-    ]
+    chosen, seen = [], {ast.unparse(tree) + "\n"}
+    for site in sites(tree):
+        if args.function and not set(args.function) & set(site.function.split(".")):
+            continue
+        if (source := mutate(tree, site)) not in seen:  # an if whose body is one statement gives one mutant
+            seen.add(source)
+            chosen.append((site, source))
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         copy_root = Path(scratch) / "tree"
         shutil.copytree(ROOT, copy_root, ignore=SKIP)
@@ -139,8 +188,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"baseline {' '.join(suite)}: {outcome}; no mutant run", file=sys.stderr)
                 return 2
         survivors = confirmed = 0
-        for site in chosen:
-            target.write_text(mutate(tree, site), encoding="utf-8")
+        for site, source in chosen:
+            target.write_text(source, encoding="utf-8")
             try:
                 outcome = run_tests(copy_root, args.tests, args.timeout)
                 tier1 = run_tests(copy_root, ["tests"], args.timeout) if outcome == "passed" and args.confirm else ""

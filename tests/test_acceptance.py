@@ -32,7 +32,7 @@ from ecomine.schema import (
     validate_result,
 )
 from oracle_merge import oracle_merge, random_candidates
-from test_analytics import papers_each_with
+from test_analytics import count_of, papers_each_with
 from test_pipeline import FailAfter
 
 from ecomine.analytics import ecosystem_frequencies, location_frequencies, top_species
@@ -233,9 +233,9 @@ def test_analytics_fixture_exactness():
     ]
 
     ecosystems = ecosystem_frequencies(results).names
-    assert ecosystems.count_of("freshwater systems") == 199
-    assert ecosystems.count_of("terrestrial ecosystems") == 93
-    assert ecosystems.count_of("Mediterranean Sea") == 71
+    assert count_of(ecosystems, "freshwater systems") == 199
+    assert count_of(ecosystems, "terrestrial ecosystems") == 93
+    assert count_of(ecosystems, "Mediterranean Sea") == 71
     passed("analytics fixture-exactness (invasive top-3, country top-5, ecosystem rows)")
 
 

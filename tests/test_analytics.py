@@ -36,6 +36,11 @@ def paper(doi, species=(), locations=(), ecosystems=(), habitats=()):
     )
 
 
+def count_of(table, name):
+    """The count of the row whose key is name's (case-folded match), or 0."""
+    return next((row.count for row in table.rows if row.key == name_key(name)), 0)
+
+
 def papers_each_with(kind, entries_with_counts):
     """One synthetic paper per mention: `count` papers each holding one entry."""
     results = []
@@ -122,8 +127,8 @@ class TestRoleInventory:
             )
         ]
         table = role_inventory(results)
-        assert table.count_of("invasive") == 1
-        assert table.count_of("native") == 1
+        assert count_of(table, "invasive") == 1
+        assert count_of(table, "native") == 1
 
 
 class TestTopSpecies:
@@ -181,7 +186,7 @@ class TestLocationFrequencies:
         assert (table.rows[0].display, table.rows[0].count) == ("Europe", 601)
 
     def test_all_granularity_includes_everything(self, paper_count_fixture):
-        assert location_frequencies(paper_count_fixture, "all").count_of("Sydney") == 8
+        assert count_of(location_frequencies(paper_count_fixture, "all"), "Sydney") == 8
 
     def test_empty_input(self):
         assert location_frequencies([], "country").rows == []
@@ -194,9 +199,9 @@ class TestLocationFrequencies:
 class TestEcosystemFrequencies:
     def test_paper_counts(self, paper_count_fixture):
         tables = ecosystem_frequencies(paper_count_fixture)
-        assert tables.names.count_of("freshwater systems") == 199
-        assert tables.names.count_of("terrestrial ecosystems") == 93
-        assert tables.names.count_of("Mediterranean Sea") == 71
+        assert count_of(tables.names, "freshwater systems") == 199
+        assert count_of(tables.names, "terrestrial ecosystems") == 93
+        assert count_of(tables.names, "Mediterranean Sea") == 71
 
     def test_single_mention(self):
         tables = ecosystem_frequencies([paper("10.1/a", ecosystems=[{"name": "bog", "type": "aquatic"}])])
@@ -207,10 +212,7 @@ class TestEcosystemFrequencies:
         tables = ecosystem_frequencies(paper_count_fixture + [extra])
         recognized = sum(row.count for row in tables.types.rows)
         assert recognized == 199 + 93 + 71  # the unrecognized type joins names but not types
-        assert tables.names.count_of("mystery system") == 1
-
-    def test_count_of_an_absent_name_is_zero(self):
-        assert FrequencyTable("ecosystem names").count_of("mystery system") == 0
+        assert count_of(tables.names, "mystery system") == 1
 
 
 class TestHabitatLinkages:

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import re
@@ -13,9 +14,10 @@ import pytest
 import ecomine
 from conftest import SAMPLE_CORPUS
 from ecomine import analytics, cli
+from ecomine.gateway import SYSTEM_SECTIONS, HttpChatProvider, PromptPair, RateLimitPolicy, SlidingWindowRateLimiter
 from ecomine.harvest import FixtureHarvestClient, HttpHarvestClient, fixture_filename
 from ecomine.mockllm import MockProvider
-from ecomine.pipeline import load_results
+from ecomine.pipeline import StageConfig, load_results
 from ecomine.schema import schema_fingerprint, schema_to_json, standard_schema
 
 
@@ -391,28 +393,27 @@ class TestIngest:
     @pytest.mark.parametrize(
         "flags, env, message",
         [
-            (["--parallelism", "0"], {}, "parallelism from flag --parallelism: parallelism must be at least 1"),
-            (["--parallelism", "-3"], {}, "parallelism from flag --parallelism: parallelism must be at least 1"),
+            (["--parallelism", "0"], {}, "parallelism from flag --parallelism: must be at least 1"),
+            (["--parallelism", "-3"], {}, "parallelism from flag --parallelism: must be at least 1"),
             (
                 [],
                 {"ECOMINE_MAX_RETRIES": "0"},
-                "max_retries from environment variable ECOMINE_MAX_RETRIES: max_retries must be positive",
+                "max_retries from environment variable ECOMINE_MAX_RETRIES: must be at least 1",
             ),
             (
                 [],
                 {"ECOMINE_MAX_RETRIES": "-2"},
-                "max_retries from environment variable ECOMINE_MAX_RETRIES: max_retries must be positive",
+                "max_retries from environment variable ECOMINE_MAX_RETRIES: must be at least 1",
             ),
             (
                 [],
                 {"ECOMINE_BACKOFF_BASE": "nan"},
-                "backoff_base from environment variable ECOMINE_BACKOFF_BASE: "
-                "backoff_base must be finite and positive, got nan",
+                "backoff_base from environment variable ECOMINE_BACKOFF_BASE: must be finite and positive, got nan",
             ),
             (
                 [],
                 {"ECOMINE_RATE_WINDOW": "inf"},
-                "rate_window from environment variable ECOMINE_RATE_WINDOW: window must be finite and positive, got inf",
+                "rate_window from environment variable ECOMINE_RATE_WINDOW: must be finite and positive, got inf",
             ),
         ],
         ids=[
@@ -645,16 +646,17 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize(
         "key, value, command, rule, sources",
         [
-            ("variants", "0", "generalize", "generalize_variants must be at least 1", ("flag", "env", "file")),
-            ("sample_size", "1", "ingest", "sample_size must be at least 2", ("env", "file")),
-            ("parallelism", "0", "stats", "parallelism must be at least 1", ("env", "file")),
-            ("rate_window", "nan", "specialize", "window must be finite and positive, got nan", ("env", "file")),
-            ("max_retries", "0", "extract", "max_retries must be positive", ("env", "file")),
-            ("timeout", "-1", "ingest", "timeout must be finite and positive, got -1.0", ("env", "file")),
-            ("top", "0", "analyze", "k must be at least 1", ("flag", "env", "file")),
+            ("variants", "0", "generalize", "must be at least 1", ("flag", "env", "file")),
+            ("sample_size", "1", "ingest", "must be at least 2", ("env", "file")),
+            ("parallelism", "0", "stats", "must be at least 1", ("env", "file")),
+            ("rate_window", "nan", "specialize", "must be finite and positive, got nan", ("env", "file")),
+            ("max_retries", "0", "extract", "must be at least 1", ("env", "file")),
+            ("rate_requests", "0", "specialize", "must be at least 1", ("env", "file")),
+            ("timeout", "-1", "ingest", "must be finite and positive, got -1.0", ("env", "file")),
+            ("top", "0", "analyze", "must be at least 1", ("flag", "env", "file")),
         ],
         ids=["StageConfig", "StageConfig-unused", "StageConfig-stats", "RateLimitPolicy", "RateLimitPolicy-int",
-             "timeout", "top_species"],
+             "RateLimitPolicy-cap", "timeout", "top_species"],
     )
     def test_out_of_range_value_names_its_key_and_source_before_any_input_is_read(
         self, tmp_path, monkeypatch, capsys, key, value, command, rule, sources
@@ -737,7 +739,7 @@ class TestConfigPrecedence:
         assert "Traceback" not in err
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             f"error: {key} from environment variable ECOMINE_{key.upper()}: "
-            f"{key} must be finite and positive, got {float(value)}"
+            f"must be finite and positive, got {float(value)}"
         ]
 
     @pytest.mark.parametrize("command, key", [("ingest", "base_url"), ("extract", "endpoint")])
@@ -820,6 +822,41 @@ class TestConfigPrecedence:
         )
         assert code == 1
         assert "credential" in capsys.readouterr().err
+
+
+class TestDefaults:
+    def test_cli_defaults_are_the_libraries(self):
+        config = cli.CliConfig()
+        assert config.stage_config() == StageConfig()
+        assert config.rate_policy() == RateLimitPolicy()
+
+    def test_cli_chat_and_harvest_share_one_timeout(self):
+        defaults = {
+            owner.__name__: inspect.signature(owner).parameters["timeout"].default
+            for owner in (HttpChatProvider, HttpHarvestClient)
+        }
+        assert defaults == {"HttpChatProvider": cli.CliConfig().timeout, "HttpHarvestClient": cli.CliConfig().timeout}
+
+    def test_mock_extract_is_not_paced_by_the_rate_cap(self, corpus_path, tmp_path, monkeypatch, capsys):
+        # at one request per 60 s window the mock's 20 calls took about 19 minutes
+        grants = []
+        monkeypatch.setattr(SlidingWindowRateLimiter, "acquire", lambda limiter: grants.append(limiter))
+        monkeypatch.setenv("ECOMINE_RATE_REQUESTS", "1")
+        schema = tmp_path / "schema.json"
+        schema.write_text(schema_to_json(standard_schema()), encoding="utf-8")
+        code = run_cli("--corpus", corpus_path, "extract", "--schema", schema, "--results", tmp_path / "r.jsonl")
+        assert code == 0
+        assert last_line(capsys).startswith("extracted=")
+        assert grants == []
+
+    def test_endpoint_is_paced_by_the_rate_cap(self, monkeypatch):
+        grants = []
+        monkeypatch.setattr(SlidingWindowRateLimiter, "acquire", lambda limiter: grants.append(limiter))
+        monkeypatch.setattr(HttpChatProvider, "send", lambda *_, **__: "{}")
+        monkeypatch.setenv("ECOMINE_API_KEY", "k")
+        config = cli.CliConfig(provider="endpoint", endpoint="http://127.0.0.1:9/v1")
+        assert cli.make_gateway(config).complete(PromptPair(" ".join(SYSTEM_SECTIONS), "text")) == "{}"
+        assert len(grants) == 1
 
 
 def run_python(source, *args, cwd):

@@ -174,6 +174,31 @@ class TestFanOut:
         assert threading.active_count() == before
         assert inline_then_threaded(threads)
 
+    def test_closing_stops_the_pulls_and_waits_for_the_calls_in_flight(self):
+        # instant calls let the workers finish every item before close, so no test told close's stop and
+        # joins from their absence: without the stop the workers ran all 100 items, without the joins
+        # close returned while two calls were still in flight
+        released = {item: threading.Event() for item in range(100)}
+        called, workers = [], set()
+
+        def call(item):
+            called.append(item)
+            if item == 0:
+                return waits_off_cpu(item)
+            workers.add(threading.current_thread())
+            released[item].wait(WAIT)
+            return item
+
+        released[1].set()
+        outcomes = fan_out(call, range(100), 2, ())
+        assert [item for item, _, _ in (next(outcomes), next(outcomes))] == [0, 1]
+        release = threading.Timer(0.2, lambda: [event.set() for event in released.values()])
+        release.start()
+        outcomes.close()
+        assert not any(worker.is_alive() for worker in workers)
+        release.join()
+        assert len(called) <= 4  # 0 inline, 1, and at most one more pull per worker
+
 
 class FakeTime:
     """Stands in for the time module in ecomine.gateway, whose fan_out reads
@@ -221,6 +246,15 @@ class TestInlinePhase:
         expected[3] = (3, None, ValueError)
         assert outcomes == expected
         assert calls == [(item, threading.main_thread(), before) for item in range(12)]
+
+    def test_a_run_that_stays_inline_starts_no_thread(self, clock, monkeypatch):
+        # without the for-else return, every worker started, found the items gone and quit
+        def no_thread(**_):
+            raise AssertionError("a worker thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        outcomes = fan_out(lambda item: clock.spend() or item, range(5), 4, TransportError)
+        assert [result for _, result, _ in outcomes] == list(range(5))
 
     def test_items_after_the_calls_waited_more_than_they_computed_run_on_workers(self, clock):
         parallelism = 3

@@ -205,6 +205,45 @@ class TestRateLimiter:
             limiter.acquire()
         assert time.monotonic() - start < 0.5
 
+    def test_a_waiter_is_granted_when_the_oldest_grant_leaves_the_window(self, monkeypatch):
+        # no test told the limiter from one that ages or waits on a later grant than the oldest,
+        # and so holds the cap a whole window longer than it says
+        clock = WaitingClock()
+        with monkeypatch.context() as patch:
+            patch.setattr(threading, "Condition", lambda: clock)  # a wait advances the clock instead of blocking
+            limiter = SlidingWindowRateLimiter(max_requests=2, window=1.0, clock=clock)
+        limiter.acquire()
+        clock.now = 0.5
+        limiter.acquire()
+        clock.now = 0.75
+        limiter.acquire()
+        assert len(clock.waits) <= 2  # a first wait that lands on the boundary may take one 1 ms turn more
+        assert sum(clock.waits) == pytest.approx(1.0 + gateway._GUARD - 0.75, abs=0.002)
+
+
+class WaitingClock:
+    """A clock, and a condition whose wait(timeout) moves the clock on by timeout."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.waits = []
+
+    def __call__(self):
+        return self.now
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_):
+        return False
+
+    def notify(self):
+        pass
+
+    def wait(self, timeout):
+        self.waits.append(timeout)
+        self.now += timeout
+
 
 def max_dispatches_in_window(stamps, window):
     """Largest number of dispatch times inside any half-open window."""

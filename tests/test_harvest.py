@@ -64,6 +64,12 @@ class TestFixtureClient:
         assert summary.found == 1
         assert summary.queried == 2
 
+    def test_missing_dois_are_sorted_and_a_malformed_one_is_warned(self, tmp_path, caplog):
+        # every missing list a test read was in sorted order already, and no test read the warning
+        summary = ingest_dois(CorpusStore(), ["10.1/y", "nonsense", "10.1/x"], FixtureHarvestClient(tmp_path))
+        assert summary.missing == ["10.1/x", "10.1/y"]
+        assert [record.getMessage() for record in caplog.records] == ["skipping malformed DOI 'nonsense'"]
+
     def test_ingest_is_idempotent(self, fixture_dir):
         store = CorpusStore()
         dois = ["10.1/a", "10.1/b", "10.1/c"]

@@ -19,6 +19,7 @@ from ecomine.schema import (
     FieldSpec,
     ValidationVerdict,
     Violation,
+    _field_table,
     display_name,
     name_key,
     result_from_dict,
@@ -141,7 +142,7 @@ def _ref_validate_entry(entry, block, path, schema, verdict, entity_names, ecosy
         if not entry.get("name"):
             verdict.violations.append(Violation("missing_name", path, "entry lacks a name"))
     for key, value in entry.items():
-        spec = schema.get_field(block, key)
+        spec = next((spec for spec in schema.blocks.get(block, []) if spec.name == key), None)
         if spec is None or value in (None, "", []):
             continue
         if spec.kind == "enum":
@@ -206,6 +207,16 @@ def test_compiled_validator_matches_reference(result, before, after, drop):
     verdict = validate_result(result, schema)
     expected = _ref_validate_result(result, schema)
     assert (verdict.violations, verdict.warnings) == (expected.violations, expected.warnings)
+
+
+def test_field_table_is_compiled_once_per_schema_state():
+    # the results were the same with the snapshot compared against the table, which recompiled on every call
+    schema = standard_schema()
+    table = _field_table(schema)
+    assert _field_table(schema) is table
+    schema.blocks["species"].append(FieldSpec("extra", "text", ()))
+    assert _field_table(schema) is not table
+    assert "extra" in _field_table(schema)["species"]
 
 
 @PROPERTY

@@ -183,6 +183,16 @@ class TestMerge:
         assert ("species", "oddity", 1) in report.dropped
         assert "oddity" not in merged.field_names("species")
 
+    @pytest.mark.parametrize("n, kept", [(6, True), (7, False)])
+    def test_a_field_needs_a_third_of_the_candidates_and_at_least_two(self, n, kept):
+        # no test's candidate count told a third from a quarter: with 7, ceil(7/4) = 2 kept a field that 2 hold
+        rare = {"species": [("name", "text", []), ("oddity", "text", [])]}
+        common = {"species": [("name", "text", [])]}
+        candidates = [candidate_with(rare if i < 2 else common, doi=f"10.1/{i}") for i in range(n)]
+        merged, report = merge_candidates(candidates)
+        assert ("oddity" in merged.field_names("species")) is kept
+        assert report.threshold == (2 if kept else 3)
+
     def test_order_insensitive(self):
         rng = random.Random(7)
         candidates = random_candidates(rng)
@@ -210,7 +220,7 @@ class TestMerge:
             candidate_with({"species": [("role", "enum", ["colonizer"])]}, doi="10.1/c"),
         ]
         merged, _ = merge_candidates(candidates)
-        role = merged.get_field("species", "role")
+        role = next(spec for spec in merged.blocks["species"] if spec.name == "role")
         # canonical core first, then extras by descending count, ties alphabetical
         assert role.values == ("native", "introduced", "alien", "invasive", "pioneer", "colonizer", "weedy")
 
