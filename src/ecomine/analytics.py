@@ -33,7 +33,7 @@ GENERIC_SPECIES_TERMS = ("invasive species", "native species", "native plants")
 
 ECOSYSTEM_TYPES = ("aquatic", "terrestrial", "marine")
 
-LOCATION_GRANULARITIES = ("country", "region", "city", "all")
+LOCATION_GRANULARITIES = ("country", "region", "city")
 
 
 @dataclass(frozen=True)
@@ -160,15 +160,12 @@ def top_species(
     return _table(f"top species ({display_name(role)})", names).top(k)
 
 
-def location_frequencies(
-    results: Iterable[ExtractionResult],
-    granularity: str = "all",
-) -> FrequencyTable:
-    """Location-name counts, optionally filtered by geopolitical level."""
+def location_frequencies(results: Iterable[ExtractionResult], granularity: str) -> FrequencyTable:
+    """Location-name counts at one geopolitical level."""
     if granularity not in LOCATION_GRANULARITIES:
         raise ValueError(f"granularity must be one of {LOCATION_GRANULARITIES}")
     tally = _tally(results, "locations")
-    names = ((name, count, entry["name"]) for (name, geo), (count, entry) in tally if granularity in ("all", geo))
+    names = ((name, count, entry["name"]) for (name, geo), (count, entry) in tally if geo == granularity)
     return _table(f"locations ({granularity})", names)
 
 
@@ -200,7 +197,7 @@ def emit_report(
     tables: Sequence[FrequencyTable],
     pairs: Sequence[LinkagePair],
     path: str | Path,
-    fmt: str = "csv",
+    fmt: str,
 ) -> Path:
     """Write tables and linkage pairs to disk; byte-deterministic.
 

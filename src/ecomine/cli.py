@@ -292,7 +292,7 @@ def cmd_extract(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace, config: CliConfig) -> int:
-    results = analytics.SortedResults(load_results(args.results))
+    results = load_results(args.results)  # in DOI order, each entity list tallied once
     stoplist = analytics.GENERIC_SPECIES_TERMS if args.filter_generic else None
 
     tables = [analytics.role_inventory(results, stoplist)]
@@ -317,7 +317,7 @@ def cmd_validate(args: argparse.Namespace, config: CliConfig) -> int:
     results = load_results(args.results)
     total_violations = 0
     warnings: Counter[str] = Counter()
-    for result in sorted(results, key=lambda r: r.paper_doi):
+    for result in results:  # in DOI order
         verdict = validate_result(result, schema)
         for violation in verdict.violations:
             total_violations += 1

@@ -47,10 +47,9 @@ class HttpHarvestClient:
 
     Wire format: GET {base_url}/paper?doi=<doi>, answered by
     the record as a JSON object. A 404 means the DOI is not indexed.
-    Every attempt goes through a gateway.Gate under policy, so transient
-    failures (429, 5xx, network) are retried under the rule chat calls
-    use too. The policy's rate cap paces the attempts only when paced is
-    true; `ecomine ingest` leaves harvest unpaced, since no harvest
+    Every attempt goes through an unpaced gateway.Gate under policy, so
+    transient failures (429, 5xx, network) are retried under the rule chat
+    calls use too, but the policy's rate cap is not applied: no harvest
     server's limit is known.
     """
 
@@ -59,7 +58,6 @@ class HttpHarvestClient:
         base_url: str,
         policy: RateLimitPolicy | None = None,
         *,
-        paced: bool = False,
         timeout: float = TIMEOUT,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -67,7 +65,7 @@ class HttpHarvestClient:
         require_http_url("base_url", base_url)
         self.url = base_url.rstrip("/") + "/paper"
         self.timeout = timeout
-        self._gate = Gate(policy, paced=paced, sleep=sleep)
+        self._gate = Gate(policy, paced=False, sleep=sleep)
 
     def fetch(self, doi: str) -> dict | None:
         return self._gate.call(lambda: self._get(doi), f"harvest {self.url}")
@@ -120,7 +118,7 @@ def ingest_dois(
     doi_list: Sequence[str],
     client,
     *,
-    parallelism: int = 4,
+    parallelism: int,
     log: IO[str] | None = None,
 ) -> IngestSummary:
     """Resolve each DOI through the client and persist found records.

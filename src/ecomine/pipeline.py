@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Collection, Sequence
 
+from .analytics import SortedResults
 from .corpus import CorpusStore, PaperRecord, atomic_write_text, commit_line, decode, dumps, encode, normalize_doi
 from .corpus import read_json_lines, read_lines, record_line, writer_lock
 from .errors import (
@@ -365,12 +366,13 @@ def _compact_results(path: Path, lines: dict[str, str]) -> None:
     atomic_write_text(path, "".join(lines[doi] + "\n" for doi in sorted(lines)))
 
 
-def load_results(path: str | Path) -> list[ExtractionResult]:
-    """Read a results file; on duplicate DOIs the last line wins, and a
-    quarantine line leaves its DOI out."""
+def load_results(path: str | Path) -> SortedResults:
+    """Read a results file in DOI order; on duplicate DOIs the last line
+    wins, and a quarantine line leaves its DOI out. Every analytics table
+    given the value shares its tallies."""
     results = read_json_lines(path, f"results file {path}", CorpusError, result_from_dict)
     latest = {result.paper_doi: result for result in results}
-    return [result for result in latest.values() if result.status != "quarantined"]
+    return SortedResults(result for result in latest.values() if result.status != "quarantined")
 
 
 def save_candidates(path: str | Path, candidates: Sequence[CandidateSchema]) -> None:

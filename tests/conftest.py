@@ -83,7 +83,6 @@ class StubState:
         self.requests = 0
         self.queries = []  # each GET's parsed query string, in arrival order
         self.posts = []  # each POST's (headers, JSON body), in arrival order
-        self.stamps = []  # each connection's accept time, time.monotonic(); every request opens its own
 
 
 def _make_handler(state: StubState):
@@ -148,25 +147,10 @@ def _make_handler(state: StubState):
     return Handler
 
 
-class StubServer(ThreadingHTTPServer):
-    """Stamps each connection when the listening thread accepts it, before
-    a handler thread starts and parses the request, so no delay on the
-    server's side counts as delay on the wire."""
-
-    def __init__(self, state: StubState):
-        super().__init__(("127.0.0.1", 0), _make_handler(state))
-        self.state = state
-
-    def get_request(self):
-        accepted = super().get_request()
-        self.state.stamps.append(time.monotonic())
-        return accepted
-
-
 @pytest.fixture
 def stub_server():
     state = StubState()
-    server = StubServer(state)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(state))
     # a short poll interval keeps shutdown() from waiting out the default 0.5 s
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()

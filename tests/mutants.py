@@ -26,7 +26,11 @@ forever), and the module is put back. A mutant that the tests pass is
 printed as ``file:line function mutant``. Per-module test files miss
 kills that only the end-to-end goldens make, so --confirm runs each
 survivor against the full tier-1 suite as well, and marks one that it
-kills "(killed by tier-1)". The mutated module is written with
+kills "(killed by tier-1)". A mutant whose test run exits with neither
+a pass nor a test failure (``error 2``: say, a module that no longer
+imports) could not be tested: it is printed to standard error with its
+exit, and counted apart in the closing line, "N mutants, U untested,
+S survived the named tests". The mutated module is written with
 ast.unparse, so the unmutated module is first written and tested the
 same way; a run whose baseline fails stops there. pytest does not
 collect this file (it is no test_*.py), and tier-1 does not run it.
@@ -142,6 +146,10 @@ def mutate(tree: ast.Module, site: Site) -> str:
     return ast.unparse(ast.fix_missing_locations(tree)) + "\n"
 
 
+#: what a survivor's line adds for each outcome of its tier-1 run; an error is shown as it is
+TIER1_NOTES = {"": "", "passed": "", "failed": " (killed by tier-1)", "timeout": " (killed by tier-1)"}
+
+
 def run_tests(tree: Path, tests: list[str], timeout: float) -> str:
     """Run tests with -x in tree: "passed", "failed", "timeout", or "error N"
     for an exit that is neither a pass nor a test failure."""
@@ -187,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
             if (outcome := run_tests(copy_root, suite, args.timeout)) != "passed":
                 print(f"baseline {' '.join(suite)}: {outcome}; no mutant run", file=sys.stderr)
                 return 2
-        survivors = confirmed = 0
+        survivors = confirmed = untested = 0
         for site, source in chosen:
             target.write_text(source, encoding="utf-8")
             try:
@@ -196,14 +204,15 @@ def main(argv: list[str] | None = None) -> int:
             finally:
                 target.write_text(original, encoding="utf-8")
             mutant = f"{module}:{site.line} {site.function} {site.operator}"
-            if outcome.startswith("error") or tier1.startswith("error"):
-                print(f"{mutant}: {outcome if outcome.startswith('error') else tier1}", file=sys.stderr)
+            if outcome.startswith("error"):
+                untested += 1
+                print(f"{mutant}: {outcome}", file=sys.stderr)
             elif outcome == "passed":
                 survivors += 1
                 confirmed += tier1 in ("", "passed")
-                print(mutant + ("" if tier1 in ("", "passed") else " (killed by tier-1)"), flush=True)
+                print(mutant + TIER1_NOTES.get(tier1, f" (tier-1: {tier1})"), flush=True)
     tally = f", {confirmed} of them also by tier-1" if args.confirm else ""
-    print(f"{len(chosen)} mutants, {survivors} survived the named tests{tally}", file=sys.stderr)
+    print(f"{len(chosen)} mutants, {untested} untested, {survivors} survived the named tests{tally}", file=sys.stderr)
     return 0
 
 

@@ -139,7 +139,7 @@ def test_partition_arithmetic(tmp_path):
 
     store = CorpusStore()
     dois = [f"10.9/p{i}" for i in range(12)]  # 3 of these do not resolve
-    summary = ingest_dois(store, dois, FixtureHarvestClient(fixtures))
+    summary = ingest_dois(store, dois, FixtureHarvestClient(fixtures), parallelism=4)
     assert summary.found == 9
     assert summary.abstract_only + summary.with_full_text == summary.found
     assert summary.abstract_only == 6 and summary.with_full_text == 3

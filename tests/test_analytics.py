@@ -1,5 +1,6 @@
 import csv
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -185,15 +186,17 @@ class TestLocationFrequencies:
         table = location_frequencies(paper_count_fixture, "region")
         assert (table.rows[0].display, table.rows[0].count) == ("Europe", 601)
 
-    def test_all_granularity_includes_everything(self, paper_count_fixture):
-        assert count_of(location_frequencies(paper_count_fixture, "all"), "Sydney") == 8
-
     def test_empty_input(self):
         assert location_frequencies([], "country").rows == []
 
     def test_bad_granularity(self):
         with pytest.raises(ValueError):
             location_frequencies([], "continent")
+
+    def test_all_is_not_a_level(self):
+        # "all" counted every level in one table, and no report asked for it
+        with pytest.raises(ValueError, match=re.escape("('country', 'region', 'city')")):
+            location_frequencies([], "all")
 
 
 class TestEcosystemFrequencies:
@@ -374,7 +377,7 @@ def _ref_top_species(results, role, k, stoplist=None):
     return _ref_table(f"top species ({display_name(role)})", names, total=len(names)).top(k)
 
 
-def _ref_location_frequencies(results, granularity="all"):
+def _ref_location_frequencies(results, granularity):
     mentions = []
     for result in _ref_ordered(results):
         seen = set()
@@ -386,7 +389,7 @@ def _ref_location_frequencies(results, granularity="all"):
             if dedup in seen:
                 continue
             seen.add(dedup)
-            if granularity != "all" and geo != granularity:
+            if geo != granularity:
                 continue
             mentions.append(display_name(entry["name"]))
     return _ref_table(f"locations ({granularity})", mentions, total=len(mentions))

@@ -68,6 +68,17 @@ class TestStats:
         assert "with_full_text=2" in line
         assert "abstract_token_min=" in line
 
+    def test_line_names_each_token_figure(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        records = [{"doi": "10.9/a", "abstract": "a b"}, {"doi": "10.9/b", "abstract": "a b c d e", "full_text": "x"}]
+        corpus.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+        assert run_cli("--corpus", corpus, "stats") == 0
+        assert last_line(capsys) == (
+            "total=2 abstract_only=1 with_full_text=1"
+            " abstract_token_min=2 abstract_token_max=5 abstract_token_avg=3.50"
+            " full_text_token_min=1 full_text_token_max=1 full_text_token_avg=1.00"
+        )
+
 
 class TestLoaderErrors:
     """Bad input files end in exit 1 with the file (and line) named."""
@@ -309,6 +320,29 @@ class TestIngest:
         assert "missing\t10.9/two" in skip_log.read_text()
         assert "malformed\tjunk" in skip_log.read_text()
 
+    def test_corpus_directory_is_made(self, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "10.9_one.json").write_text(json.dumps({"title": "One", "abstract": "a b"}))
+        (tmp_path / "dois.txt").write_text("10.9/one\n")
+        corpus = tmp_path / "new" / "corpus.jsonl"
+        assert run_cli("--corpus", corpus, "ingest", "--dois", tmp_path / "dois.txt", "--fixtures", fixtures) == 0
+        assert [json.loads(line)["doi"] for line in corpus.read_text().splitlines()] == ["10.9/one"]
+
+    def test_corpus_ends_as_one_doi_sorted_line_per_record(self, tmp_path):
+        # records are appended as they commit; a held record without text is fetched and appended again
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        for doi in ("10.9/c", "10.9/held", "10.9/a"):
+            (fixtures / fixture_filename(doi)).write_text(json.dumps({"title": doi, "abstract": "a b"}))
+        (tmp_path / "dois.txt").write_text("10.9/c\n10.9/held\n10.9/a\n")
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps({"doi": "10.9/held", "title": "Held"}) + "\n", encoding="utf-8")
+        assert run_cli("--corpus", corpus, "ingest", "--dois", tmp_path / "dois.txt", "--fixtures", fixtures) == 0
+        lines = [json.loads(line) for line in corpus.read_text().splitlines()]
+        expected = ["10.9/a", "10.9/c", "10.9/held"]
+        assert [(line["doi"], line["title"]) for line in lines] == [(doi, doi) for doi in expected]
+
     def test_last_record_without_final_newline_is_kept(self, tmp_path, capsys, caplog):
         # read as a torn line, the held record was cut from the corpus and only the new one was left
         fixtures = tmp_path / "fixtures"
@@ -533,6 +567,16 @@ class TestWorkflow:
         assert "Native species" not in {row.display for table in tables for row in table.rows}
         assert [len(table.rows) for table in tables[1:4]] == [2, 2, 2]
         assert len(sorted(reports.glob("*.csv"))) == len(tables) + 1
+
+    def test_top_species_tables_keep_ten_rows_by_default(self, tmp_path):
+        results = tmp_path / "results.jsonl"
+        species = [[{"name": f"Species {n:02}", "role": "invasive"}] for n in range(11)]
+        lines = (json.dumps({"doi": f"10.9/{n:02}", "species": entries}) for n, entries in enumerate(species))
+        results.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert run_cli("analyze", "--results", results, "--out", tmp_path / "reports") == 0
+        with (tmp_path / "reports" / "top_species_invasive.csv").open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[1:] == [[f"Species {n:02}", "1"] for n in range(10)]
 
     def test_validate_reports_violation_with_doi(self, tmp_path, corpus_path, capsys):
         schemas, results = self.run_through_extract(tmp_path, corpus_path, capsys)
@@ -823,6 +867,20 @@ class TestConfigPrecedence:
         assert code == 1
         assert "credential" in capsys.readouterr().err
 
+    def test_endpoint_flags_reach_the_request(self, corpus_path, tmp_path, stub_server, monkeypatch, capsys):
+        base_url, state = stub_server
+        state.reply = '{"species": {"name": "text"}}'
+        monkeypatch.setenv("MY_KEY", "secret")
+        code = run_cli(
+            "--corpus", corpus_path, "--provider", "endpoint", "--endpoint", base_url + "/v1/chat",
+            "--model", "m-1", "--api-key-var", "MY_KEY",
+            "specialize", "--sample-size", 2, "--out", tmp_path / "candidates.jsonl",
+        )
+        assert code == 0
+        assert last_line(capsys) == "sampled=2 candidates=2 quarantined=0"
+        sent = [(headers["Authorization"], body["model"]) for headers, body in state.posts]
+        assert sent == [("Bearer secret", "m-1")] * 2
+
 
 class TestDefaults:
     def test_cli_defaults_are_the_libraries(self):
@@ -859,15 +917,33 @@ class TestDefaults:
         assert len(grants) == 1
 
 
-def run_python(source, *args, cwd):
-    """Run source in a fresh interpreter that imports ecomine from this checkout."""
+def launch(*args, cwd) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports ecomine from this checkout."""
     src = str(Path(ecomine.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", source, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
-    )
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_python(source, *args, cwd):
+    """Run source in a fresh interpreter; its last line of output."""
+    done = launch("-c", source, *args, cwd=cwd)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip().splitlines()[-1]
+
+
+class TestProgressLog:
+    def test_progress_goes_to_stderr_as_level_name_message(self, tmp_path):
+        # in-process runs cannot show it: pytest's own log handlers make logging.basicConfig a no-op
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (tmp_path / "dois.txt").write_text("junk\n10.9/one\n")
+        done = launch("-m", "ecomine", "ingest", "--dois", "dois.txt", "--fixtures", "fixtures", cwd=tmp_path)
+        assert done.returncode == 0
+        assert done.stdout == "queried=2 found=0 abstract_only=0 with_full_text=0 malformed=1\n"
+        assert done.stderr.splitlines() == [
+            "WARNING ecomine.harvest: skipping malformed DOI 'junk'",
+            f"INFO ecomine.cli: skip log written to {Path('corpus.skipped.log')}",
+        ]
 
 
 #: The modules imported since `before` that are neither the standard library's nor ecomine's.

@@ -129,7 +129,7 @@ class TestLoaderTypeErrors:
         doc = {"title": None, "abstract": "a b", "year": None, "publisher": None, "full_text": None}
         (tmp_path / fixture_filename("10.9/x")).write_text(json.dumps(doc), encoding="utf-8")
         store = CorpusStore()
-        ingest_dois(store, ["10.9/x"], FixtureHarvestClient(tmp_path))
+        ingest_dois(store, ["10.9/x"], FixtureHarvestClient(tmp_path), parallelism=4)
         expected = {"doi": "10.9/x", "title": "", "abstract": "a b", "source": "harvested"}
         assert encode(store.get("10.9/x")) == expected
 

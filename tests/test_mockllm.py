@@ -1,6 +1,8 @@
 """MockProvider gazetteer matching against the per-name regex reference,
-and its generalize against the deterministic merge."""
+what its extract reply names, and its generalize against the
+deterministic merge."""
 
+import json
 import re
 
 import pytest
@@ -9,8 +11,9 @@ from hypothesis import strategies as st
 
 from ecomine import mockllm
 from ecomine.mockllm import MockProvider, _fold, load_rulebook
-from ecomine.prompts import build_generalize_prompt
-from ecomine.schema import BLOCK_NAMES, CandidateSchema, FieldSpec, merge_candidates, parse_schema
+from ecomine.corpus import PaperRecord
+from ecomine.prompts import build_extract_prompt, build_generalize_prompt
+from ecomine.schema import BLOCK_NAMES, CandidateSchema, FieldSpec, merge_candidates, parse_schema, standard_schema
 
 RULEBOOK = load_rulebook()
 
@@ -179,6 +182,27 @@ def test_case_fold_oddities_still_match():
     assert provider._scan("Hong \u212aong harbour")["locations"][0]["name"] == "Hong Kong"
     assert provider._scan("Pinus ſylvestris stands")["species"][0]["name"] == "Pinus sylvestris"
     assert provider._scan("ITALY")["locations"][0]["name"] == "Italy"
+
+
+def extract_reply(rulebook, title, abstract):
+    prompt = build_extract_prompt(PaperRecord(doi="10.1/a", title=title, abstract=abstract), standard_schema())
+    reply = MockProvider(rulebook).send(prompt.system, prompt.user)
+    return reply if reply == "N/A" else json.loads(reply)
+
+
+def test_scan_reads_the_title_and_abstract_not_their_labels():
+    rulebook = {"species": {"Title": {}, "Abstract": {}, "Acacia": {}, "Pinus": {}}}
+    reply = extract_reply(rulebook, "Acacia survey", "Pinus stands")
+    assert [entry["name"] for entry in reply["species"]] == ["Acacia", "Pinus"]
+    assert extract_reply(rulebook, "A survey", "Stands") == "N/A"
+
+
+@pytest.mark.parametrize("kind", ["habitats", "ecosystems"])
+def test_relationships_name_the_first_species_and_the_first_habitat_or_ecosystem(kind):
+    # every tier-1 paper names at most one species beside one habitat or ecosystem
+    rulebook = {"species": {"Acacia": {}, "Pinus": {}}, kind: {"bog": {}, "fen": {}}}
+    reply = extract_reply(rulebook, "Acacia and Pinus", "in a bog and a fen")
+    assert [rel["related_entities"] for rel in reply["relationships"]] == [["Acacia", "bog"], ["Acacia", "Pinus"]]
 
 
 def test_generalize_maps_alias_blocks_like_merge():

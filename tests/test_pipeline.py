@@ -10,6 +10,7 @@ import pytest
 
 from conftest import SAMPLE_SEED, fast_policy, inline_then_threaded, waits_off_cpu
 from faults import committed
+from ecomine import analytics
 from ecomine.corpus import CorpusStore, PaperRecord, encode
 from ecomine.errors import (
     CheckpointError,
@@ -400,7 +401,7 @@ class TestExtract:
         store = CorpusStore([PaperRecord(doi="10.1/s", title="t", abstract="Procambarus clarkii")])
         summary, results, checkpoint = self.run_full(store, StubGateway('{"species": [{"name": "\\ud800"}]}'), tmp_path)
         assert (summary.processed, summary.extracted, summary.quarantined) == (1, 0, 1)
-        assert load_results(results) == []
+        assert load_results(results) == ()
         assert "10.1/s" in quarantine_reasons(results)["10.1/s"]
 
         class Unreachable:
@@ -422,7 +423,7 @@ class TestExtract:
         store = CorpusStore([PaperRecord(doi="10.1/s", title="t", abstract="Procambarus clarkii")])
         summary, results, checkpoint = self.run_full(store, StubGateway('{"species": [{"name": "A\ud800"}]}'), tmp_path)
         assert (summary.processed, summary.quarantined) == (1, 1)
-        assert load_results(results) == []
+        assert load_results(results) == ()
         assert "10.1/s" in quarantine_reasons(results)["10.1/s"]
 
     @pytest.mark.parametrize(
@@ -439,7 +440,7 @@ class TestExtract:
         # copied into the results file, such a reply counted as extracted and failed validate
         summary, results, checkpoint = self.run_full(sample_store, StubGateway(reply), tmp_path)
         assert (summary.processed, summary.extracted, summary.out_of_scope, summary.quarantined) == (20, 0, 0, 20)
-        assert load_results(results) == []
+        assert load_results(results) == ()
         reasons = quarantine_reasons(results)
         assert len(reasons) == 20 and all(doi in reason for doi, reason in reasons.items())
 
@@ -602,7 +603,7 @@ class TestFileLoaders:
         path = tmp_path / "results.jsonl"
         result = result_from_dict({"doi": "10.1/a", "species": [{"name": "Acacia\u2028dealbata"}]})
         path.write_text(serialize_result(result) + "\n", encoding="utf-8")
-        assert load_results(path) == [result]
+        assert load_results(path) == (result,)
 
     @pytest.mark.parametrize(
         "line",
@@ -649,6 +650,38 @@ class TestFileLoaders:
             ("10.1/b", "extracted"),
             ("10.1/c", "out_of_scope"),
         ]
+
+    def test_load_results_returns_doi_order(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        lines = ['{"doi": "10.1/c"}', '{"doi": "10.1/a"}', quarantine_line("10.1/0", "prose"), '{"doi": "10.1/b"}']
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        results = load_results(path)
+        assert isinstance(results, analytics.SortedResults)
+        assert [result.paper_doi for result in results] == ["10.1/a", "10.1/b", "10.1/c"]
+
+    def test_the_nine_tables_over_load_results_tally_each_entity_list_once(self, tmp_path, monkeypatch):
+        # over a plain list, each of the nine tables sorted and tallied the results again
+        computed = []
+        tally = analytics.SortedResults.tally
+
+        def counting_tally(results, attr):
+            if attr not in results.__dict__:
+                computed.append(attr)
+            return tally(results, attr)
+
+        monkeypatch.setattr(analytics.SortedResults, "tally", counting_tally)
+        path = tmp_path / "results.jsonl"
+        line = '{"doi": "10.1/%s", "species": [{"name": "Acacia", "role": "invasive"}], "habitats": [{"name": "bog"}]}'
+        path.write_text("".join(line % doi + "\n" for doi in "ba"), encoding="utf-8")
+        results = load_results(path)
+        analytics.role_inventory(results)
+        for role in ("invasive", "native", "introduced"):
+            analytics.top_species(results, role, 10)
+        for granularity in analytics.LOCATION_GRANULARITIES:
+            analytics.location_frequencies(results, granularity)
+        analytics.ecosystem_frequencies(results)
+        analytics.habitat_linkages(results)
+        assert computed == ["species", "locations", "ecosystems", "habitats"]
 
 
 def earlier_format(path, results_lines=None, **sets):
